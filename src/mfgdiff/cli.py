@@ -42,7 +42,16 @@ from .errors import ConfigError, ContractError, StabilityError
 from .fieldio import read_field, read_manifest, write_field, write_table
 from .fixed_point import coupling_fields, picard_solve
 from .fp import DensityPath
-from .hjb import hjb_residual, linearization_identity_gap, linearize, solve_hjb
+from .grid import interp_periodic
+from .hjb import (
+    hjb_lambda_residual,
+    hjb_residual,
+    lambda_transform,
+    linearization_identity_gap,
+    linearize,
+    solve_hjb,
+    solve_hjb_lambda,
+)
 from .sde import dpp_check, modulus_check, simulate_value
 from .wasserstein import GridMeasure, d1, holder_half_diagnostic
 
@@ -157,8 +166,6 @@ def _cmd_verify_sde(cfg: RunConfig, out: Path, prior: Path | None) -> int:
         raise ConfigError("prior fields live on a different lattice than the config grid")
     est = simulate_value(u, m, cfg.model, cfg.mc)
     x0 = np.asarray(cfg.mc.x0)[None, :]
-    from .grid import interp_periodic
-
     ref = float(interp_periodic(u.values[0], u.grid, x0)[0])
     h = cfg.grid.horizon / 8.0
     dpp = dpp_check(u, m, cfg.model, cfg.mc, h)
@@ -200,8 +207,6 @@ def _cmd_diagnose(cfg: RunConfig, out: Path) -> int:
     lam_ratio = float("nan")
     if cfg.model.discount > 0:
         # consistency of the discounted-form solve against the direct one
-        from .hjb import hjb_lambda_residual, lambda_transform, solve_hjb_lambda
-
         g_slice = u.values[cfg.grid.nt]
         v = solve_hjb_lambda(cfg.model, f_path, g_slice, cfg.grid, cfg.model.discount)
         r_ind = float(np.max(np.abs(

@@ -223,6 +223,24 @@ def _mollifier_terms(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray]:
     return offsets, weights
 
 
+def _mollified_terms(base_terms: Callable, spec: HamiltonianSpec, bounds: ControlBounds, t, x, last):
+    """(value, derivative, derivative) of a mollified spec.
+
+    A convex combination of `base_terms` evaluations of the base spec,
+    shifted over the (t, x, last-variable) offsets of the mollifier.
+    """
+    offsets, weights = _mollifier_terms(spec)
+    value = 0.0
+    deriv = 0.0
+    for off, w in zip(offsets, weights):
+        ts = np.asarray(t, dtype=float) - off[0]
+        xs = np.asarray(x, dtype=float) - off[1 : 1 + spec.dim]
+        v, d, _ = base_terms(spec.base, bounds, ts, xs, last - off[-1])
+        value = value + w * v
+        deriv = deriv + w * d
+    return value, deriv, deriv
+
+
 def _h1_terms(spec: HamiltonianSpec, bounds: ControlBounds, t, x, p):
     """(value, derivative, argmin) of H1, vectorized over nodes.
 
@@ -246,18 +264,7 @@ def _h1_terms(spec: HamiltonianSpec, bounds: ControlBounds, t, x, p):
         value = np.take_along_axis(vals, idx[None], axis=0)[0]
         alpha = spec.control_grid_u[idx]
         return value, alpha, alpha
-    # mollified: convex combination of shifted base evaluations
-    offsets, weights = _mollifier_terms(spec)
-    value = 0.0
-    deriv = 0.0
-    for off, w in zip(offsets, weights):
-        ts = np.asarray(t, dtype=float) - off[0]
-        xs = np.asarray(x, dtype=float) - off[1 : 1 + spec.dim]
-        ps = p - off[-1]
-        v, d, _ = _h1_terms(spec.base, bounds, ts, xs, ps)
-        value = value + w * v
-        deriv = deriv + w * d
-    return value, deriv, deriv
+    return _mollified_terms(_h1_terms, spec, bounds, t, x, p)
 
 
 def _h2_terms(spec: HamiltonianSpec, bounds: ControlBounds, t, x, q):
@@ -279,17 +286,7 @@ def _h2_terms(spec: HamiltonianSpec, bounds: ControlBounds, t, x, q):
         value = np.take_along_axis(vals, idx[None], axis=0)[0]
         eta = spec.control_grid_eta[idx]
         return value, eta, eta
-    offsets, weights = _mollifier_terms(spec)
-    value = 0.0
-    deriv = 0.0
-    for off, w in zip(offsets, weights):
-        ts = np.asarray(t, dtype=float) - off[0]
-        xs = np.asarray(x, dtype=float) - off[1 : 1 + spec.dim]
-        qs = q - off[-1]
-        v, d, _ = _h2_terms(spec.base, bounds, ts, xs, qs)
-        value = value + w * v
-        deriv = deriv + w * d
-    return value, deriv, deriv
+    return _mollified_terms(_h2_terms, spec, bounds, t, x, q)
 
 
 def h1_terms(model: ModelSpec, t, x, p):

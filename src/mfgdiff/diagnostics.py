@@ -40,7 +40,7 @@ import numpy as np
 
 from .control import ModelSpec, h1_value, h2_value
 from .errors import ConfigError
-from .grid import TimeField
+from .grid import TimeField, diff_backward, diff_forward
 
 _FD_STEP = 1e-4
 
@@ -52,25 +52,19 @@ _FD_STEP = 1e-4
 
 def lipschitz_constant(u: TimeField) -> float:
     """Max-norm discrete space-Lipschitz constant over all time levels."""
-    dx = u.grid.dx
-    worst = 0.0
-    for ax in range(u.grid.dim):
-        fwd = (np.roll(u.values, -1, axis=1 + ax) - u.values) / dx
-        worst = max(worst, float(np.max(np.abs(fwd))))
-    return worst
+    dx, dim = u.grid.dx, u.grid.dim
+    return max(float(np.max(np.abs(diff_forward(u.values, dx, k - dim)))) for k in range(dim))
 
 
 def second_difference_quotient(u: TimeField) -> np.ndarray:
     """Per-axis second-difference quotients, shape (dim,) + values.shape."""
-    dx = u.grid.dx
-    out = np.empty((u.grid.dim,) + u.values.shape)
-    for ax in range(u.grid.dim):
-        out[ax] = (
-            np.roll(u.values, -1, axis=1 + ax)
-            + np.roll(u.values, 1, axis=1 + ax)
-            - 2.0 * u.values
-        ) / (dx * dx)
-    return out
+    dx, dim = u.grid.dx, u.grid.dim
+    return np.stack(
+        [
+            (diff_forward(u.values, dx, k - dim) - diff_backward(u.values, dx, k - dim)) / dx
+            for k in range(dim)
+        ]
+    )
 
 
 def semiconcavity_constant(u: TimeField) -> float:

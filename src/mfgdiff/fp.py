@@ -43,7 +43,7 @@ import numpy as np
 
 from .control import ModelSpec, h1_terms, h2_terms
 from .errors import ContractError, StabilityError
-from .grid import GridSpec, TimeField, grad_central, laplacian
+from .grid import GridSpec, TimeField, diff_backward, diff_forward, grad_central, laplacian
 
 _NEG_TOL = 1e-14
 _MASS_TOL = 1e-12
@@ -84,26 +84,22 @@ class TransportOperator:
 
     def apply_generator(self, level: int, v: np.ndarray) -> np.ndarray:
         """(L v) at one time level."""
-        dx = self.grid.dx
-        out = self.a[level] * laplacian(v, dx, self.grid.dim)
-        for k in range(self.grid.dim):
+        dx, dim = self.grid.dx, self.grid.dim
+        out = self.a[level] * laplacian(v, dx, dim)
+        for k in range(dim):
             bk = self.b[(level, ..., k)]
-            bp = np.maximum(bk, 0.0)
-            bm = np.minimum(bk, 0.0)
-            out += bp * (np.roll(v, -1, axis=k) - v) / dx
-            out += bm * (v - np.roll(v, 1, axis=k)) / dx
+            out += np.maximum(bk, 0.0) * diff_forward(v, dx, k - dim)
+            out += np.minimum(bk, 0.0) * diff_backward(v, dx, k - dim)
         return out
 
     def apply_adjoint(self, level: int, m: np.ndarray) -> np.ndarray:
         """(L^T m) at one time level: Lap_h(a m) minus the upwind divergence of b m."""
-        dx = self.grid.dx
-        out = laplacian(self.a[level] * m, dx, self.grid.dim)
-        for k in range(self.grid.dim):
+        dx, dim = self.grid.dx, self.grid.dim
+        out = laplacian(self.a[level] * m, dx, dim)
+        for k in range(dim):
             bk = self.b[(level, ..., k)]
-            flux_p = np.maximum(bk, 0.0) * m
-            flux_m = np.minimum(bk, 0.0) * m
-            out += (np.roll(flux_p, 1, axis=k) - flux_p) / dx
-            out += (flux_m - np.roll(flux_m, -1, axis=k)) / dx
+            out -= diff_backward(np.maximum(bk, 0.0) * m, dx, k - dim)
+            out -= diff_forward(np.minimum(bk, 0.0) * m, dx, k - dim)
         return out
 
     def to_dense(self, level: int) -> np.ndarray:
@@ -195,14 +191,9 @@ def build_transport_operator(u: TimeField, model: ModelSpec) -> TransportOperato
     if model.dim != grid.dim:
         raise ValueError(f"model dim {model.dim} != grid dim {grid.dim}")
     x = grid.coords()
-    tt = grid.times()
-    a = np.empty((grid.nt + 1, *grid.shape))
-    b = np.empty((grid.nt + 1, *grid.shape, grid.dim))
-    for n in range(grid.nt + 1):
-        lap = laplacian(u.values[n], grid.dx)
-        grad = grad_central(u.values[n], grid.dx)
-        a[n] = h2_terms(model, tt[n], x, lap)[1]
-        b[n] = h1_terms(model, tt[n], x, grad)[1]
+    t = grid.times().reshape((-1,) + (1,) * grid.dim)
+    a = h2_terms(model, t, x, laplacian(u.values, grid.dx, grid.dim))[1]
+    b = h1_terms(model, t, x, grad_central(u.values, grid.dx, grid.dim))[1]
     lo, hi = model.bounds.a_min, model.bounds.a_max
     if a.min() < lo - 1e-9 or a.max() > hi + 1e-9:
         raise ContractError(

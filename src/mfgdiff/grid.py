@@ -15,7 +15,9 @@ monotonicity, positivity and comparison argument below hangs on.
 
 Spatial derivatives are the standard periodic stencils: centered first
 differences, forward/backward one-sided differences, and the 3-point
-Laplacian per axis.
+Laplacian per axis.  They act on the trailing spatial axes, so one call
+takes either a single time slice or a whole (nt + 1)-level stack, and every
+periodic difference in the package goes through them.
 """
 
 from __future__ import annotations
@@ -156,40 +158,43 @@ class TimeField:
 
 
 # --------------------------------------------------------------------------
-# periodic discrete calculus on a single time slice
+# periodic discrete calculus on the trailing spatial axes
 # --------------------------------------------------------------------------
 
 
-def _spatial_axes(values: np.ndarray, dim: int) -> range:
-    # Slices may carry trailing component axes (vector fields); the first
-    # `dim` axes are always the spatial ones.
-    return range(dim)
-
-
 def laplacian(values: np.ndarray, dx: float, dim: int | None = None) -> np.ndarray:
-    """3-point periodic Laplacian summed over axes."""
+    """3-point periodic Laplacian summed over the trailing `dim` axes (default: all)."""
     dim = values.ndim if dim is None else dim
     out = np.zeros_like(values)
-    for ax in _spatial_axes(values, dim):
+    for ax in range(-dim, 0):
         out += np.roll(values, -1, axis=ax) + np.roll(values, 1, axis=ax) - 2.0 * values
     return out / (dx * dx)
 
 
 def grad_central(values: np.ndarray, dx: float, dim: int | None = None) -> np.ndarray:
-    """Centered periodic gradient, components stacked on a trailing axis."""
+    """Centered periodic gradient over the trailing `dim` axes (default: all).
+
+    Components are stacked on a new trailing axis.
+    """
     dim = values.ndim if dim is None else dim
     comps = [
         (np.roll(values, -1, axis=ax) - np.roll(values, 1, axis=ax)) / (2.0 * dx)
-        for ax in _spatial_axes(values, dim)
+        for ax in range(-dim, 0)
     ]
     return np.stack(comps, axis=-1)
 
 
 def diff_forward(values: np.ndarray, dx: float, axis: int) -> np.ndarray:
+    """Forward periodic difference along `axis`.
+
+    Spatial axis k of a d-dimensional grid is axis k - d, which addresses
+    the same axis on a slice and on a level stack.
+    """
     return (np.roll(values, -1, axis=axis) - values) / dx
 
 
 def diff_backward(values: np.ndarray, dx: float, axis: int) -> np.ndarray:
+    """Backward periodic difference along `axis` (spatial axis k is k - d)."""
     return (values - np.roll(values, 1, axis=axis)) / dx
 
 

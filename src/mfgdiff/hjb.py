@@ -33,7 +33,11 @@ The module also provides:
 
         -v_t - H2_lam(t, x, lap v) - H1_lam(t, x, grad v) + lam v = F_lam,
 
-    where H_lam(t, x, .) = exp(-lam (T-t)) H(t, x, exp(lam (T-t)) .);
+    where H_lam(t, x, .) = exp(-lam (T-t)) H(t, x, exp(lam (T-t)) .).  The
+    bracket of the step is written once, in this discounted form; both
+    marches and both residuals call it, and lam = 0 (where the factor
+    exp(-lam (T - t)) is exactly 1) gives the undiscounted step above bit
+    for bit;
   * the scheme residual evaluator (identically zero on solver output);
   * the linearization of the solved equation: coefficient fields
 
@@ -50,6 +54,7 @@ The module also provides:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,8 +98,31 @@ def grid_for(model: ModelSpec, nx: int, nt: int, box_length: float = 1.0, dim: i
     )
 
 
-def solve_hjb(model: ModelSpec, f_path: TimeField, g_slice: np.ndarray, grid: GridSpec) -> TimeField:
-    """March the terminal slice g backward through the monotone scheme."""
+def _step_bracket(model: ModelSpec, grid: GridSpec, x: np.ndarray, n: int, w: np.ndarray,
+                  f: np.ndarray, lam: float) -> np.ndarray:
+    """Bracket of the explicit step, read on level n from its slice w and running cost f.
+
+        mu H2(t, x, Lap_h w / mu) + mu H1(t, x, Dc w / mu)
+            + (theta_lf dx / 2) Lap_h w + mu F - lam w,    mu = exp(-lam (T - t)),
+
+    at t = t_n.  At lam = 0, mu is exactly 1 and the bracket is the
+    undiscounted one to the last bit.
+    """
+    t = n * grid.dt
+    mu = math.exp(-lam * (grid.horizon - t))
+    lap = laplacian(w, grid.dx)
+    grad = grad_central(w, grid.dx)
+    return (
+        mu * h2_value(model, t, x, lap / mu)
+        + mu * h1_value(model, t, x, grad / mu)
+        + 0.5 * grid.theta_lf * grid.dx * lap
+        + mu * f
+        - lam * w
+    )
+
+
+def _march(model: ModelSpec, f_path: TimeField, g_slice: np.ndarray, grid: GridSpec, lam: float) -> TimeField:
+    """March the terminal slice backward: w^n = w^{n+1} + dt * bracket(n + 1)."""
     _check_model_grid(model, grid)
     if not f_path.grid.same_lattice(grid):
         raise ValueError("running-cost field lives on a different lattice")
@@ -104,28 +132,37 @@ def solve_hjb(model: ModelSpec, f_path: TimeField, g_slice: np.ndarray, grid: Gr
     if not np.all(np.isfinite(g)):
         raise ValueError("terminal slice contains non-finite values")
 
-    dx, dt = grid.dx, grid.dt
     x = grid.coords()
-    half_theta_dx = 0.5 * grid.theta_lf * dx
-    u = np.empty((grid.nt + 1, *grid.shape))
-    u[grid.nt] = g
+    w = np.empty((grid.nt + 1, *grid.shape))
+    w[grid.nt] = g
     for n in range(grid.nt - 1, -1, -1):
-        un1 = u[n + 1]
-        t1 = (n + 1) * dt
-        lap = laplacian(un1, dx)
-        grad = grad_central(un1, dx)
-        step = (
-            h2_value(model, t1, x, lap)
-            + h1_value(model, t1, x, grad)
-            + half_theta_dx * lap
-            + f_path.values[n + 1]
-        )
-        unew = un1 + dt * step
-        if not np.all(np.isfinite(unew)):
-            bad = np.argwhere(~np.isfinite(unew))[0]
+        wn1 = w[n + 1]
+        wnew = wn1 + grid.dt * _step_bracket(model, grid, x, n + 1, wn1, f_path.values[n + 1], lam)
+        if not np.all(np.isfinite(wnew)):
+            bad = np.argwhere(~np.isfinite(wnew))[0]
             raise ContractError(f"non-finite value at time level {n}, node {tuple(bad)}")
-        u[n] = unew
-    return TimeField(grid, u)
+        w[n] = wnew
+    return TimeField(grid, w)
+
+
+def _residual(w: TimeField, model: ModelSpec, f_path: TimeField, lam: float) -> TimeField:
+    """Level n holds (w^{n+1} - w^n)/dt + bracket(n + 1); the terminal level is zero."""
+    grid = w.grid
+    if not f_path.grid.same_lattice(grid):
+        raise ValueError("running-cost field lives on a different lattice")
+    x = grid.coords()
+    r = np.zeros_like(w.values)
+    for n in range(grid.nt):
+        wn1 = w.values[n + 1]
+        r[n] = (wn1 - w.values[n]) / grid.dt + _step_bracket(
+            model, grid, x, n + 1, wn1, f_path.values[n + 1], lam
+        )
+    return TimeField(grid, r)
+
+
+def solve_hjb(model: ModelSpec, f_path: TimeField, g_slice: np.ndarray, grid: GridSpec) -> TimeField:
+    """March the terminal slice g backward through the monotone scheme."""
+    return _march(model, f_path, g_slice, grid, 0.0)
 
 
 def hjb_residual(u: TimeField, model: ModelSpec, f_path: TimeField) -> TimeField:
@@ -134,26 +171,7 @@ def hjb_residual(u: TimeField, model: ModelSpec, f_path: TimeField) -> TimeField
     Level n of the result holds (u^{n+1} - u^n)/dt + H2 + H1_LF + F^{n+1}
     evaluated on level n+1; the terminal level is set to zero.
     """
-    grid = u.grid
-    if not f_path.grid.same_lattice(grid):
-        raise ValueError("running-cost field lives on a different lattice")
-    dx, dt = grid.dx, grid.dt
-    x = grid.coords()
-    half_theta_dx = 0.5 * grid.theta_lf * dx
-    r = np.zeros_like(u.values)
-    for n in range(grid.nt):
-        un1 = u.values[n + 1]
-        t1 = (n + 1) * dt
-        lap = laplacian(un1, dx)
-        grad = grad_central(un1, dx)
-        r[n] = (
-            (un1 - u.values[n]) / dt
-            + h2_value(model, t1, x, lap)
-            + h1_value(model, t1, x, grad)
-            + half_theta_dx * lap
-            + f_path.values[n + 1]
-        )
-    return TimeField(grid, r)
+    return _residual(u, model, f_path, 0.0)
 
 
 def lambda_transform(u: TimeField, lam: float, direction: str) -> TimeField:
@@ -184,56 +202,16 @@ def solve_hjb_lambda(
     (1 - lam dt) factor on the diagonal, so the march stays monotone for
     lam * dt <= 1.
     """
-    _check_model_grid(model, grid)
     if lam < 0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
     if lam * grid.dt > 1.0:
         raise StabilityError(f"discount step lam*dt={lam * grid.dt:.3g} exceeds 1")
-    g = np.asarray(g_slice, dtype=float)
-    dx, dt = grid.dx, grid.dt
-    x = grid.coords()
-    half_theta_dx = 0.5 * grid.theta_lf * dx
-    v = np.empty((grid.nt + 1, *grid.shape))
-    v[grid.nt] = g
-    for n in range(grid.nt - 1, -1, -1):
-        vn1 = v[n + 1]
-        t1 = (n + 1) * dt
-        mu = np.exp(-lam * (grid.horizon - t1))
-        lap = laplacian(vn1, dx)
-        grad = grad_central(vn1, dx)
-        step = (
-            mu * h2_value(model, t1, x, lap / mu)
-            + mu * h1_value(model, t1, x, grad / mu)
-            + half_theta_dx * lap
-            + mu * f_path.values[n + 1]
-            - lam * vn1
-        )
-        v[n] = vn1 + dt * step
-    return TimeField(grid, v)
+    return _march(model, f_path, g_slice, grid, lam)
 
 
 def hjb_lambda_residual(v: TimeField, model: ModelSpec, f_path: TimeField, lam: float) -> TimeField:
     """Scheme residual of a field under the discounted march."""
-    grid = v.grid
-    dx, dt = grid.dx, grid.dt
-    x = grid.coords()
-    half_theta_dx = 0.5 * grid.theta_lf * dx
-    r = np.zeros_like(v.values)
-    for n in range(grid.nt):
-        vn1 = v.values[n + 1]
-        t1 = (n + 1) * dt
-        mu = np.exp(-lam * (grid.horizon - t1))
-        lap = laplacian(vn1, dx)
-        grad = grad_central(vn1, dx)
-        r[n] = (
-            (vn1 - v.values[n]) / dt
-            + mu * h2_value(model, t1, x, lap / mu)
-            + mu * h1_value(model, t1, x, grad / mu)
-            + half_theta_dx * lap
-            + mu * f_path.values[n + 1]
-            - lam * vn1
-        )
-    return TimeField(grid, r)
+    return _residual(v, model, f_path, lam)
 
 
 # --------------------------------------------------------------------------

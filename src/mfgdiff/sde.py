@@ -141,12 +141,7 @@ def _draw_increments(rng, n_paths: int, dim: int, antithetic: bool) -> np.ndarra
 
 def _feedback_fields(u: TimeField):
     grid = u.grid
-    laps = np.empty_like(u.values)
-    grads = np.empty(u.values.shape + (grid.dim,))
-    for n in range(grid.nt + 1):
-        laps[n] = laplacian(u.values[n], grid.dx)
-        grads[n] = grad_central(u.values[n], grid.dx)
-    return laps, grads
+    return laplacian(u.values, grid.dx, grid.dim), grad_central(u.values, grid.dx, grid.dim)
 
 
 def _interp_vector(field_slice: np.ndarray, grid, pts: np.ndarray) -> np.ndarray:

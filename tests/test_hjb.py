@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mfgdiff import StabilityError, model_a, single_control_model
+from mfgdiff import ContractError, StabilityError, model_a, single_control_model
 from mfgdiff.grid import GridSpec, TimeField
 from mfgdiff.hjb import (
     grid_for,
@@ -99,6 +99,23 @@ def test_solver_rejects_underpowered_grid(ma):
         solve_hjb(ma, TimeField.zeros(grid), np.zeros(grid.shape), grid)
 
 
+def _solve_discounted(model, f_path, g_slice, grid):
+    return solve_hjb_lambda(model, f_path, g_slice, grid, 1.0)
+
+
+@pytest.mark.parametrize("solve", [solve_hjb, _solve_discounted], ids=["direct", "discounted"])
+def test_march_rejects_bad_inputs(solve, ma, grid16):
+    fine = grid_for(ma, nx=16, nt=128)
+    with pytest.raises(ValueError, match="lattice"):
+        solve(ma, TimeField.zeros(fine), np.zeros(grid16.shape), grid16)
+    with pytest.raises(ValueError, match="shape"):
+        solve(ma, TimeField.zeros(grid16), 0.0, grid16)
+    g = 1e307 * np.cos(2 * np.pi * grid16.axis_coords())
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ContractError, match=f"time level {grid16.nt - 1},"):
+            solve(ma, TimeField.zeros(grid16), g, grid16)
+
+
 def test_linf_stability_bound(ma, grid16, rng):
     f = random_smooth_slice(grid16, rng)
     g = random_smooth_slice(grid16, rng, amplitude=2.0)
@@ -164,9 +181,19 @@ def test_residual_grid_mismatch_rejected(ma, grid16):
 
 
 def test_transform_lambda_zero_identity(ma, grid16):
-    u = TimeField(grid16, np.random.default_rng(0).standard_normal((grid16.nt + 1, *grid16.shape)))
+    rng = np.random.default_rng(0)
+    u = TimeField(grid16, rng.standard_normal((grid16.nt + 1, *grid16.shape)))
     v = lambda_transform(u, 0.0, "forward")
     assert np.array_equal(v.values, u.values)
+    # the discounted solver and residual at lam = 0 are the undiscounted ones
+    f_path = TimeField(grid16, np.broadcast_to(random_smooth_slice(grid16, rng), u.values.shape).copy())
+    g = random_smooth_slice(grid16, rng)
+    assert np.array_equal(
+        solve_hjb_lambda(ma, f_path, g, grid16, 0.0).values, solve_hjb(ma, f_path, g, grid16).values
+    )
+    assert np.array_equal(
+        hjb_lambda_residual(u, ma, f_path, 0.0).values, hjb_residual(u, ma, f_path).values
+    )
 
 
 def test_transform_roundtrip(ma, grid16, rng):
