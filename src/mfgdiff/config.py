@@ -13,7 +13,7 @@ need arbitrary callables are constructed in code, not from documents.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,7 @@ from .control import (
     ControlBounds,
     HamiltonianSpec,
     ModelSpec,
+    node_zeros,
 )
 from .couplings import DensityInit, KernelCoupling, TerminalBase, TerminalSpec
 from .errors import ConfigError, StabilityError
@@ -31,16 +32,6 @@ from .grid import GridSpec
 from .sde import McConfig
 
 log = logging.getLogger("mfgdiff")
-
-_DEFAULTS = {
-    "fixed_point.theta": 0.5,
-    "fixed_point.tol": 1e-4,
-    "fixed_point.max_iter": 50,
-    "quadrature_order": 16,
-    "mc.antithetic": False,
-    "model.discount": 0.0,
-    "grid.theta_lf": None,  # model drift bound
-}
 
 
 @dataclass(frozen=True)
@@ -87,30 +78,35 @@ def _take(section: dict, name: str, keys: set[str], required: set[str] | None = 
     return section
 
 
-def _echo_default(name: str, value) -> None:
+def _echo_default(name: str, value):
     log.info("config default applied: %s = %r", name, value)
+    return value
+
+
+def _opt(section: dict, name: str, default):
+    """The entry of `section` named by the last part of the dotted `name`, or the echoed default."""
+    key = name.rpartition(".")[2]
+    return section[key] if key in section else _echo_default(name, default)
 
 
 def _parse_lagrangian(desc: dict, name: str, is_drift: bool):
     desc = _take(desc, name, {"kind", "weight", "vertex"})
-    kind = desc.get("kind", "zero")
+    kind = _opt(desc, f"{name}.kind", "zero")
     if kind == "zero":
-        if is_drift:
-            return lambda t, x, a: np.zeros(np.broadcast(np.asarray(t), np.asarray(x)[..., 0]).shape)
-        return lambda t, x, e: np.zeros(np.broadcast(np.asarray(t), np.asarray(x)[..., 0]).shape)
+        return lambda t, x, control: node_zeros(t, x)
     if kind == "quadratic":
-        w = float(desc.get("weight", 1.0))
-        v = float(desc.get("vertex", 0.0))
+        w = float(_opt(desc, f"{name}.weight", 1.0))
+        v = float(_opt(desc, f"{name}.vertex", 0.0))
         if is_drift:
-            return lambda t, x, a: (
-                w * float(np.sum((np.asarray(a, dtype=float) - v) ** 2))
-                + np.zeros(np.broadcast(np.asarray(t), np.asarray(x)[..., 0]).shape)
-            )
-        return lambda t, x, e: (
-            w * (np.asarray(e, dtype=float) - v) ** 2
-            + np.zeros(np.broadcast(np.asarray(t), np.asarray(x)[..., 0]).shape)
-        )
+            return lambda t, x, a: w * float(np.sum((np.asarray(a, dtype=float) - v) ** 2)) + node_zeros(t, x)
+        return lambda t, x, e: w * (np.asarray(e, dtype=float) - v) ** 2 + node_zeros(t, x)
     raise ConfigError(f"unknown lagrangian kind {kind!r} in {name!r}")
+
+
+def _parse_coupling(desc: dict, name: str) -> KernelCoupling:
+    desc = _take(desc, name, {"eps", "gain"})
+    eps = float(_opt(desc, f"{name}.eps", 0.1))
+    return KernelCoupling(eps=eps, gain=float(_opt(desc, f"{name}.gain", 0.0)))
 
 
 def _parse_model(section: dict) -> ModelSpec:
@@ -125,25 +121,20 @@ def _parse_model(section: dict) -> ModelSpec:
     bounds = ControlBounds(
         lambda1=float(b["lambda1"]),
         lambda2=float(b["lambda2"]),
-        drift_bound=float(b.get("drift_bound", 1.0)),
+        drift_bound=float(_opt(b, "model.bounds.drift_bound", ControlBounds.drift_bound)),
     )
     h = section["hamiltonians"]
     _take(h, "model.hamiltonians",
           {"kind", "dim", "drift_ctrl_max", "l1_weight", "l3_vertex", "l3_weight",
            "control_grid_u", "control_grid_eta", "l1", "l3"},
           required={"kind"})
-    dim = int(h.get("dim", 1))
+    dim = int(_opt(h, "model.hamiltonians.dim", HamiltonianSpec.dim))
     if h["kind"] == "closed-form":
-        ham = HamiltonianSpec(
-            kind="closed-form",
-            dim=dim,
-            closed_form=ClosedFormCoefficients(
-                drift_ctrl_max=float(h.get("drift_ctrl_max", 1.0)),
-                l1_weight=float(h.get("l1_weight", 0.5)),
-                l3_vertex=float(h.get("l3_vertex", 1.0)),
-                l3_weight=float(h.get("l3_weight", 1.0)),
-            ),
-        )
+        coeffs = {
+            f.name: float(_opt(h, f"model.hamiltonians.{f.name}", f.default))
+            for f in fields(ClosedFormCoefficients)
+        }
+        ham = HamiltonianSpec(kind="closed-form", dim=dim, closed_form=ClosedFormCoefficients(**coeffs))
     elif h["kind"] == "tabulated":
         if "control_grid_u" not in h or "control_grid_eta" not in h:
             raise ConfigError("tabulated hamiltonians need control_grid_u and control_grid_eta")
@@ -152,51 +143,38 @@ def _parse_model(section: dict) -> ModelSpec:
             dim=dim,
             control_grid_u=np.atleast_2d(np.asarray(h["control_grid_u"], dtype=float)),
             control_grid_eta=np.asarray(h["control_grid_eta"], dtype=float),
-            lagrangian_l1=_parse_lagrangian(h.get("l1", {"kind": "zero"}), "model.hamiltonians.l1", True),
-            lagrangian_l3=_parse_lagrangian(h.get("l3", {"kind": "zero"}), "model.hamiltonians.l3", False),
+            lagrangian_l1=_parse_lagrangian(h.get("l1", {}), "model.hamiltonians.l1", True),
+            lagrangian_l3=_parse_lagrangian(h.get("l3", {}), "model.hamiltonians.l3", False),
         )
     else:
         raise ConfigError(f"config hamiltonian kind must be closed-form or tabulated, got {h['kind']!r}")
 
-    cf = section.get("coupling_f", {"eps": 0.1, "gain": 0.0})
-    cf = _take(cf, "model.coupling_f", {"eps", "gain"})
-    coupling_f = KernelCoupling(eps=float(cf.get("eps", 0.1)), gain=float(cf.get("gain", 0.0)))
-
-    term = section.get("terminal", {})
-    term = _take(term, "model.terminal", {"base", "coupling"})
-    base_desc = _take(term.get("base", {"kind": "zero"}), "model.terminal.base",
-                      {"kind", "value", "amplitude"})
+    term = _take(section.get("terminal", {}), "model.terminal", {"base", "coupling"})
+    base_desc = _take(term.get("base", {}), "model.terminal.base", {"kind", "value", "amplitude"})
     base = TerminalBase(
-        kind=base_desc.get("kind", "zero"),
-        value=float(base_desc.get("value", 0.0)),
-        amplitude=float(base_desc.get("amplitude", 1.0)),
+        kind=_opt(base_desc, "model.terminal.base.kind", TerminalBase.kind),
+        value=float(_opt(base_desc, "model.terminal.base.value", TerminalBase.value)),
+        amplitude=float(_opt(base_desc, "model.terminal.base.amplitude", TerminalBase.amplitude)),
     )
-    tc = _take(term.get("coupling", {"eps": 0.1, "gain": 0.0}), "model.terminal.coupling",
-               {"eps", "gain"})
-    terminal = TerminalSpec(
-        base=base,
-        coupling=KernelCoupling(eps=float(tc.get("eps", 0.1)), gain=float(tc.get("gain", 0.0))),
-    )
+    coupling_g = _parse_coupling(term.get("coupling", {}), "model.terminal.coupling")
 
-    m0d = _take(section.get("m0", {"kind": "uniform"}), "model.m0", {"kind", "center", "width"})
-    center = m0d.get("center", [0.5] * dim)
+    m0d = _take(section.get("m0", {}), "model.m0", {"kind", "center", "width"})
+    center = _opt(m0d, "model.m0.center", [0.5] * dim)
     if isinstance(center, (int, float)):
         center = [center]
     m0 = DensityInit(
-        kind=m0d.get("kind", "uniform"),
+        kind=_opt(m0d, "model.m0.kind", DensityInit.kind),
         center=tuple(float(c) for c in center),
-        width=float(m0d.get("width", 0.1)),
+        width=float(_opt(m0d, "model.m0.width", DensityInit.width)),
     )
-    if "discount" not in section:
-        _echo_default("model.discount", _DEFAULTS["model.discount"])
     return ModelSpec(
         bounds=bounds,
         hamiltonians=ham,
-        coupling_f=coupling_f,
-        terminal=terminal,
+        coupling_f=_parse_coupling(section.get("coupling_f", {}), "model.coupling_f"),
+        terminal=TerminalSpec(base=base, coupling=coupling_g),
         m0=m0,
         horizon=float(section["horizon"]),
-        discount=float(section.get("discount", 0.0)),
+        discount=float(_opt(section, "model.discount", ModelSpec.discount)),
     )
 
 
@@ -221,12 +199,11 @@ def load_config(path) -> RunConfig:
               required={"nx", "nt"})
     theta = g.get("theta_lf")
     if theta is None:
-        theta = model.bounds.drift_bound
-        _echo_default("grid.theta_lf", theta)
+        theta = _echo_default("grid.theta_lf", model.bounds.drift_bound)
     try:
         grid = GridSpec(
-            dim=int(g.get("dim", model.dim)),
-            box_length=float(g.get("box_length", 1.0)),
+            dim=int(_opt(g, "grid.dim", model.dim)),
+            box_length=float(_opt(g, "grid.box_length", 1.0)),
             nx=int(g["nx"]),
             nt=int(g["nt"]),
             horizon=model.horizon,
@@ -238,42 +215,32 @@ def load_config(path) -> RunConfig:
     if grid.dim != model.dim:
         raise ConfigError(f"grid.dim={grid.dim} does not match the model dimension {model.dim}")
 
-    mc_sec = doc.get("mc", {})
-    mc_sec = _take(mc_sec, "mc", {"num_paths", "dt_mc", "seed", "x0", "antithetic"})
-    x0 = mc_sec.get("x0", [0.5 * grid.box_length] * grid.dim)
+    mc_sec = _take(doc.get("mc", {}), "mc", {"num_paths", "dt_mc", "seed", "x0", "antithetic"})
+    x0 = _opt(mc_sec, "mc.x0", [0.5 * grid.box_length] * grid.dim)
     if isinstance(x0, (int, float)):
         x0 = [x0]
-    if "dt_mc" not in mc_sec:
-        _echo_default("mc.dt_mc", grid.dt)
-    if "antithetic" not in mc_sec:
-        _echo_default("mc.antithetic", False)
     mc = McConfig(
-        num_paths=int(mc_sec.get("num_paths", 10000)),
-        dt_mc=float(mc_sec.get("dt_mc", grid.dt)),
-        seed=int(mc_sec.get("seed", 0)),
+        num_paths=int(_opt(mc_sec, "mc.num_paths", 10000)),
+        dt_mc=float(_opt(mc_sec, "mc.dt_mc", grid.dt)),
+        seed=int(_opt(mc_sec, "mc.seed", 0)),
         x0=tuple(float(c) for c in x0),
-        antithetic=bool(mc_sec.get("antithetic", False)),
+        antithetic=bool(_opt(mc_sec, "mc.antithetic", McConfig.antithetic)),
     )
 
     fp_sec = _take(doc.get("fixed_point", {}), "fixed_point", {"theta", "tol", "max_iter"})
-    for key, default in (("theta", 0.5), ("tol", 1e-4), ("max_iter", 50)):
-        if key not in fp_sec:
-            _echo_default(f"fixed_point.{key}", default)
     fixed_point = FixedPointConfig(
-        theta=float(fp_sec.get("theta", 0.5)),
-        tol=float(fp_sec.get("tol", 1e-4)),
-        max_iter=int(fp_sec.get("max_iter", 50)),
+        theta=float(_opt(fp_sec, "fixed_point.theta", FixedPointConfig.theta)),
+        tol=float(_opt(fp_sec, "fixed_point.tol", FixedPointConfig.tol)),
+        max_iter=int(_opt(fp_sec, "fixed_point.max_iter", FixedPointConfig.max_iter)),
     )
 
     out_sec = _take(doc.get("output", {}), "output", {"directory", "write_fields"})
     output = OutputConfig(
-        directory=str(out_sec.get("directory", "out")),
-        write_fields=bool(out_sec.get("write_fields", True)),
+        directory=str(_opt(out_sec, "output.directory", OutputConfig.directory)),
+        write_fields=bool(_opt(out_sec, "output.write_fields", OutputConfig.write_fields)),
     )
 
-    if "quadrature_order" not in doc:
-        _echo_default("quadrature_order", 16)
-    order = int(doc.get("quadrature_order", 16))
+    order = int(_opt(doc, "quadrature_order", RunConfig.quadrature_order))
     if order < 2:
         raise ConfigError(f"quadrature_order must be >= 2, got {order}")
 

@@ -30,6 +30,13 @@ Convex combinations preserve concavity and keep the derivative inside the
 control interval, so the mollified Hamiltonians satisfy the same structural
 bounds as the originals.
 
+No other module branches on the representation.  This one also writes the
+running costs L1, L3 at an explicit control (`running_costs`; a mollified
+spec has none and raises a ConfigError), and the segment means of H2_q and
+H1_p along [0, q] and [0, p] (`h2_segment_mean`, `h1_segment_mean`): exact
+for the closed form, whose derivatives are clamped linear in the segment
+parameter, and Gauss-Legendre quadrature otherwise.
+
 `validate_hypotheses` audits those structural bounds on a sample cloud:
 ellipticity of H2_q, boundedness of values and derivatives at zero, the
 coercivity-type bound H_last * arg - H >= -C, and the (t, x)-derivative
@@ -241,6 +248,30 @@ def _mollified_terms(base_terms: Callable, spec: HamiltonianSpec, bounds: Contro
     return value, deriv, deriv
 
 
+def node_zeros(t, x) -> np.ndarray:
+    """Zeros shaped like the broadcast of t against the nodes of x (shape (..., dim))."""
+    return np.zeros(np.broadcast(np.asarray(t), np.asarray(x)[..., 0]).shape)
+
+
+def _l1(spec: HamiltonianSpec, t, x, alpha) -> np.ndarray:
+    """Drift running cost L1: per node when closed-form, at one control point when tabulated."""
+    if spec.kind == "closed-form":
+        return spec.closed_form.l1_weight * np.sum(alpha**2, axis=-1)
+    if spec.kind == "tabulated":
+        return np.asarray(spec.lagrangian_l1(t, x, alpha), dtype=float)
+    raise ConfigError("running costs need a closed-form or tabulated spec, not a mollified one")
+
+
+def _l3(spec: HamiltonianSpec, t, x, eta) -> np.ndarray:
+    """Diffusion running cost L3, with the conventions of `_l1`."""
+    if spec.kind == "closed-form":
+        cf = spec.closed_form
+        return cf.l3_weight * (eta - cf.l3_vertex) ** 2
+    if spec.kind == "tabulated":
+        return np.asarray(spec.lagrangian_l3(t, x, eta), dtype=float)
+    raise ConfigError("running costs need a closed-form or tabulated spec, not a mollified one")
+
+
 def _h1_terms(spec: HamiltonianSpec, bounds: ControlBounds, t, x, p):
     """(value, derivative, argmin) of H1, vectorized over nodes.
 
@@ -256,7 +287,7 @@ def _h1_terms(spec: HamiltonianSpec, bounds: ControlBounds, t, x, p):
     if spec.kind == "tabulated":
         vals = np.stack(
             [
-                np.sum(p * a, axis=-1) + np.asarray(spec.lagrangian_l1(t, x, a), dtype=float)
+                np.sum(p * a, axis=-1) + _l1(spec, t, x, a)
                 for a in spec.control_grid_u
             ]
         )
@@ -278,7 +309,7 @@ def _h2_terms(spec: HamiltonianSpec, bounds: ControlBounds, t, x, q):
     if spec.kind == "tabulated":
         vals = np.stack(
             [
-                e * q + np.asarray(spec.lagrangian_l3(t, x, e), dtype=float)
+                e * q + _l3(spec, t, x, e)
                 for e in spec.control_grid_eta
             ]
         )
@@ -303,6 +334,73 @@ def h1_value(model: ModelSpec, t, x, p) -> np.ndarray:
 
 def h2_value(model: ModelSpec, t, x, q) -> np.ndarray:
     return h2_terms(model, t, x, q)[0]
+
+
+def running_costs(model: ModelSpec, t, x, alpha, eta) -> tuple[np.ndarray, np.ndarray]:
+    """(L1, L3) for one control pair (alpha of shape (dim,), eta scalar), shaped like the nodes."""
+    spec = model.hamiltonians
+    alpha = np.asarray(alpha, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    zeros = node_zeros(t, x)
+    return _l1(spec, t, x, alpha) + zeros, _l3(spec, t, x, eta) + zeros
+
+
+# --------------------------------------------------------------------------
+# segment means of the envelope derivatives
+# --------------------------------------------------------------------------
+
+
+def _clamp_antiderivative(r: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Antiderivative A(r) of clamp(., lo, hi) with A(lo) = lo^2 (branch glue)."""
+    below = lo * r
+    middle = lo * lo + 0.5 * (r * r - lo * lo)
+    above = lo * lo + 0.5 * (hi * hi - lo * lo) + hi * (r - hi)
+    return np.where(r <= lo, below, np.where(r <= hi, middle, above))
+
+
+def _mean_clamped_linear(a, b, lo: float, hi: float) -> np.ndarray:
+    """Exact mean over s in [0,1] of clamp(a - b s, lo, hi), vectorized.
+
+    Equals (A(a) - A(a - b)) / b away from b = 0; the relative cancellation
+    there is harmless because every consumer multiplies the mean back by a
+    quantity proportional to b.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    tiny = np.abs(b) < 1e-300
+    b_safe = np.where(tiny, 1.0, b)
+    mean = (_clamp_antiderivative(a, lo, hi) - _clamp_antiderivative(a - b_safe, lo, hi)) / b_safe
+    return np.where(tiny, np.clip(a, lo, hi), mean)
+
+
+def _quadrature_mean(terms: Callable, model: ModelSpec, t, x, end, order: int) -> np.ndarray:
+    """Gauss-Legendre mean over s in [0, 1] of the derivative of `terms` at s * end."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    return sum(
+        w * terms(model, t, x, s * end)[1] for s, w in zip(0.5 * (nodes + 1.0), 0.5 * weights)
+    )
+
+
+def h1_segment_mean(model: ModelSpec, t, x, p, order: int = 16) -> np.ndarray:
+    """Mean of H1_p along the segment [0, p]; p and the result have shape (..., dim)."""
+    spec = model.hamiltonians
+    if spec.kind == "closed-form":
+        cf = spec.closed_form
+        p = np.asarray(p, dtype=float)
+        hi = cf.drift_ctrl_max
+        return _mean_clamped_linear(0.0, p / (2.0 * cf.l1_weight), -hi, hi)
+    return _quadrature_mean(h1_terms, model, t, x, p, order)
+
+
+def h2_segment_mean(model: ModelSpec, t, x, q, order: int = 16) -> np.ndarray:
+    """Mean of H2_q along the segment [0, q]."""
+    spec = model.hamiltonians
+    if spec.kind == "closed-form":
+        cf = spec.closed_form
+        q = np.asarray(q, dtype=float)
+        lo, hi = model.bounds.a_min, model.bounds.a_max
+        return _mean_clamped_linear(cf.l3_vertex, q / (2.0 * cf.l3_weight), lo, hi)
+    return _quadrature_mean(h2_terms, model, t, x, q, order)
 
 
 # --------------------------------------------------------------------------
@@ -430,8 +528,8 @@ def single_control_model(
         dim=dim,
         control_grid_u=np.zeros((1, dim)),
         control_grid_eta=np.array([nu]),
-        lagrangian_l1=lambda t, x, a: np.zeros(np.broadcast(np.asarray(t), np.asarray(x)[..., 0]).shape),
-        lagrangian_l3=lambda t, x, e: np.zeros(np.broadcast(np.asarray(t), np.asarray(x)[..., 0]).shape),
+        lagrangian_l1=lambda t, x, a: node_zeros(t, x),
+        lagrangian_l3=lambda t, x, e: node_zeros(t, x),
     )
     base = terminal_base if terminal_base is not None else TerminalBase(kind="cosine", amplitude=1.0)
     init = m0 if m0 is not None else DensityInit(kind="gaussian", center=(0.5,) * dim, width=0.1)
@@ -537,7 +635,7 @@ def validate_hypotheses(model: ModelSpec, samples, declared_c: float = 10.0) -> 
     h1v0 = h1_value(model, t, x, zeros_p)
     h2v0 = h2_value(model, t, x, np.zeros_like(q))
 
-    def dx_of(fn, k, step_scale):
+    def dx_of(fn, k):
         h = _FD_STEP * (1.0 + np.abs(x[:, k]))
         xp = x.copy()
         xm = x.copy()
@@ -569,7 +667,7 @@ def validate_hypotheses(model: ModelSpec, samples, declared_c: float = 10.0) -> 
     ellipticity = float(np.min(h2q))
     value_zero = float(np.max(np.abs(h1v0) + np.abs(h2v0)))
     grad_bound = float(np.max(np.max(np.abs(h1p), axis=1) + np.abs(h2q)))
-    mixed_qx = float(max(np.max(np.abs(dx_of(h2q_at, k, 1.0))) for k in range(d)))
+    mixed_qx = float(max(np.max(np.abs(dx_of(h2q_at, k))) for k in range(d)))
     coercivity = float(
         max(
             np.max(-(np.sum(h1p * p, axis=-1) - h1v)),
@@ -579,8 +677,8 @@ def validate_hypotheses(model: ModelSpec, samples, declared_c: float = 10.0) -> 
     )
     mixed_env = float(
         max(
-            max(np.max(np.abs(dx_of(g1_at, k, 1.0))) for k in range(d)),
-            max(np.max(np.abs(dx_of(g2_at, k, 1.0))) for k in range(d)),
+            max(np.max(np.abs(dx_of(g1_at, k))) for k in range(d)),
+            max(np.max(np.abs(dx_of(g2_at, k))) for k in range(d)),
         )
     )
     curv_h1 = float(
@@ -604,8 +702,8 @@ def validate_hypotheses(model: ModelSpec, samples, declared_c: float = 10.0) -> 
     x_grad = float(
         np.max(
             (
-                np.max(np.stack([np.abs(dx_of(h1_at, k, 1.0)) for k in range(d)]), axis=0)
-                + np.max(np.stack([np.abs(dx_of(h2_at, k, 1.0)) for k in range(d)]), axis=0)
+                np.max(np.stack([np.abs(dx_of(h1_at, k)) for k in range(d)]), axis=0)
+                + np.max(np.stack([np.abs(dx_of(h2_at, k)) for k in range(d)]), axis=0)
             )
             / (1.0 + p_inf)
         )

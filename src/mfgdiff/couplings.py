@@ -47,14 +47,6 @@ def _axis_kernel(nx: int, dx: float, eps: float) -> np.ndarray:
     return acc
 
 
-def smoothing_kernel(grid: GridSpec, eps: float) -> np.ndarray:
-    """Kernel samples on the grid (tensor product across axes), unit mass."""
-    k1 = _axis_kernel(grid.nx, grid.dx, eps)
-    if grid.dim == 1:
-        return k1.copy()
-    return np.multiply.outer(k1, k1)
-
-
 def validate_kernel(grid: GridSpec, eps: float) -> None:
     """Reject kernels that are not nonnegative, unit-mass and positive-definite."""
     k1 = _axis_kernel(grid.nx, grid.dx, eps)

@@ -5,6 +5,10 @@ the value, 17 significant digits so float64 round-trips bit-exactly) and a
 manifest listing the grid metadata, a sha256 per level file, and a combined
 checksum over the per-file digests.  No timestamps are recorded: identical
 data produces identical bytes.
+
+Reading checks both: each level file's bytes against its listed digest
+before they are parsed, and the combined checksum over the digests.  A
+mismatch raises a ConfigError that names the file.
 """
 
 from __future__ import annotations
@@ -67,22 +71,28 @@ def write_field(field: TimeField | DensityPath, path) -> str:
     return combined
 
 
-def read_manifest(path) -> dict:
+def _read_manifest(path) -> tuple[dict, list[str]]:
+    """Metadata entries, and the per-file digest lines in their written order."""
     man = Path(path) / "manifest.txt"
     if not man.is_file():
         raise ConfigError(f"no manifest at {man}")
-    meta = {}
+    meta, files = {}, []
     for line in man.read_text().splitlines():
         if line.startswith("file "):
+            files.append(line)
             continue
         key, _, val = line.partition("=")
         meta[key] = val
-    return meta
+    return meta, files
+
+
+def read_manifest(path) -> dict:
+    return _read_manifest(path)[0]
 
 
 def read_field(path) -> TimeField | DensityPath:
-    """Reconstruct a field from a directory written by `write_field`."""
-    meta = read_manifest(path)
+    """Reconstruct a field from a directory written by `write_field`, checking every digest."""
+    meta, files = _read_manifest(path)
     grid = GridSpec(
         dim=int(meta["dim"]),
         box_length=float(meta["box_length"]),
@@ -92,13 +102,24 @@ def read_field(path) -> TimeField | DensityPath:
         a_max=float(meta["a_max"]),
         theta_lf=float(meta["theta_lf"]),
     )
+    if len(files) != grid.nt + 1:
+        raise ConfigError(f"manifest in {path} lists {len(files)} level files, expected {grid.nt + 1}")
     values = np.empty((grid.nt + 1, *grid.shape))
-    for n in range(grid.nt + 1):
+    combined = hashlib.sha256()
+    for n, listed in enumerate(files):
         fname = Path(path) / _level_name(n)
         if not fname.is_file():
             raise ConfigError(f"missing level file {fname}")
-        data = np.loadtxt(fname, delimiter=",", skiprows=1, ndmin=2)
-        values[n] = data[:, grid.dim].reshape(grid.shape)
+        blob = fname.read_bytes()
+        digest = hashlib.sha256(blob).hexdigest()
+        if listed != f"file {fname.name} sha256={digest}":
+            raise ConfigError(f"level file {fname} does not match its manifest digest")
+        combined.update(digest.encode())
+        body = blob.decode().partition("\n")[2].rstrip("\n").replace("\n", ",")
+        rows = np.fromstring(body, sep=",").reshape(-1, grid.dim + 1)
+        values[n] = rows[:, grid.dim].reshape(grid.shape)
+    if combined.hexdigest() != meta.get("checksum"):
+        raise ConfigError(f"checksum in {path} manifest does not match its level digests")
     if meta["kind"] == "density":
         return DensityPath.from_values(grid, values)
     return TimeField(grid, values)

@@ -57,14 +57,19 @@ def coupling_fields(model: ModelSpec, grid: GridSpec, density_values: np.ndarray
     return TimeField(grid, f_vals), g_slice
 
 
+def _coupled_step(model: ModelSpec, grid: GridSpec, density_values: np.ndarray, m0_slice: np.ndarray):
+    """(f_path, u, op, m): couplings frozen at a density path, backward solve, operator, forward solve."""
+    f_path, g_slice = coupling_fields(model, grid, density_values)
+    u = solve_hjb(model, f_path, g_slice, grid)
+    op = build_transport_operator(u, model)
+    return f_path, u, op, solve_fp(op, m0_slice)
+
+
 def phi_map(gamma: DensityPath, model: ModelSpec, grid: GridSpec) -> tuple[TimeField, DensityPath]:
     """One application of the equilibrium map: backward solve, then forward solve."""
     if not gamma.grid.same_lattice(grid):
         raise ValueError("input path lives on a different lattice")
-    f_path, g_slice = coupling_fields(model, grid, gamma.values)
-    u = solve_hjb(model, f_path, g_slice, grid)
-    op = build_transport_operator(u, model)
-    m = solve_fp(op, model.m0.discretize(grid))
+    _, u, _, m = _coupled_step(model, grid, gamma.values, model.m0.discretize(grid))
     return u, m
 
 
@@ -129,10 +134,7 @@ def picard_solve(
     u = None
     for _ in range(max_iter):
         iterations += 1
-        f_path, g_slice = coupling_fields(model, grid, current.values)
-        u = solve_hjb(model, f_path, g_slice, grid)
-        op = build_transport_operator(u, model)
-        m_new = solve_fp(op, m0_slice)
+        f_path, u, _, m_new = _coupled_step(model, grid, current.values, m0_slice)
         resid_hist.append(float(np.max(np.abs(hjb_residual(u, model, f_path).values))))
         mass_hist.append(float(np.max(np.abs(m_new.mass - 1.0))))
         blended = DensityPath.from_values(
@@ -154,10 +156,7 @@ def picard_solve(
     # Re-synchronize the returned pair: forward solve from the last iterate,
     # then a backward solve against the returned density itself, so both
     # self-consistency certificates are exact for the pair handed back.
-    f_path, g_slice = coupling_fields(model, grid, current.values)
-    u_mid = solve_hjb(model, f_path, g_slice, grid)
-    op_final = build_transport_operator(u_mid, model)
-    m_final = solve_fp(op_final, m0_slice)
+    _, _, op_final, m_final = _coupled_step(model, grid, current.values, m0_slice)
     f_final, g_final = coupling_fields(model, grid, m_final.values)
     u_final = solve_hjb(model, f_final, g_final, grid)
 
@@ -184,6 +183,14 @@ def picard_solve(
     return PicardResult(u=u_final, m=m_final, report=report, operator=op_final)
 
 
+def _coupling_pairing(model: ModelSpec, m1: DensityPath, m2: DensityPath) -> np.ndarray:
+    """Per-level integral of (F(m1) - F(m2)) d(m1 - m2)."""
+    grid = m1.grid
+    diff = m1.values - m2.values
+    f_diff = model.coupling_f.field(grid, m1.values) - model.coupling_f.field(grid, m2.values)
+    return (f_diff * diff).reshape(grid.nt + 1, -1).sum(axis=1) * grid.dx**grid.dim
+
+
 def monotonicity_gap(model: ModelSpec, m1: DensityPath, m2: DensityPath) -> tuple[float, float]:
     """Integrated coupling monotonicity along two paths.
 
@@ -195,15 +202,12 @@ def monotonicity_gap(model: ModelSpec, m1: DensityPath, m2: DensityPath) -> tupl
     grid = m1.grid
     if not grid.same_lattice(m2.grid):
         raise ValueError("paths live on different grids")
-    cell = grid.dx**grid.dim
-    diff = m1.values - m2.values
-    f_diff = model.coupling_f.field(grid, m1.values) - model.coupling_f.field(grid, m2.values)
-    per_level = (f_diff * diff).reshape(grid.nt + 1, -1).sum(axis=1) * cell
+    diff = m1.values[grid.nt] - m2.values[grid.nt]
     g_diff = model.terminal.coupling.field(grid, m1.values[grid.nt]) - model.terminal.coupling.field(
         grid, m2.values[grid.nt]
     )
-    gap_g = float((g_diff * diff[grid.nt]).sum() * cell)
-    return float(per_level.min()), gap_g
+    gap_g = float((g_diff * diff).sum() * grid.dx**grid.dim)
+    return float(_coupling_pairing(model, m1, m2).min()), gap_g
 
 
 def lipschitz_probe(model: ModelSpec, grid: GridSpec, gamma1: DensityPath, gamma2: DensityPath) -> float:
@@ -256,12 +260,5 @@ def uniqueness_crosscheck(
     if not (res1.report.converged and res2.report.converged):
         return UniquenessResult(None, None, False, res1, res2)
     limit_gap = d1_path_sup(res1.m, res2.m)
-    cell = grid.dx**grid.dim
-    diff = res1.m.values - res2.m.values
-    f_diff = model.coupling_f.field(grid, res1.m.values) - model.coupling_f.field(
-        grid, res2.m.values
-    )
-    ll_integral = float(
-        ((f_diff * diff).reshape(grid.nt + 1, -1).sum(axis=1) * cell)[:-1].sum() * grid.dt
-    )
+    ll_integral = float(_coupling_pairing(model, res1.m, res2.m)[:-1].sum() * grid.dt)
     return UniquenessResult(limit_gap, ll_integral, True, res1, res2)

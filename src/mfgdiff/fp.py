@@ -158,9 +158,6 @@ class DensityPath:
         if drift > _MASS_TOL:
             raise ContractError(f"mass drift {drift:.3e} exceeds {_MASS_TOL:.0e}")
 
-    def terminal(self) -> np.ndarray:
-        return self.values[self.grid.nt]
-
     def lp_norm(self, p: int, level: int | None = None) -> float:
         """Grid-level L^p norm, sup over levels unless one is given."""
         cell = self.grid.dx**self.grid.dim
@@ -174,15 +171,14 @@ class DensityPath:
         Coordinates are unrolled (flat-line); meaningful while the mass stays
         away from the wrap seam.
         """
-        cell = self.grid.dx**self.grid.dim
-        coords = self.grid.coords()
-        worst = 0.0
-        for n in range(self.grid.nt + 1):
-            w = self.values[n][..., None] * cell
-            mean = (coords * w).reshape(-1, self.grid.dim).sum(axis=0)
-            dev = np.linalg.norm(coords - mean, axis=-1)
-            worst = max(worst, float((dev * self.values[n]).sum() * cell))
-        return worst
+        grid = self.grid
+        cell = grid.dx**grid.dim
+        coords = grid.coords()
+        levels = grid.nt + 1
+        w = self.values[..., None] * cell
+        mean = (coords * w).reshape(levels, -1, grid.dim).sum(axis=1)
+        dev = np.linalg.norm(coords - mean.reshape((levels,) + (1,) * grid.dim + (grid.dim,)), axis=-1)
+        return float(np.max((dev * self.values).reshape(levels, -1).sum(axis=1) * cell))
 
 
 def build_transport_operator(u: TimeField, model: ModelSpec) -> TransportOperator:

@@ -46,10 +46,11 @@ The module also provides:
         c(t,x) = H2(t, x, 0) + H1(t, x, 0),
 
     which satisfy V * Lap_h u + Z . Dc u + c = H2(Lap_h u) + H1(Dc u)
-    exactly by the fundamental theorem of calculus.  For the closed-form
-    Hamiltonians the s-integrals of the clamped-linear derivatives are
-    computed in closed form; tabulated specs fall back to Gauss-Legendre
-    quadrature on [0, 1].
+    exactly by the fundamental theorem of calculus.  The segment means are
+    owned by `control` (`h2_segment_mean`, `h1_segment_mean`): closed form
+    for the quadratic records, Gauss-Legendre quadrature on [0, 1]
+    otherwise.  Like the transport coefficients, they are one stencil call
+    and one Hamiltonian call over the whole stack of time levels.
 """
 
 from __future__ import annotations
@@ -59,7 +60,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import ModelSpec, h1_terms, h1_value, h2_terms, h2_value
+from .control import (
+    ModelSpec,
+    h1_segment_mean,
+    h1_terms,
+    h1_value,
+    h2_segment_mean,
+    h2_terms,
+    h2_value,
+)
 from .errors import ContractError, StabilityError
 from .grid import GridSpec, TimeField, grad_central, laplacian
 
@@ -264,32 +273,13 @@ class LinearizedCoefficients:
     c: TimeField
 
 
-def _clamp_antiderivative(r: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Antiderivative A(r) of clamp(., lo, hi) with A(lo) = lo^2 (branch glue)."""
-    below = lo * r
-    middle = lo * lo + 0.5 * (r * r - lo * lo)
-    above = lo * lo + 0.5 * (hi * hi - lo * lo) + hi * (r - hi)
-    return np.where(r <= lo, below, np.where(r <= hi, middle, above))
-
-
-def _mean_clamped_linear(a, b, lo: float, hi: float) -> np.ndarray:
-    """Exact mean over s in [0,1] of clamp(a - b s, lo, hi), vectorized.
-
-    Equals (A(a) - A(a - b)) / b away from b = 0; the relative cancellation
-    there is harmless because every consumer multiplies the mean back by a
-    quantity proportional to b.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    tiny = np.abs(b) < 1e-300
-    b_safe = np.where(tiny, 1.0, b)
-    mean = (_clamp_antiderivative(a, lo, hi) - _clamp_antiderivative(a - b_safe, lo, hi)) / b_safe
-    return np.where(tiny, np.clip(a, lo, hi), mean)
-
-
-def _gauss_legendre_01(order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
+def _stack_derivatives(u: TimeField):
+    """(t, x, Lap_h u, Dc u) over all levels; t has shape (nt+1, 1, ..., 1)."""
+    grid = u.grid
+    t = grid.times().reshape((-1,) + (1,) * grid.dim)
+    lap = laplacian(u.values, grid.dx, grid.dim)
+    grad = grad_central(u.values, grid.dx, grid.dim)
+    return t, grid.coords(), lap, grad
 
 
 def linearize(u: TimeField, model: ModelSpec, order: int = 16) -> LinearizedCoefficients:
@@ -304,43 +294,10 @@ def linearize(u: TimeField, model: ModelSpec, order: int = 16) -> LinearizedCoef
     segment means), within quadrature tolerance otherwise.
     """
     grid = u.grid
-    dx = grid.dx
-    x = grid.coords()
-    tt = grid.times()
-    v_vals = np.empty_like(u.values)
-    z_vals = np.empty(u.values.shape + (grid.dim,))
-    c_vals = np.empty_like(u.values)
-    ham = model.hamiltonians
-    closed = ham.kind == "closed-form"
-    if not closed:
-        s_nodes, s_weights = _gauss_legendre_01(order)
-    for n in range(grid.nt + 1):
-        lap = laplacian(u.values[n], dx)
-        grad = grad_central(u.values[n], dx)
-        t = tt[n]
-        if closed:
-            cf = ham.closed_form
-            v_vals[n] = _mean_clamped_linear(
-                cf.l3_vertex, lap / (2.0 * cf.l3_weight), model.bounds.a_min, model.bounds.a_max
-            )
-            for k in range(grid.dim):
-                z_vals[(n, ..., k)] = _mean_clamped_linear(
-                    0.0,
-                    grad[..., k] / (2.0 * cf.l1_weight),
-                    -cf.drift_ctrl_max,
-                    cf.drift_ctrl_max,
-                )
-        else:
-            v_acc = np.zeros(grid.shape)
-            z_acc = np.zeros(grid.shape + (grid.dim,))
-            for s, w in zip(s_nodes, s_weights):
-                v_acc += w * h2_terms(model, t, x, s * lap)[1]
-                z_acc += w * h1_terms(model, t, x, s * grad)[1]
-            v_vals[n] = v_acc
-            z_vals[n] = z_acc
-        c_vals[n] = h2_value(model, t, x, np.zeros(grid.shape)) + h1_value(
-            model, t, x, np.zeros(grid.shape + (grid.dim,))
-        )
+    t, x, lap, grad = _stack_derivatives(u)
+    v_vals = h2_segment_mean(model, t, x, lap, order)
+    z_vals = h1_segment_mean(model, t, x, grad, order)
+    c_vals = h2_value(model, t, x, np.zeros_like(lap)) + h1_value(model, t, x, np.zeros_like(grad))
     lo, hi = model.bounds.a_min, model.bounds.a_max
     if v_vals.min() < lo - _A_TOL or v_vals.max() > hi + _A_TOL:
         raise ContractError(
@@ -354,15 +311,7 @@ def linearize(u: TimeField, model: ModelSpec, order: int = 16) -> LinearizedCoef
 
 def linearization_identity_gap(u: TimeField, model: ModelSpec, coeffs: LinearizedCoefficients) -> float:
     """Sup-norm gap of V*Lap u + Z.Du + c against H2 + H1 over all nodes."""
-    grid = u.grid
-    dx = grid.dx
-    x = grid.coords()
-    tt = grid.times()
-    worst = 0.0
-    for n in range(grid.nt + 1):
-        lap = laplacian(u.values[n], dx)
-        grad = grad_central(u.values[n], dx)
-        lhs = coeffs.v.values[n] * lap + np.sum(coeffs.z[n] * grad, axis=-1) + coeffs.c.values[n]
-        rhs = h2_value(model, tt[n], x, lap) + h1_value(model, tt[n], x, grad)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+    t, x, lap, grad = _stack_derivatives(u)
+    lhs = coeffs.v.values * lap + np.sum(coeffs.z * grad, axis=-1) + coeffs.c.values
+    rhs = h2_value(model, t, x, lap) + h1_value(model, t, x, grad)
+    return float(np.max(np.abs(lhs - rhs)))

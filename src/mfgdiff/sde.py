@@ -21,6 +21,8 @@ from the envelope identities rather than evaluated separately:
     L1(alpha*) = H1 - <p, alpha*>,      L3(eta*) = H2 - eta* q,
 
 which holds for every representation because the argmin attains the infimum.
+Constant-control runs have no such identity and read the running costs at
+the fixed control from `control.running_costs`.
 
 Three instruments are provided:
 
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import ModelSpec, h1_terms, h2_terms
+from .control import ModelSpec, h1_terms, h2_terms, running_costs
 from .errors import ConfigError, ContractError
 from .fixed_point import coupling_fields
 from .fp import DensityPath
@@ -123,11 +125,12 @@ def _estimate(costs: np.ndarray, antithetic: bool) -> McEstimate:
     return McEstimate(mean=mean, std_error=se, num_paths=n)
 
 
-def _mc_steps(horizon: float, dt_mc: float) -> int:
-    steps = horizon / dt_mc
+def _mc_steps(span: float, dt_mc: float, name: str) -> int:
+    """Number of MC steps in `span`, which must be a positive multiple of dt_mc."""
+    steps = span / dt_mc
     rounded = round(steps)
     if rounded < 1 or abs(steps - rounded) > 1e-9 * max(1.0, steps):
-        raise ConfigError(f"dt_mc={dt_mc} does not divide the horizon {horizon}")
+        raise ConfigError(f"{name}={span} must be a positive multiple of dt_mc={dt_mc}")
     return int(rounded)
 
 
@@ -166,12 +169,6 @@ def simulate_value(
     sit above the value.
     """
     grid = u.grid
-    if not m.grid.same_lattice(grid):
-        raise ValueError("value field and density live on different lattices")
-    if cfg.dt_mc > grid.dt * (1.0 + 1e-12):
-        raise ConfigError(f"dt_mc={cfg.dt_mc} exceeds the grid step {grid.dt}")
-    if len(cfg.x0) != grid.dim:
-        raise ConfigError(f"x0 needs {grid.dim} coordinates")
     if alpha_const is not None:
         alpha_const = np.broadcast_to(np.asarray(alpha_const, dtype=float), (grid.dim,))
         if np.max(np.abs(alpha_const)) > model.bounds.drift_bound + 1e-12:
@@ -180,7 +177,7 @@ def simulate_value(
         if not (model.bounds.a_min - 1e-12 <= eta_const <= model.bounds.a_max + 1e-12):
             raise ConfigError("constant diffusion control leaves the admissible interval")
 
-    steps = _mc_steps(grid.horizon, cfg.dt_mc)
+    steps = _mc_steps(grid.horizon, cfg.dt_mc, "horizon")
     costs = _accumulate_costs(u, m, model, cfg, steps, horizon_level=grid.nt,
                               alpha_const=alpha_const, eta_const=eta_const,
                               add_terminal_value=False)
@@ -190,16 +187,14 @@ def simulate_value(
 def dpp_check(u: TimeField, m: DensityPath, model: ModelSpec, cfg: McConfig, h: float) -> DppResult:
     """Gap in the one-step programming identity at horizon h from (0, x0)."""
     grid = u.grid
-    steps = h / cfg.dt_mc
-    if abs(steps - round(steps)) > 1e-9 * max(1.0, steps) or round(steps) < 1:
-        raise ConfigError(f"h={h} must be a positive multiple of dt_mc={cfg.dt_mc}")
+    steps = _mc_steps(h, cfg.dt_mc, "h")
     level = h / grid.dt
     if abs(level - round(level)) > 1e-9:
         raise ConfigError(f"h={h} must land on a grid time level (dt={grid.dt})")
     if h > grid.horizon * (1.0 + 1e-12):
         raise ConfigError("h exceeds the horizon")
     costs = _accumulate_costs(
-        u, m, model, cfg, int(round(steps)), horizon_level=int(round(level)),
+        u, m, model, cfg, steps, horizon_level=int(round(level)),
         alpha_const=None, eta_const=None, add_terminal_value=True,
     )
     est = _estimate(costs, cfg.antithetic)
@@ -223,9 +218,16 @@ def _accumulate_costs(
 
     Ends at PDE level `horizon_level`, adding either the terminal payoff
     (full horizon) or the interpolated value slice there (programming
-    identity probes).
+    identity probes).  Rejects a density on another lattice, an MC step
+    longer than the grid step, and an x0 of the wrong dimension.
     """
     grid = u.grid
+    if not m.grid.same_lattice(grid):
+        raise ValueError("value field and density live on different lattices")
+    if cfg.dt_mc > grid.dt * (1.0 + 1e-12):
+        raise ConfigError(f"dt_mc={cfg.dt_mc} exceeds the grid step {grid.dt}")
+    if len(cfg.x0) != grid.dim:
+        raise ConfigError(f"x0 needs {grid.dim} coordinates")
     dt, dim = cfg.dt_mc, grid.dim
     laps, grads = _feedback_fields(u)
     f_path, g_slice = coupling_fields(model, grid, m.values)
@@ -248,8 +250,7 @@ def _accumulate_costs(
         else:
             alpha = np.broadcast_to(alpha_const, (n, dim))
             eta = np.full(n, float(eta_const))
-            l1_cost = _l1_at(model, s, x, alpha)
-            l3_cost = _l3_at(model, s, x, eta)
+            l1_cost, l3_cost = running_costs(model, s, x, alpha_const, eta_const)
         f_here = interp_periodic(f_path.values[level], grid, x)
         cost += (l1_cost + l3_cost + f_here) * dt
         sigma = np.sqrt(2.0 * eta)
@@ -261,27 +262,6 @@ def _accumulate_costs(
     else:
         cost += interp_periodic(g_slice, grid, x)
     return cost
-
-
-def _l1_at(model: ModelSpec, t, x, alpha: np.ndarray) -> np.ndarray:
-    """Running drift cost at an explicit control point."""
-    ham = model.hamiltonians
-    if ham.kind == "closed-form":
-        return ham.closed_form.l1_weight * np.sum(alpha**2, axis=-1)
-    if ham.kind == "tabulated":
-        # constant-control probes use a grid point; evaluate its cost directly
-        return np.asarray(ham.lagrangian_l1(t, x, alpha[0]), dtype=float) * np.ones(alpha.shape[0])
-    raise ConfigError("constant-control simulation needs a closed-form or tabulated spec")
-
-
-def _l3_at(model: ModelSpec, t, x, eta: np.ndarray) -> np.ndarray:
-    ham = model.hamiltonians
-    if ham.kind == "closed-form":
-        cf = ham.closed_form
-        return cf.l3_weight * (eta - cf.l3_vertex) ** 2
-    if ham.kind == "tabulated":
-        return np.asarray(ham.lagrangian_l3(t, x, float(eta.flat[0])), dtype=float) * np.ones(eta.shape[0])
-    raise ConfigError("constant-control simulation needs a closed-form or tabulated spec")
 
 
 def modulus_check(
@@ -312,12 +292,7 @@ def modulus_check(
         raise ConfigError("constant diffusion control leaves the admissible interval")
 
     dt = cfg.dt_mc
-    checkpoints = []
-    for h in h_arr:
-        k = h / dt
-        if abs(k - round(k)) > 1e-9 * max(1.0, k) or round(k) < 1:
-            raise ConfigError(f"h={h} is not a multiple of dt_mc={dt}")
-        checkpoints.append(int(round(k)))
+    checkpoints = [_mc_steps(h, dt, "h") for h in h_arr]
     total = checkpoints[-1]
     rng = np.random.default_rng(cfg.seed)
     n = cfg.num_paths

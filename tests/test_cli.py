@@ -1,5 +1,6 @@
 """Configuration loading, field serialization, and the command-line surface."""
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,8 @@ def test_minimal_config_defaults(tmp_path, caplog):
     echoed = [rec.message for rec in caplog.records if "default applied" in rec.message]
     assert any("fixed_point.theta" in m for m in echoed)
     assert any("quadrature_order" in m for m in echoed)
+    assert any("model.hamiltonians.dim" in m for m in echoed)
+    assert any("output.write_fields" in m for m in echoed)
 
 
 def test_bad_bounds_named(tmp_path):
@@ -151,6 +154,27 @@ def test_density_roundtrip_and_mass_column(small_grid, tmp_path):
     for n in range(small_grid.nt + 1):
         data = np.loadtxt(tmp_path / "m" / f"level_{n:06d}.csv", delimiter=",", skiprows=1)
         assert data[:, 1].sum() == pytest.approx(1.0 / small_grid.dx, abs=1e-12)
+
+
+def test_read_rejects_corrupted_level(small_grid, tmp_path, rng):
+    vals = rng.standard_normal((small_grid.nt + 1, small_grid.nx))
+    write_field(TimeField(small_grid, vals), tmp_path / "f")
+    level = tmp_path / "f" / "level_000003.csv"
+    lines = level.read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0] + ",999.0"
+    level.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match="level_000003.csv"):
+        read_field(tmp_path / "f")
+    # a digest line rewritten to match the corrupted level still breaks the combined checksum
+    man = tmp_path / "f" / "manifest.txt"
+    digest = hashlib.sha256(level.read_bytes()).hexdigest()
+    entries = [
+        f"file {level.name} sha256={digest}" if line.startswith(f"file {level.name} ") else line
+        for line in man.read_text().splitlines()
+    ]
+    man.write_text("\n".join(entries) + "\n")
+    with pytest.raises(ConfigError, match="checksum"):
+        read_field(tmp_path / "f")
 
 
 def test_checksum_changes_iff_values_change(small_grid, tmp_path, rng):

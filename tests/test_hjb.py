@@ -254,7 +254,7 @@ def test_linearize_identity_model_a(ma, grid16, rng):
 
 def test_linearize_trapezoid_oracle(ma):
     # mean of the clamped slope over the segment [0, q] at q = 2
-    from mfgdiff.hjb import _mean_clamped_linear
+    from mfgdiff.control import _mean_clamped_linear
 
     lam = np.linspace(0, 1, 200001)
     trap = np.trapezoid(np.clip(1.0 - lam * 2.0 / 2.0, 0.5, 2.0), lam)

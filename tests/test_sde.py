@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mfgdiff import ConfigError, ContractError, model_a, single_control_model
+from mfgdiff import ConfigError, ContractError, model_a, mollify_model, single_control_model
 from mfgdiff.fixed_point import coupling_fields
 from mfgdiff.fp import DensityPath, build_transport_operator, solve_fp
 from mfgdiff.grid import TimeField, interp_periodic
@@ -171,11 +171,29 @@ def test_mc_config_validation():
         McConfig(num_paths=201, dt_mc=1e-3, seed=0, x0=(0.5,), antithetic=True)
 
 
-def test_dt_mc_must_not_exceed_grid_step(heat_setup):
+_INSTRUMENTS = {
+    "simulate": lambda u, m, model, cfg: simulate_value(u, m, model, cfg),
+    "dpp": lambda u, m, model, cfg: dpp_check(u, m, model, cfg, 8 * u.grid.dt),
+}
+
+
+@pytest.mark.parametrize("instrument", sorted(_INSTRUMENTS))
+def test_dt_mc_must_not_exceed_grid_step(heat_setup, instrument):
     sc, grid, u, m = heat_setup
-    cfg = McConfig(num_paths=200, dt_mc=grid.dt * 4, seed=0, x0=(0.2,))
-    with pytest.raises(ConfigError):
-        simulate_value(u, m, sc, cfg)
+    run = _INSTRUMENTS[instrument]
+    with pytest.raises(ConfigError, match="exceeds the grid step"):
+        run(u, m, sc, McConfig(num_paths=200, dt_mc=grid.dt * 2, seed=0, x0=(0.2,)))
+    with pytest.raises(ConfigError, match="x0 needs 1 coordinates"):
+        run(u, m, sc, McConfig(num_paths=200, dt_mc=grid.dt, seed=0, x0=(0.2, 0.3)))
+
+
+def test_constant_controls_need_running_costs():
+    mm = mollify_model(model_a(horizon=0.01), 0.05)
+    grid = grid_for(mm, nx=16, nt=64)
+    m = DensityPath.constant_in_time(grid, mm.m0.discretize(grid))
+    cfg = McConfig(num_paths=200, dt_mc=grid.dt, seed=0, x0=(0.5,))
+    with pytest.raises(ConfigError, match="closed-form or tabulated"):
+        simulate_value(TimeField.zeros(grid), m, mm, cfg, alpha_const=0.0, eta_const=1.0)
 
 
 def test_increment_guard():
