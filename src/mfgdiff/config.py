@@ -84,9 +84,17 @@ def _echo_default(name: str, value):
 
 
 def _opt(section: dict, name: str, default):
-    """The entry of `section` named by the last part of the dotted `name`, or the echoed default."""
+    """The entry of `section` named by the last part of the dotted `name`, or the echoed default.
+
+    An explicit null is rejected rather than read as a value: the default
+    comes only from omitting the key.
+    """
     key = name.rpartition(".")[2]
-    return section[key] if key in section else _echo_default(name, default)
+    if key not in section:
+        return _echo_default(name, default)
+    if section[key] is None:
+        raise ConfigError(f"{name} is null; omit the key to use its default")
+    return section[key]
 
 
 def _parse_lagrangian(desc: dict, name: str, is_drift: bool):

@@ -281,8 +281,8 @@ def _h1_terms(spec: HamiltonianSpec, bounds: ControlBounds, t, x, p):
     p = np.asarray(p, dtype=float)
     if spec.kind == "closed-form":
         cf = spec.closed_form
-        alpha = np.clip(-p / (2.0 * cf.l1_weight), -cf.drift_ctrl_max, cf.drift_ctrl_max)
-        value = np.sum(p * alpha + cf.l1_weight * alpha**2, axis=-1)
+        alpha = np.minimum(np.maximum(-p / (2.0 * cf.l1_weight), -cf.drift_ctrl_max), cf.drift_ctrl_max)
+        value = (p * alpha + cf.l1_weight * alpha**2).sum(axis=-1)
         return value, alpha, alpha
     if spec.kind == "tabulated":
         vals = np.stack(
@@ -303,7 +303,7 @@ def _h2_terms(spec: HamiltonianSpec, bounds: ControlBounds, t, x, q):
     q = np.asarray(q, dtype=float)
     if spec.kind == "closed-form":
         cf = spec.closed_form
-        eta = np.clip(cf.l3_vertex - q / (2.0 * cf.l3_weight), bounds.a_min, bounds.a_max)
+        eta = np.minimum(np.maximum(cf.l3_vertex - q / (2.0 * cf.l3_weight), bounds.a_min), bounds.a_max)
         value = eta * q + cf.l3_weight * (eta - cf.l3_vertex) ** 2
         return value, eta, eta
     if spec.kind == "tabulated":

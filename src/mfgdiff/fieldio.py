@@ -29,15 +29,16 @@ def _level_name(n: int) -> str:
     return f"level_{n:06d}.csv"
 
 
-def _level_bytes(grid: GridSpec, slice_values: np.ndarray) -> bytes:
+def _level_template(grid: GridSpec) -> str:
+    """Text of one level file with every value left as a `%.17g` slot.
+
+    The coordinate columns are the same on every level, so they are
+    formatted once per grid.
+    """
     coords = grid.coords().reshape(-1, grid.dim)
-    flat = slice_values.reshape(-1)
-    cols = [coords[:, k] for k in range(grid.dim)] + [flat]
     header = ",".join(["x", "y"][: grid.dim] + ["value"])
-    lines = [header]
-    for row in zip(*cols):
-        lines.append(",".join(_FMT % v for v in row))
-    return ("\n".join(lines) + "\n").encode()
+    rows = "".join(",".join(_FMT % c for c in row) + "," + _FMT + "\n" for row in coords.tolist())
+    return header + "\n" + rows
 
 
 def write_field(field: TimeField | DensityPath, path) -> str:
@@ -49,9 +50,10 @@ def write_field(field: TimeField | DensityPath, path) -> str:
         raise ContractError("refusing to write non-finite values")
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
+    template = _level_template(grid)
     digests = []
     for n in range(grid.nt + 1):
-        blob = _level_bytes(grid, values[n])
+        blob = (template % tuple(values[n].reshape(-1).tolist())).encode()
         (out / _level_name(n)).write_bytes(blob)
         digests.append(hashlib.sha256(blob).hexdigest())
     combined = hashlib.sha256("".join(digests).encode()).hexdigest()

@@ -128,27 +128,32 @@ def picard_solve(
     if not current.grid.same_lattice(grid):
         raise ValueError("initial path lives on a different lattice")
 
+    # Each iterate's fields are released at their last use, so at most one
+    # iteration's fields are alive when the next coupled step runs.
     gaps, resid_hist, mass_hist, holder_hist = [], [], [], []
     converged = False
     iterations = 0
-    u = None
     for _ in range(max_iter):
         iterations += 1
-        f_path, u, _, m_new = _coupled_step(model, grid, current.values, m0_slice)
+        f_path, u, op, m_new = _coupled_step(model, grid, current.values, m0_slice)
+        del op
         resid_hist.append(float(np.max(np.abs(hjb_residual(u, model, f_path).values))))
+        del f_path, u
         mass_hist.append(float(np.max(np.abs(m_new.mass - 1.0))))
-        blended = DensityPath.from_values(
-            grid, (1.0 - theta) * current.values + theta * m_new.values
+        previous = current
+        current = DensityPath.from_values(
+            grid, (1.0 - theta) * previous.values + theta * m_new.values
         )
-        gap = d1_path_sup(blended, current)
+        del m_new
+        gap = d1_path_sup(current, previous)
+        del previous
         gaps.append(gap)
         try:
-            hd = holder_half_diagnostic(blended)
+            hd = holder_half_diagnostic(current)
             holder_hist.append(float("nan") if hd.degenerate else hd.max_ratio)
         except ConfigError:
             # nt does not admit enough dyadic separations; tracking only
             holder_hist.append(float("nan"))
-        current = blended
         if gap < tol:
             converged = True
             break
@@ -156,17 +161,20 @@ def picard_solve(
     # Re-synchronize the returned pair: forward solve from the last iterate,
     # then a backward solve against the returned density itself, so both
     # self-consistency certificates are exact for the pair handed back.
-    _, _, op_final, m_final = _coupled_step(model, grid, current.values, m0_slice)
+    op_final, m_final = _coupled_step(model, grid, current.values, m0_slice)[2:]
+    del current
     f_final, g_final = coupling_fields(model, grid, m_final.values)
     u_final = solve_hjb(model, f_final, g_final, grid)
 
     final_resid = float(np.max(np.abs(hjb_residual(u_final, model, f_final).values)))
+    del f_final
     rng = np.random.default_rng(rng_seed)
     gapd = 0.0
     for _ in range(3):
         phi_t = rng.standard_normal(grid.shape)
         psi = TimeField(grid, rng.standard_normal((grid.nt + 1, *grid.shape)))
         gapd = max(gapd, check_duality(m_final, op_final, phi_t, psi))
+        del psi
 
     report = FixedPointReport(
         iterations=iterations,

@@ -113,11 +113,14 @@ class TransportOperator:
         return mat
 
     def step_positivity_margin(self) -> float:
-        """Min over nodes/levels of the diagonal entry of I + dt * L."""
+        """Min over nodes/levels of the diagonal entry of I + dt * L, reduced chunk by chunk."""
         dx, dt = self.grid.dx, self.grid.dt
-        drift_out = np.sum(np.abs(self.b), axis=-1) / dx
-        diag = 1.0 - dt * (2.0 * self.grid.dim * self.a / dx**2 + drift_out)
-        return float(diag.min())
+        margin = np.inf
+        for c in self.grid.level_chunks():
+            drift_out = np.sum(np.abs(self.b[c]), axis=-1) / dx
+            diag = 1.0 - dt * (2.0 * self.grid.dim * self.a[c] / dx**2 + drift_out)
+            margin = min(margin, float(diag.min()))
+        return margin
 
 
 @dataclass
@@ -182,14 +185,21 @@ class DensityPath:
 
 
 def build_transport_operator(u: TimeField, model: ModelSpec) -> TransportOperator:
-    """Read the generator coefficients off a solved value field."""
+    """Read the generator coefficients off a solved value field.
+
+    The coefficients are filled chunk by chunk of levels, so the stencil and
+    Hamiltonian temporaries stay bounded by the chunk, not the stack.
+    """
     grid = u.grid
     if model.dim != grid.dim:
         raise ValueError(f"model dim {model.dim} != grid dim {grid.dim}")
     x = grid.coords()
     t = grid.times().reshape((-1,) + (1,) * grid.dim)
-    a = h2_terms(model, t, x, laplacian(u.values, grid.dx, grid.dim))[1]
-    b = h1_terms(model, t, x, grad_central(u.values, grid.dx, grid.dim))[1]
+    a = np.empty(u.values.shape)
+    b = np.empty((*u.values.shape, grid.dim))
+    for c in grid.level_chunks():
+        a[c] = h2_terms(model, t[c], x, laplacian(u.values[c], grid.dx, grid.dim))[1]
+        b[c] = h1_terms(model, t[c], x, grad_central(u.values[c], grid.dx, grid.dim))[1]
     lo, hi = model.bounds.a_min, model.bounds.a_max
     if a.min() < lo - 1e-9 or a.max() > hi + 1e-9:
         raise ContractError(

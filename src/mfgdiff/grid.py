@@ -17,7 +17,15 @@ Spatial derivatives are the standard periodic stencils: centered first
 differences, forward/backward one-sided differences, and the 3-point
 Laplacian per axis.  They act on the trailing spatial axes, so one call
 takes either a single time slice or a whole (nt + 1)-level stack, and every
-periodic difference in the package goes through them.
+periodic difference in the package goes through them.  All four are built on
+one shift primitive (`_shift`: two slices joined by one concatenate),
+which costs a fraction of numpy's general-purpose roll on the small slices
+the explicit marches step through.
+
+Passes over a level stack that are not a march (the scheme residual, the
+transport-operator build) walk it in chunks of consecutive levels
+(`GridSpec.level_chunks`), which bounds their temporaries by a fixed node
+count instead of by the whole stack.
 """
 
 from __future__ import annotations
@@ -28,6 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StabilityError
+
+# Nodes per chunk of a level-chunked pass (see GridSpec.level_chunks).
+_CHUNK_NODES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -111,6 +122,15 @@ class GridSpec:
     def times(self) -> np.ndarray:
         return np.arange(self.nt + 1) * self.dt
 
+    def level_chunks(self, start: int = 0) -> list[slice]:
+        """Consecutive runs of the time levels start..nt.
+
+        Each run holds about _CHUNK_NODES nodes (at least one level), so a
+        pass that works chunk by chunk keeps its temporaries bounded.
+        """
+        size = max(1, _CHUNK_NODES // self.n_nodes)
+        return [slice(lo, min(lo + size, self.nt + 1)) for lo in range(start, self.nt + 1, size)]
+
     def same_lattice(self, other: "GridSpec") -> bool:
         """Same nodes and time levels (stability data may differ)."""
         return (
@@ -162,12 +182,26 @@ class TimeField:
 # --------------------------------------------------------------------------
 
 
+def _shift(values: np.ndarray, step: int, axis: int) -> np.ndarray:
+    """Periodic neighbor along a trailing `axis`: out[i] = values[i + step], step = +-1.
+
+    The same array as numpy's roll by -step along `axis`, built from two
+    slices and one concatenate.
+    """
+    if axis == -1:  # the common case, without building an index tuple
+        return np.concatenate((values[..., step:], values[..., :step]), axis=-1)
+    inner = (slice(None),) * (-1 - axis)
+    return np.concatenate(
+        (values[(..., slice(step, None), *inner)], values[(..., slice(None, step), *inner)]), axis=axis
+    )
+
+
 def laplacian(values: np.ndarray, dx: float, dim: int | None = None) -> np.ndarray:
     """3-point periodic Laplacian summed over the trailing `dim` axes (default: all)."""
     dim = values.ndim if dim is None else dim
-    out = np.zeros_like(values)
+    out = 0.0
     for ax in range(-dim, 0):
-        out += np.roll(values, -1, axis=ax) + np.roll(values, 1, axis=ax) - 2.0 * values
+        out = out + (_shift(values, 1, ax) + _shift(values, -1, ax) - 2.0 * values)
     return out / (dx * dx)
 
 
@@ -178,10 +212,11 @@ def grad_central(values: np.ndarray, dx: float, dim: int | None = None) -> np.nd
     """
     dim = values.ndim if dim is None else dim
     comps = [
-        (np.roll(values, -1, axis=ax) - np.roll(values, 1, axis=ax)) / (2.0 * dx)
+        (_shift(values, 1, ax) - _shift(values, -1, ax)) / (2.0 * dx)
         for ax in range(-dim, 0)
     ]
-    return np.stack(comps, axis=-1)
+    # one component needs no stack, which costs more than the difference on a slice
+    return np.stack(comps, axis=-1) if dim > 1 else comps[0][..., None]
 
 
 def diff_forward(values: np.ndarray, dx: float, axis: int) -> np.ndarray:
@@ -190,12 +225,12 @@ def diff_forward(values: np.ndarray, dx: float, axis: int) -> np.ndarray:
     Spatial axis k of a d-dimensional grid is axis k - d, which addresses
     the same axis on a slice and on a level stack.
     """
-    return (np.roll(values, -1, axis=axis) - values) / dx
+    return (_shift(values, 1, axis) - values) / dx
 
 
 def diff_backward(values: np.ndarray, dx: float, axis: int) -> np.ndarray:
     """Backward periodic difference along `axis` (spatial axis k is k - d)."""
-    return (values - np.roll(values, 1, axis=axis)) / dx
+    return (values - _shift(values, -1, axis)) / dx
 
 
 def interp_periodic(slice_values: np.ndarray, grid: GridSpec, points: np.ndarray) -> np.ndarray:

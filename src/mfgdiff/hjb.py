@@ -38,7 +38,11 @@ The module also provides:
     marches and both residuals call it, and lam = 0 (where the factor
     exp(-lam (T - t)) is exactly 1) gives the undiscounted step above bit
     for bit;
-  * the scheme residual evaluator (identically zero on solver output);
+  * the scheme residual evaluator (identically zero on solver output).  It
+    is not a march, so it walks the level stack in chunks of consecutive
+    levels (`GridSpec.level_chunks`) through the same step bracket, with t
+    and mu broadcast over the chunk's leading axis: one stencil call and one
+    Hamiltonian call per chunk, with temporaries bounded by the chunk;
   * the linearization of the solved equation: coefficient fields
 
         V(t,x) = mean of H2_q(t, x, s * lap u) over s in [0, 1],
@@ -107,23 +111,29 @@ def grid_for(model: ModelSpec, nx: int, nt: int, box_length: float = 1.0, dim: i
     )
 
 
-def _step_bracket(model: ModelSpec, grid: GridSpec, x: np.ndarray, n: int, w: np.ndarray,
+def _step_bracket(model: ModelSpec, grid: GridSpec, x: np.ndarray, n, w: np.ndarray,
                   f: np.ndarray, lam: float) -> np.ndarray:
     """Bracket of the explicit step, read on level n from its slice w and running cost f.
 
         mu H2(t, x, Lap_h w / mu) + mu H1(t, x, Dc w / mu)
             + (theta_lf dx / 2) Lap_h w + mu F - lam w,    mu = exp(-lam (T - t)),
 
-    at t = t_n.  At lam = 0, mu is exactly 1 and the bracket is the
-    undiscounted one to the last bit.
+    at t = t_n.  n is one level index with w and f single slices, or an
+    integer array of shape (c,) + (1,) * dim with w and f stacks of those c
+    levels.  At lam = 0, mu is exactly 1 and the bracket is the undiscounted
+    one to the last bit.
     """
     t = n * grid.dt
-    mu = math.exp(-lam * (grid.horizon - t))
-    lap = laplacian(w, grid.dx)
-    grad = grad_central(w, grid.dx)
+    # math.exp level by level: a chunk gets the march's discount factors bit for bit
+    if isinstance(n, int):
+        mu = np.float64(math.exp(-lam * (grid.horizon - t)))
+    else:
+        mu = np.array([math.exp(-lam * (grid.horizon - tn)) for tn in t.ravel().tolist()]).reshape(t.shape)
+    lap = laplacian(w, grid.dx, grid.dim)
+    grad = grad_central(w, grid.dx, grid.dim)
     return (
         mu * h2_value(model, t, x, lap / mu)
-        + mu * h1_value(model, t, x, grad / mu)
+        + mu * h1_value(model, t, x, grad / mu[..., None])
         + 0.5 * grid.theta_lf * grid.dx * lap
         + mu * f
         - lam * w
@@ -147,7 +157,7 @@ def _march(model: ModelSpec, f_path: TimeField, g_slice: np.ndarray, grid: GridS
     for n in range(grid.nt - 1, -1, -1):
         wn1 = w[n + 1]
         wnew = wn1 + grid.dt * _step_bracket(model, grid, x, n + 1, wn1, f_path.values[n + 1], lam)
-        if not np.all(np.isfinite(wnew)):
+        if not np.isfinite(wnew).all():
             bad = np.argwhere(~np.isfinite(wnew))[0]
             raise ContractError(f"non-finite value at time level {n}, node {tuple(bad)}")
         w[n] = wnew
@@ -155,16 +165,21 @@ def _march(model: ModelSpec, f_path: TimeField, g_slice: np.ndarray, grid: GridS
 
 
 def _residual(w: TimeField, model: ModelSpec, f_path: TimeField, lam: float) -> TimeField:
-    """Level n holds (w^{n+1} - w^n)/dt + bracket(n + 1); the terminal level is zero."""
+    """Level n holds (w^{n+1} - w^n)/dt + bracket(n + 1); the terminal level is zero.
+
+    Evaluated chunk by chunk over the levels n + 1 = 1..nt.
+    """
     grid = w.grid
     if not f_path.grid.same_lattice(grid):
         raise ValueError("running-cost field lives on a different lattice")
     x = grid.coords()
+    level_shape = (-1,) + (1,) * grid.dim
     r = np.zeros_like(w.values)
-    for n in range(grid.nt):
-        wn1 = w.values[n + 1]
-        r[n] = (wn1 - w.values[n]) / grid.dt + _step_bracket(
-            model, grid, x, n + 1, wn1, f_path.values[n + 1], lam
+    for nxt in grid.level_chunks(1):
+        cur = slice(nxt.start - 1, nxt.stop - 1)
+        n = np.arange(nxt.start, nxt.stop).reshape(level_shape)
+        r[cur] = (w.values[nxt] - w.values[cur]) / grid.dt + _step_bracket(
+            model, grid, x, n, w.values[nxt], f_path.values[nxt], lam
         )
     return TimeField(grid, r)
 

@@ -219,7 +219,9 @@ def _accumulate_costs(
     Ends at PDE level `horizon_level`, adding either the terminal payoff
     (full horizon) or the interpolated value slice there (programming
     identity probes).  Rejects a density on another lattice, an MC step
-    longer than the grid step, and an x0 of the wrong dimension.
+    longer than the grid step, an x0 of the wrong dimension, and constant
+    controls on a model without running costs, all before any field work.
+    The feedback stencils are computed only when the controls are feedback.
     """
     grid = u.grid
     if not m.grid.same_lattice(grid):
@@ -228,8 +230,12 @@ def _accumulate_costs(
         raise ConfigError(f"dt_mc={cfg.dt_mc} exceeds the grid step {grid.dt}")
     if len(cfg.x0) != grid.dim:
         raise ConfigError(f"x0 needs {grid.dim} coordinates")
+    if alpha_const is None:
+        laps, grads = _feedback_fields(u)
+    else:
+        # a spec without running costs fails here, before the coupling fields
+        running_costs(model, 0.0, np.asarray(cfg.x0)[None, :], alpha_const, eta_const)
     dt, dim = cfg.dt_mc, grid.dim
-    laps, grads = _feedback_fields(u)
     f_path, g_slice = coupling_fields(model, grid, m.values)
     rng = np.random.default_rng(cfg.seed)
     n = cfg.num_paths

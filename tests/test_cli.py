@@ -64,6 +64,15 @@ def test_minimal_config_defaults(tmp_path, caplog):
     assert any("output.write_fields" in m for m in echoed)
 
 
+@pytest.mark.parametrize("key", ["output.directory", "output.write_fields", "mc.antithetic"])
+def test_explicit_null_rejected(tmp_path, key):
+    with pytest.raises(ConfigError, match=f"{key} is null; omit the key"):
+        load_config(_minimal_doc(tmp_path, **{key: None}))
+    # grid.theta_lf: null still means the default
+    cfg = load_config(_minimal_doc(tmp_path, **{"grid.theta_lf": None}))
+    assert cfg.grid.theta_lf == cfg.model.bounds.drift_bound
+
+
 def test_bad_bounds_named(tmp_path):
     path = _minimal_doc(tmp_path, **{"model.bounds.lambda1": 3.0})
     with pytest.raises(ConfigError, match="lambda1 < lambda2"):
@@ -175,6 +184,20 @@ def test_read_rejects_corrupted_level(small_grid, tmp_path, rng):
     man.write_text("\n".join(entries) + "\n")
     with pytest.raises(ConfigError, match="checksum"):
         read_field(tmp_path / "f")
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_level_bytes_match_row_reference(tmp_path, rng, dim):
+    grid = GridSpec(dim=dim, box_length=1.0, nx=8, nt=3, horizon=1e-3, a_max=0.5)
+    values = rng.standard_normal((grid.nt + 1, *grid.shape))
+    values.reshape(-1)[:5] = [0.0, -0.0, 1e-300, 1.0 / 3.0, -2.5e17]
+    write_field(TimeField(grid, values), tmp_path / "f")
+    coords = grid.coords().reshape(-1, dim)
+    header = ",".join(["x", "y"][:dim] + ["value"])
+    for n in range(grid.nt + 1):
+        rows = [",".join("%.17g" % v for v in (*c, val)) for c, val in zip(coords, values[n].reshape(-1))]
+        expected = ("\n".join([header] + rows) + "\n").encode()
+        assert (tmp_path / "f" / f"level_{n:06d}.csv").read_bytes() == expected
 
 
 def test_checksum_changes_iff_values_change(small_grid, tmp_path, rng):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from mfgdiff import ContractError, StabilityError, model_a, single_control_model
+from mfgdiff.control import h1_terms, h2_terms
 from mfgdiff.couplings import DensityInit
+from mfgdiff.fixed_point import picard_solve
 from mfgdiff.fp import DensityPath, TransportOperator, build_transport_operator, check_duality, solve_fp
-from mfgdiff.grid import GridSpec, TimeField
+from mfgdiff.grid import GridSpec, TimeField, grad_central, laplacian
 from mfgdiff.hjb import grid_for, solve_hjb
 
 from conftest import random_smooth_slice
@@ -63,6 +65,42 @@ def test_operator_matches_pointwise_eval(ma, grid32):
     # and pointwise over the whole slice
     for i in range(grid32.nx):
         assert op.a[0, i] == pytest.approx(eval_h2(ma, 0.0, x[i], lap[i]).argmin, abs=1e-14)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_chunked_operator_build_matches_whole_stack(dim, rng):
+    model = model_a(horizon=0.05, dim=dim)
+    grid = grid_for(model, nx=32 if dim == 1 else 12, nt=420 if dim == 1 else 100)
+    assert len(grid.level_chunks()) > 1
+    u = TimeField(grid, 2e-3 * rng.standard_normal((grid.nt + 1, *grid.shape)))
+    op = build_transport_operator(u, model)
+    x = grid.coords()
+    t = grid.times().reshape((-1,) + (1,) * dim)
+    a = h2_terms(model, t, x, laplacian(u.values, grid.dx, dim))[1]
+    b = h1_terms(model, t, x, grad_central(u.values, grid.dx, dim))[1]
+    assert np.array_equal(op.a, a)
+    assert np.array_equal(op.b, b)
+    # the clamps are active on some nodes and not on others
+    assert 0.0 < np.mean((a == model.bounds.a_min) | (a == model.bounds.a_max)) < 1.0
+    diag = 1.0 - grid.dt * (2.0 * dim * a / grid.dx**2 + np.sum(np.abs(b), axis=-1) / grid.dx)
+    assert op.step_positivity_margin() == float(diag.min())
+
+
+def test_picard_working_set_bound():
+    """One Picard solve holds at most 11 level stacks at its traced peak."""
+    import tracemalloc
+
+    model = model_a()
+    grid = grid_for(model, nx=32, nt=1040)
+    stack_bytes = (grid.nt + 1) * grid.n_nodes * 8
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        picard_solve(model, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * stack_bytes
 
 
 # ---------------------------------------------------------------------------

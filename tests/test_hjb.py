@@ -6,6 +6,7 @@ import pytest
 from mfgdiff import ContractError, StabilityError, model_a, single_control_model
 from mfgdiff.grid import GridSpec, TimeField
 from mfgdiff.hjb import (
+    _step_bracket,
     grid_for,
     hjb_lambda_residual,
     hjb_residual,
@@ -166,6 +167,30 @@ def test_residual_truncation_order_on_exact_solution():
         sups.append(np.max(np.abs(r.values)))
     # truncation shrinks by ~4x per refinement (second order space, first order time)
     assert 2.5 <= sups[0] / sups[1] <= 6.0
+
+
+# (dim, nx, nt, chunks): levels per chunk are 256 at 16 nodes and 64 at 8 x 8,
+# so nt is either not a multiple of the chunk or below it
+@pytest.mark.parametrize("dim,nx,nt,chunks", [(1, 16, 600, 3), (1, 16, 100, 1), (2, 8, 100, 2)])
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_chunked_residual_matches_per_level_loop(dim, nx, nt, chunks, lam, rng):
+    model = model_a(horizon=0.05, dim=dim)
+    grid = grid_for(model, nx=nx, nt=nt)
+    assert len(grid.level_chunks(1)) == chunks
+    shape = (grid.nt + 1, *grid.shape)
+    w = TimeField(grid, rng.standard_normal(shape))
+    f_path = TimeField(grid, rng.standard_normal(shape))
+    x = grid.coords()
+    ref = np.zeros(shape)
+    for n in range(grid.nt):
+        ref[n] = (w.values[n + 1] - w.values[n]) / grid.dt + _step_bracket(
+            model, grid, x, n + 1, w.values[n + 1], f_path.values[n + 1], lam
+        )
+    got = hjb_lambda_residual(w, model, f_path, lam).values
+    # both evaluate the discount with math.exp per level, so no ulp moves
+    assert np.array_equal(got, ref)
+    if lam == 0.0:
+        assert np.array_equal(hjb_residual(w, model, f_path).values, ref)
 
 
 def test_residual_grid_mismatch_rejected(ma, grid16):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mfgdiff import ConfigError, ContractError, model_a, mollify_model, single_control_model
+from mfgdiff import ConfigError, ContractError, model_a, mollify_model, sde, single_control_model
 from mfgdiff.fixed_point import coupling_fields
 from mfgdiff.fp import DensityPath, build_transport_operator, solve_fp
 from mfgdiff.grid import TimeField, interp_periodic
@@ -187,13 +187,30 @@ def test_dt_mc_must_not_exceed_grid_step(heat_setup, instrument):
         run(u, m, sc, McConfig(num_paths=200, dt_mc=grid.dt, seed=0, x0=(0.2, 0.3)))
 
 
-def test_constant_controls_need_running_costs():
+def _refuse(*args, **kwargs):
+    raise AssertionError("field work on a path that does not need it")
+
+
+def test_constant_controls_need_running_costs(monkeypatch):
     mm = mollify_model(model_a(horizon=0.01), 0.05)
     grid = grid_for(mm, nx=16, nt=64)
     m = DensityPath.constant_in_time(grid, mm.m0.discretize(grid))
     cfg = McConfig(num_paths=200, dt_mc=grid.dt, seed=0, x0=(0.5,))
+    # rejected before any field work
+    monkeypatch.setattr(sde, "_feedback_fields", _refuse)
+    monkeypatch.setattr(sde, "coupling_fields", _refuse)
     with pytest.raises(ConfigError, match="closed-form or tabulated"):
         simulate_value(TimeField.zeros(grid), m, mm, cfg, alpha_const=0.0, eta_const=1.0)
+
+
+def test_constant_controls_skip_feedback_stencils(heat_setup, monkeypatch):
+    sc, grid, u, m = heat_setup
+    cfg = _cfg(grid, n=200)
+    expected = simulate_value(u, m, sc, cfg, alpha_const=0.0, eta_const=1.0)
+    monkeypatch.setattr(sde, "_feedback_fields", _refuse)
+    assert simulate_value(u, m, sc, cfg, alpha_const=0.0, eta_const=1.0) == expected
+    with pytest.raises(AssertionError, match="field work"):
+        simulate_value(u, m, sc, cfg)
 
 
 def test_increment_guard():
