@@ -73,6 +73,12 @@ def phi_map(gamma: DensityPath, model: ModelSpec, grid: GridSpec) -> tuple[TimeF
     return u, m
 
 
+def _sup_abs(resid: TimeField) -> float:
+    """max |resid|, taken in place on the freshly returned residual (no second level stack)."""
+    r = resid.values
+    return float(np.abs(r, out=r).max())
+
+
 @dataclass
 class FixedPointReport:
     """Per-iteration diagnostics of a damped Picard run."""
@@ -137,7 +143,7 @@ def picard_solve(
         iterations += 1
         f_path, u, op, m_new = _coupled_step(model, grid, current.values, m0_slice)
         del op
-        resid_hist.append(float(np.max(np.abs(hjb_residual(u, model, f_path).values))))
+        resid_hist.append(_sup_abs(hjb_residual(u, model, f_path)))
         del f_path, u
         mass_hist.append(float(np.max(np.abs(m_new.mass - 1.0))))
         previous = current
@@ -166,7 +172,7 @@ def picard_solve(
     f_final, g_final = coupling_fields(model, grid, m_final.values)
     u_final = solve_hjb(model, f_final, g_final, grid)
 
-    final_resid = float(np.max(np.abs(hjb_residual(u_final, model, f_final).values)))
+    final_resid = _sup_abs(hjb_residual(u_final, model, f_final))
     del f_final
     rng = np.random.default_rng(rng_seed)
     gapd = 0.0

@@ -18,8 +18,11 @@ In one dimension the value is exact and cheap: d1 = sum |CDF1 - CDF2| * dx.
 The maximizing dual potential is explicit (slopes -sign(CDF1 - CDF2)), and a
 transportation linear program over the same support reproduces the value,
 which the tests use as an independent oracle.  In two dimensions the
-distance is solved exactly as a transportation LP with Euclidean costs;
-measures wider than 32 nodes per axis are block-coarsened first
+distance is solved exactly as a transportation LP with Euclidean costs on
+the mass that moves only: for a metric cost W1(m1, m2) equals the cost of
+carrying (m1 - m2)+ onto (m1 - m2)- (Kantorovich-Rubinstein), so shared
+mass cancels before the solve and the LP is posed at unit moved mass.
+Measures wider than 32 nodes per axis are block-coarsened first
 (diagnostic-grade accuracy, error O(dx * factor)).
 
 `holder_half_diagnostic` fits the exponent of d1(m(0), m(tau)) against tau
@@ -41,6 +44,10 @@ from .grid import GridSpec
 
 _MASS_TOL = 1e-10
 _COARSE_LIMIT = 32
+# HiGHS feasibility tolerances for the transport LP (defaults are 1e-7); the
+# solve is exact to round-off while the moved node masses, at unit moved
+# mass, stay above them.
+_LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
 @dataclass(frozen=True)
@@ -145,36 +152,48 @@ def _coarsen(grid: GridSpec, weights: np.ndarray) -> tuple[GridSpec, np.ndarray]
 def transport_lp_cost(points: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
     """Exact transportation LP with unit cost |x - y| between two weight vectors.
 
-    Restricted to nodes carrying mass; weights are renormalized to machine
-    unit mass so the equality constraints are consistent.
+    Only the mass that moves is transported: for a metric cost
+    W1(w1, w2) = W1((w1 - w2)+, (w1 - w2)-), so mass shared by both measures
+    cancels before the solve, with sources where w1 - w2 > 0 and sinks where
+    it is < 0.  Both sides are scaled to unit moved mass for the solve, so
+    that small node masses are not lost in the solver's feasibility
+    tolerance, and the optimum is scaled back.  Identical measures give
+    exactly 0.0 without an LP.
+
+    Raises ValueError for a weight below -1e-12 or for total masses that
+    differ by more than the mass tolerance; nothing is clamped or
+    renormalized.
     """
-    w1 = np.maximum(np.asarray(w1, dtype=float), 0.0)
-    w2 = np.maximum(np.asarray(w2, dtype=float), 0.0)
-    w1 = w1 / w1.sum()
-    w2 = w2 / w2.sum()
-    src = np.flatnonzero(w1 > 1e-15)
-    dst = np.flatnonzero(w2 > 1e-15)
-    a, b = w1[src], w2[dst]
+    w1 = np.asarray(w1, dtype=float)
+    w2 = np.asarray(w2, dtype=float)
+    lowest = min(w1.min(), w2.min())
+    if lowest < -1e-12:
+        raise ValueError(f"weights must be nonnegative, min is {lowest:.3e}")
+    if abs(w1.sum() - w2.sum()) > _MASS_TOL:
+        raise ValueError(f"total masses differ: {w1.sum()} against {w2.sum()}")
+    diff = w1 - w2
+    src = np.flatnonzero(diff > 0.0)
+    dst = np.flatnonzero(diff < 0.0)
+    if src.size == 0 or dst.size == 0:
+        return 0.0
+    a, b = diff[src], -diff[dst]
+    moved = 0.5 * (a.sum() + b.sum())
+    a /= a.sum()
+    b /= b.sum()
     pts = np.asarray(points, dtype=float)
     cost = np.linalg.norm(pts[src][:, None, :] - pts[dst][None, :, :], axis=-1)
     ns, nd = len(src), len(dst)
     nvar = ns * nd
-    rows, cols, vals = [], [], []
-    for i in range(ns):
-        rows.extend([i] * nd)
-        cols.extend(range(i * nd, (i + 1) * nd))
-        vals.extend([1.0] * nd)
-    for j in range(nd):
-        rows.extend([ns + j] * ns)
-        cols.extend(range(j, nvar, nd))
-        vals.extend([1.0] * ns)
-    a_eq = sparse.csr_matrix((vals, (rows, cols)), shape=(ns + nd, nvar))
+    # row i sums variable block i (sources); row ns + j every nd-th variable from j (sinks)
+    rows = np.concatenate([np.repeat(np.arange(ns), nd), ns + np.tile(np.arange(nd), ns)])
+    cols = np.tile(np.arange(nvar), 2)
+    a_eq = sparse.csr_matrix((np.ones(2 * nvar), (rows, cols)), shape=(ns + nd, nvar))
     b_eq = np.concatenate([a, b])
     # one marginal constraint is redundant; dropping it keeps HiGHS happy
-    res = linprog(cost.ravel(), A_eq=a_eq[:-1], b_eq=b_eq[:-1], method="highs")
+    res = linprog(cost.ravel(), A_eq=a_eq[:-1], b_eq=b_eq[:-1], method="highs", options=_LP_OPTIONS)
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
-    return float(res.fun)
+    return float(res.fun) * moved
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.optimize import linprog
 
 from mfgdiff import ConfigError
 from mfgdiff.couplings import DensityInit
@@ -142,6 +144,100 @@ def test_negative_weights_rejected():
     w[1] += 0.01 + 1.0 / grid.nx
     with pytest.raises(ValueError):
         GridMeasure(grid, w)
+
+
+# ---------------------------------------------------------------------------
+# 2D transport LP on the moved mass, against the full LP
+# ---------------------------------------------------------------------------
+
+
+def _full_lp_oracle(points, w1, w2):
+    """Full (un-reduced) transportation LP at unit masses, HiGHS tolerances 1e-10."""
+    w1 = w1 / w1.sum()
+    w2 = w2 / w2.sum()
+    n = w1.size
+    cost = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
+    a_eq = sparse.vstack(
+        [sparse.kron(sparse.eye(n), np.ones((1, n))), sparse.kron(np.ones((1, n)), sparse.eye(n))]
+    ).tocsr()
+    tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    res = linprog(cost.ravel(), A_eq=a_eq[:-1], b_eq=np.concatenate([w1, w2])[:-1],
+                  method="highs", options=tight)
+    assert res.success
+    return res.fun
+
+
+def _gauss2(grid, center, width):
+    x = grid.axis_coords()
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    w = np.exp(-((xx - center[0]) ** 2 + (yy - center[1]) ** 2) / (2 * width**2))
+    return w / w.sum()
+
+
+def _block(rng, grid, rows, cols):
+    w = np.zeros(grid.shape)
+    w[rows, cols] = rng.random(w[rows, cols].shape) + 0.1
+    return w / w.sum()
+
+
+_LP_PAIRS = {
+    "random": lambda rng, g: (_block(rng, g, slice(None), slice(None)),
+                              _block(rng, g, slice(None), slice(None))),
+    # node masses down to 1.5e-9: the unscaled full LP at default tolerances misses by 1.5e-9
+    "small_masses": lambda rng, g: (_gauss2(g, (0.5, 0.5), 0.12), _gauss2(g, (0.56, 0.47), 0.12)),
+    "disjoint": lambda rng, g: (_block(rng, g, slice(1, 3), slice(1, 3)),
+                                _block(rng, g, slice(5, 7), slice(4, 7))),
+    "overlapping": lambda rng, g: (_block(rng, g, slice(1, 5), slice(1, 5)),
+                                   _block(rng, g, slice(3, 7), slice(2, 6))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LP_PAIRS))
+def test_reduced_lp_matches_full_oracle(rng, case):
+    grid = _grid2(nx=8)
+    pts = grid.coords().reshape(-1, 2)
+    w1, w2 = (w.ravel() for w in _LP_PAIRS[case](rng, grid))
+    assert transport_lp_cost(pts, w1, w2) == pytest.approx(_full_lp_oracle(pts, w1, w2), abs=1e-12)
+    if case == "small_masses":
+        assert min(w1.min(), w2.min()) < 1e-8
+
+
+def test_identical_measures_zero_2d(rng):
+    grid = _grid2(nx=8)
+    w = _block(rng, grid, slice(None), slice(None))
+    assert transport_lp_cost(grid.coords().reshape(-1, 2), w.ravel(), w.ravel()) == 0.0
+    m = GridMeasure(grid, w)
+    assert d1(m, m) == 0.0
+
+
+def test_path_sup_2d_matches_oracle(rng):
+    grid = _grid2(nx=8, nt=4)
+    cell = grid.dx**grid.dim
+    values = [np.stack([_block(rng, grid, slice(None), slice(None)) / cell
+                        for _ in range(grid.nt + 1)]) for _ in range(2)]
+    values[1][0] = values[0][0]  # shared first level, as in every Picard step
+    p1, p2 = (DensityPath.from_values(grid, v) for v in values)
+    pts = grid.coords().reshape(-1, 2)
+    per_level = [
+        _full_lp_oracle(pts, values[0][n].ravel() * cell, values[1][n].ravel() * cell)
+        for n in range(1, grid.nt + 1)
+    ]
+    assert d1_path_sup(p1, p2) == pytest.approx(max(per_level), abs=1e-12)
+
+
+@pytest.mark.parametrize("bad, message", [("negative", "nonnegative"), ("mass", "masses differ")])
+def test_transport_lp_rejects_bad_weights(bad, message):
+    grid = _grid2(nx=8)
+    pts = grid.coords().reshape(-1, 2)
+    w1 = np.full(grid.n_nodes, 1.0 / grid.n_nodes)
+    w2 = w1.copy()
+    if bad == "negative":
+        w2[1] += w2[0] + 1e-9
+        w2[0] = -1e-9
+    else:
+        w2[0] += 1e-9
+    with pytest.raises(ValueError, match=message):
+        transport_lp_cost(pts, w1, w2)
 
 
 # ---------------------------------------------------------------------------
