@@ -13,7 +13,6 @@ problem.
 from .control import (
     ClosedFormCoefficients,
     ControlBounds,
-    HamiltonianEval,
     HamiltonianSpec,
     ModelSpec,
     eval_h1,
@@ -27,7 +26,6 @@ from .control import (
 )
 from .couplings import DensityInit, KernelCoupling, TerminalBase, TerminalSpec
 from .diagnostics import (
-    ClassMReport,
     KrylovSample,
     class_m_check,
     krylov_m,
@@ -37,9 +35,6 @@ from .diagnostics import (
 )
 from .errors import ConfigError, ContractError, StabilityError
 from .fixed_point import (
-    FixedPointReport,
-    PicardResult,
-    UniquenessResult,
     coupling_fields,
     monotonicity_gap,
     phi_map,
@@ -49,7 +44,6 @@ from .fixed_point import (
 from .fp import DensityPath, TransportOperator, build_transport_operator, check_duality, solve_fp
 from .grid import GridSpec, TimeField
 from .hjb import (
-    LinearizedCoefficients,
     grid_for,
     hjb_residual,
     lambda_transform,
@@ -57,37 +51,30 @@ from .hjb import (
     solve_hjb,
     solve_hjb_lambda,
 )
-from .sde import McConfig, McEstimate, dpp_check, modulus_check, simulate_value
+from .sde import McConfig, dpp_check, modulus_check, simulate_value
 from .wasserstein import GridMeasure, d1, holder_half_diagnostic
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassMReport",
     "ClosedFormCoefficients",
     "ConfigError",
     "ContractError",
     "ControlBounds",
     "DensityInit",
     "DensityPath",
-    "FixedPointReport",
     "GridMeasure",
     "GridSpec",
-    "HamiltonianEval",
     "HamiltonianSpec",
     "KernelCoupling",
     "KrylovSample",
-    "LinearizedCoefficients",
     "McConfig",
-    "McEstimate",
     "ModelSpec",
-    "PicardResult",
     "StabilityError",
     "TerminalBase",
     "TerminalSpec",
     "TimeField",
     "TransportOperator",
-    "UniquenessResult",
     "build_transport_operator",
     "check_duality",
     "class_m_check",

@@ -42,7 +42,6 @@ from .errors import ConfigError, ContractError, StabilityError
 from .fieldio import read_field, read_manifest, write_field, write_table
 from .fixed_point import coupling_fields, picard_solve
 from .fp import DensityPath
-from .grid import interp_periodic
 from .hjb import (
     hjb_lambda_residual,
     hjb_residual,
@@ -165,10 +164,9 @@ def _cmd_verify_sde(cfg: RunConfig, out: Path, prior: Path | None) -> int:
     if not u.grid.same_lattice(cfg.grid):
         raise ConfigError("prior fields live on a different lattice than the config grid")
     est = simulate_value(u, m, cfg.model, cfg.mc)
-    x0 = np.asarray(cfg.mc.x0)[None, :]
-    ref = float(interp_periodic(u.values[0], u.grid, x0)[0])
     h = cfg.grid.horizon / 8.0
     dpp = dpp_check(u, m, cfg.model, cfg.mc, h)
+    ref = dpp.reference
     hs = [cfg.grid.horizon / 2**k for k in range(1, 6)]
     # snap the dyadic h grid onto multiples of dt_mc
     hs = [max(1, round(h_ / cfg.mc.dt_mc)) * cfg.mc.dt_mc for h_ in hs]

@@ -233,30 +233,81 @@ def diff_backward(values: np.ndarray, dx: float, axis: int) -> np.ndarray:
     return (values - _shift(values, -1, axis)) / dx
 
 
-def interp_periodic(slice_values: np.ndarray, grid: GridSpec, points: np.ndarray) -> np.ndarray:
-    """Multilinear periodic interpolation of one time slice at arbitrary points.
+def wrap_periodic(x: np.ndarray, length: float) -> np.ndarray:
+    """Coordinates wrapped into [0, length], equal to np.mod(x, length) bit for bit.
 
-    points has shape (n, dim); coordinates are wrapped into [0, L).
+    fmod is exact, so the only rounding is in adding `length` to a negative
+    remainder, as in np.mod; a tiny negative coordinate therefore wraps to
+    exactly `length`, as it does there.  Adding 0.0 turns the -0.0 that fmod
+    leaves on a nonpositive multiple of `length` into np.mod's +0.0.  About
+    half the cost of np.mod, which also computes the quotient.
+    """
+    r = np.fmod(x, length)
+    r[r < 0] += length
+    return r + 0.0
+
+
+def interp_cells(grid: GridSpec, points: np.ndarray) -> tuple:
+    """Locate points for multilinear periodic interpolation on one time slice.
+
+    points has shape (n, dim) (or (n,) in 1D).  Coordinates are wrapped into
+    [0, L] once; the wrap can round up to L and x / dx up to nx, so the cell
+    index floor(x / dx) lies in [0, nx] and nx is the only one that wraps.
+    Returns one (flat node index, weight factors) pair per cell corner: two
+    corners in 1D, four in 2D in the order (0, 0), (1, 0), (0, 1), (1, 1),
+    each with one factor per axis.  `interp_at` gathers any number of fields
+    from the same cells.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    z = np.mod(pts, grid.box_length) / grid.dx
-    i0 = np.floor(z).astype(int)
-    frac = z - i0
-    i0 = np.mod(i0, grid.nx)
-    i1 = np.mod(i0 + 1, grid.nx)
+    nx = grid.nx
+    z = wrap_periodic(pts, grid.box_length) / grid.dx
+    lower = np.floor(z)
+    frac = z - lower
+    i0 = lower.astype(np.intp)
+    # floor(z) lies in [0, nx], so only nx wraps (to node 0)
+    i0[i0 == nx] = 0
+    i1 = i0 + 1
+    i1[i1 == nx] = 0
     if grid.dim == 1:
         f = frac[:, 0]
-        return slice_values[i0[:, 0]] * (1.0 - f) + slice_values[i1[:, 0]] * f
+        return ((i0[:, 0], (1.0 - f,)), (i1[:, 0], (f,)))
     fx, fy = frac[:, 0], frac[:, 1]
-    v00 = slice_values[i0[:, 0], i0[:, 1]]
-    v10 = slice_values[i1[:, 0], i0[:, 1]]
-    v01 = slice_values[i0[:, 0], i1[:, 1]]
-    v11 = slice_values[i1[:, 0], i1[:, 1]]
+    gx, gy = 1 - fx, 1 - fy
+    x0, x1 = i0[:, 0] * nx, i1[:, 0] * nx
     return (
-        v00 * (1 - fx) * (1 - fy)
-        + v10 * fx * (1 - fy)
-        + v01 * (1 - fx) * fy
-        + v11 * fx * fy
+        (x0 + i0[:, 1], (gx, gy)),
+        (x1 + i0[:, 1], (fx, gy)),
+        (x0 + i1[:, 1], (gx, fy)),
+        (x1 + i1[:, 1], (fx, fy)),
     )
+
+
+def interp_at(values: np.ndarray, cells: tuple) -> np.ndarray:
+    """Interpolate one time slice at cells located by `interp_cells`.
+
+    values has the grid's spatial shape, optionally followed by component
+    axes (a gradient's trailing axis), which the result keeps after the
+    point axis.  Each gathered corner value is multiplied by its factors in
+    axis order and the corners are summed in order, so the result does not
+    depend on how many fields share the cells.
+    """
+    dim = len(cells[0][1])
+    table = values.reshape(-1, *values.shape[dim:])
+    per_point = (slice(None),) + (None,) * (table.ndim - 1)
+    out = None
+    for index, factors in cells:
+        term = table.take(index, axis=0)
+        for w in factors:
+            term = term * w[per_point]
+        out = term if out is None else out + term
+    return out
+
+
+def interp_periodic(slice_values: np.ndarray, grid: GridSpec, points: np.ndarray) -> np.ndarray:
+    """Multilinear periodic interpolation of one time slice at arbitrary points.
+
+    points has shape (n, dim); coordinates are wrapped onto the torus.
+    """
+    return interp_at(slice_values, interp_cells(grid, points))

@@ -35,8 +35,11 @@ Three instruments are provided:
     so the fit is only meaningful for h small against (lambda1/M)^2).
 
 Spatial fields (lap u, grad u, F, G) are interpolated multilinearly and
-frozen per PDE time level (piecewise constant in time).  Paths are advanced
-in one vectorized batch per step, so a fixed seed reproduces estimates
+frozen per PDE time level (piecewise constant in time).  Each Euler step
+locates every path's cell once (`grid.interp_cells`) and gathers all the
+fields it needs from those cells (`grid.interp_at`), with the same values
+as one `interp_periodic` call per field.  Paths are advanced in one
+vectorized batch per step, so a fixed seed reproduces estimates
 bit-for-bit; antithetic pairing mirrors the Gaussian increments of the
 second half of the batch.
 """
@@ -51,7 +54,15 @@ from .control import ModelSpec, h1_terms, h2_terms, running_costs
 from .errors import ConfigError, ContractError
 from .fixed_point import coupling_fields
 from .fp import DensityPath
-from .grid import TimeField, grad_central, interp_periodic, laplacian
+from .grid import (
+    TimeField,
+    grad_central,
+    interp_at,
+    interp_cells,
+    interp_periodic,
+    laplacian,
+    wrap_periodic,
+)
 
 _GUARD_SIGMAS = 10.0
 
@@ -147,12 +158,6 @@ def _feedback_fields(u: TimeField):
     return laplacian(u.values, grid.dx, grid.dim), grad_central(u.values, grid.dx, grid.dim)
 
 
-def _interp_vector(field_slice: np.ndarray, grid, pts: np.ndarray) -> np.ndarray:
-    return np.stack(
-        [interp_periodic(field_slice[..., k], grid, pts) for k in range(grid.dim)], axis=-1
-    )
-
-
 def simulate_value(
     u: TimeField,
     m: DensityPath,
@@ -246,9 +251,10 @@ def _accumulate_costs(
     for j in range(steps):
         s = j * dt
         level = min(int(s / grid.dt + 1e-9), grid.nt)
+        cells = interp_cells(grid, x)
         if alpha_const is None:
-            p = _interp_vector(grads[level], grid, x)
-            q = interp_periodic(laps[level], grid, x)
+            p = interp_at(grads[level], cells)
+            q = interp_at(laps[level], cells)
             h1v, alpha, _ = h1_terms(model, s, x, p)
             h2v, eta, _ = h2_terms(model, s, x, q)
             l1_cost = h1v - np.sum(p * alpha, axis=-1)
@@ -257,16 +263,14 @@ def _accumulate_costs(
             alpha = np.broadcast_to(alpha_const, (n, dim))
             eta = np.full(n, float(eta_const))
             l1_cost, l3_cost = running_costs(model, s, x, alpha_const, eta_const)
-        f_here = interp_periodic(f_path.values[level], grid, x)
+        f_here = interp_at(f_path.values[level], cells)
         cost += (l1_cost + l3_cost + f_here) * dt
         sigma = np.sqrt(2.0 * eta)
         inc = alpha * dt + sigma[..., None] * sqdt * _draw_increments(rng, n, dim, cfg.antithetic)
         _check_increment_guard(inc, guard, "cost simulation")
-        x = np.mod(x + inc, grid.box_length)
-    if add_terminal_value:
-        cost += interp_periodic(u.values[horizon_level], grid, x)
-    else:
-        cost += interp_periodic(g_slice, grid, x)
+        x = wrap_periodic(x + inc, grid.box_length)
+    end = u.values[horizon_level] if add_terminal_value else g_slice
+    cost += interp_periodic(end, grid, x)
     return cost
 
 

@@ -1,9 +1,19 @@
-"""Periodic stencils: the np.roll reference, and one call over a level stack equals per-level calls."""
+"""Periodic stencils and interpolation against their np.roll / np.mod references, bit for bit."""
 
 import numpy as np
 import pytest
 
-from mfgdiff.grid import GridSpec, diff_backward, diff_forward, grad_central, laplacian
+from mfgdiff.grid import (
+    GridSpec,
+    diff_backward,
+    diff_forward,
+    grad_central,
+    interp_at,
+    interp_cells,
+    interp_periodic,
+    laplacian,
+    wrap_periodic,
+)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -49,3 +59,63 @@ def test_stencils_match_roll_reference(dim, stacked, rng):
     for got, ref in zip(ours, _roll_stencils(values, dx, dim), strict=True):
         assert got.shape == ref.shape
         assert np.array_equal(got, ref)
+
+
+_BOX_LENGTHS = [1.0, 0.7, 2.0, 2 * np.pi]
+
+
+def _seam_points(length):
+    """Coordinates at and next to the seam, where the wrap rounds."""
+    return np.array(
+        [0.0, -0.0, -5e-324, -1e-17, length, -length, 2 * length,
+         np.nextafter(length, 0), np.nextafter(0, -1)]
+    )
+
+
+def test_wrap_periodic_matches_np_mod(rng):
+    for length in _BOX_LENGTHS:
+        x = np.concatenate([rng.uniform(-5 * length, 5 * length, 10_000), _seam_points(length)])
+        ref = np.mod(x, length)
+        got = wrap_periodic(x, length)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))  # sign of zero included
+    assert wrap_periodic(np.array([-1e-17]), 1.0)[0] == 1.0  # rounds up to L, as np.mod does
+
+
+def _mod_reference(slice_values, grid, pts):
+    """Multilinear periodic interpolation with np.mod and np.floor, corner by corner."""
+    z = np.mod(pts, grid.box_length) / grid.dx
+    i0 = np.floor(z).astype(int)
+    frac = z - i0
+    i0 = np.mod(i0, grid.nx)
+    i1 = np.mod(i0 + 1, grid.nx)
+    if grid.dim == 1:
+        f = frac[:, 0]
+        return slice_values[i0[:, 0]] * (1.0 - f) + slice_values[i1[:, 0]] * f
+    fx, fy = frac[:, 0], frac[:, 1]
+    return (
+        slice_values[i0[:, 0], i0[:, 1]] * (1 - fx) * (1 - fy)
+        + slice_values[i1[:, 0], i0[:, 1]] * fx * (1 - fy)
+        + slice_values[i0[:, 0], i1[:, 1]] * (1 - fx) * fy
+        + slice_values[i1[:, 0], i1[:, 1]] * fx * fy
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_interp_matches_mod_reference(dim, rng):
+    for length in _BOX_LENGTHS:
+        grid = GridSpec(dim=dim, box_length=length, nx=40, nt=4, horizon=1e-5, a_max=0.5)
+        seam = _seam_points(length)
+        pts = rng.uniform(-3 * length, 3 * length, (2000, dim))
+        pts[: seam.size, 0] = seam
+        pts[seam.size : 2 * seam.size, -1] = seam
+        # the wrapped coordinate is exactly L, so floor(x / dx) lands on nx
+        assert np.any(np.mod(pts, length) == length)
+        values = rng.standard_normal(grid.shape)
+        ref = _mod_reference(values, grid, pts)
+        assert np.array_equal(interp_periodic(values, grid, pts), ref)
+        # a component axis: each component equals its own scalar interpolation
+        stacked = np.stack([values, 2.0 * values], axis=-1)
+        got = interp_at(stacked, interp_cells(grid, pts))
+        assert got.shape == (pts.shape[0], 2)
+        assert np.array_equal(got[:, 0], ref)
+        assert np.array_equal(got[:, 1], _mod_reference(2.0 * values, grid, pts))

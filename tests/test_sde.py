@@ -222,3 +222,40 @@ def test_increment_guard():
         _check_increment_guard(bad, bound=0.1, where="test")
     with pytest.raises(ContractError):
         _check_increment_guard(np.array([[np.nan]]), bound=0.1, where="test")
+
+
+# float.hex of (mean, std_error), recorded with one np.mod-based interpolation per
+# field, before the fields shared their cells; the estimates must not move by a bit.
+# They also depend on numpy's normal stream and libm (recorded with numpy 2.4, x86-64).
+_RECORDED_BITS = {
+    "feedback": ("0x1.8a94e1cfada39p-5", "0x1.6c59b3de58f29p-6"),
+    "constant": ("0x1.a0947508147fap-5", "0x1.6f09736a02593p-6"),
+    "antithetic": ("0x1.3a7ca5871ce93p-5", "0x1.3f68c650e4dc5p-7"),
+    "dpp": ("0x1.556ab9f18791ep-5", "0x1.93a6485d3ecd8p-9"),
+    "feedback_2d": ("0x1.c705ae63da259p-1", "0x1.831afc84e402ap-6"),
+    "dpp_2d": ("0x1.b62d798cb6dffp-1", "0x1.84494d858c10cp-7"),
+}
+
+
+def test_estimates_match_recorded_bits(heat_setup):
+    sc, grid, u, m = heat_setup
+    got = {}
+    e = simulate_value(u, m, sc, _cfg(grid, n=1000, seed=41))
+    got["feedback"] = (e.mean, e.std_error)
+    e = simulate_value(u, m, sc, _cfg(grid, n=1000, seed=42), alpha_const=0.0, eta_const=1.0)
+    got["constant"] = (e.mean, e.std_error)
+    e = simulate_value(u, m, sc, _cfg(grid, n=1000, seed=43, antithetic=True))
+    got["antithetic"] = (e.mean, e.std_error)
+    d = dpp_check(u, m, sc, _cfg(grid, n=1000, seed=44), h=grid.horizon / 8)
+    got["dpp"] = (d.mc_mean, d.std_error)
+    # 2D, started next to a corner of the box so paths cross both seams
+    m2 = model_a(horizon=0.01, dim=2)
+    g2 = grid_for(m2, nx=16, nt=40)
+    gamma = DensityPath.constant_in_time(g2, m2.m0.discretize(g2))
+    u2 = solve_hjb(m2, *coupling_fields(m2, g2, gamma.values), g2)
+    d2 = solve_fp(build_transport_operator(u2, m2), m2.m0.discretize(g2))
+    e = simulate_value(u2, d2, m2, McConfig(num_paths=1000, dt_mc=g2.dt, seed=45, x0=(0.03, 0.98)))
+    got["feedback_2d"] = (e.mean, e.std_error)
+    d = dpp_check(u2, d2, m2, McConfig(num_paths=1000, dt_mc=g2.dt, seed=46, x0=(0.03, 0.98)), h=g2.horizon / 2)
+    got["dpp_2d"] = (d.mc_mean, d.std_error)
+    assert {k: tuple(float.hex(v) for v in pair) for k, pair in got.items()} == _RECORDED_BITS
