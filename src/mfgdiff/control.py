@@ -231,7 +231,7 @@ def _mollifier_terms(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mollified_terms(base_terms: Callable, spec: HamiltonianSpec, bounds: ControlBounds, t, x, last):
-    """(value, derivative, derivative) of a mollified spec.
+    """(value, derivative) of a mollified spec.
 
     A convex combination of `base_terms` evaluations of the base spec,
     shifted over the (t, x, last-variable) offsets of the mollifier.
@@ -242,10 +242,10 @@ def _mollified_terms(base_terms: Callable, spec: HamiltonianSpec, bounds: Contro
     for off, w in zip(offsets, weights):
         ts = np.asarray(t, dtype=float) - off[0]
         xs = np.asarray(x, dtype=float) - off[1 : 1 + spec.dim]
-        v, d, _ = base_terms(spec.base, bounds, ts, xs, last - off[-1])
+        v, d = base_terms(spec.base, bounds, ts, xs, last - off[-1])
         value = value + w * v
         deriv = deriv + w * d
-    return value, deriv, deriv
+    return value, deriv
 
 
 def node_zeros(t, x) -> np.ndarray:
@@ -273,17 +273,18 @@ def _l3(spec: HamiltonianSpec, t, x, eta) -> np.ndarray:
 
 
 def _h1_terms(spec: HamiltonianSpec, bounds: ControlBounds, t, x, p):
-    """(value, derivative, argmin) of H1, vectorized over nodes.
+    """(value, derivative) of H1, vectorized over nodes.
 
-    p has shape (..., dim); value comes back with shape (...), derivative and
-    argmin with shape (..., dim).
+    p has shape (..., dim); value comes back with shape (...), the derivative
+    with shape (..., dim).  By the envelope relation the derivative H1_p is
+    the minimizing drift.
     """
     p = np.asarray(p, dtype=float)
     if spec.kind == "closed-form":
         cf = spec.closed_form
         alpha = np.minimum(np.maximum(-p / (2.0 * cf.l1_weight), -cf.drift_ctrl_max), cf.drift_ctrl_max)
         value = (p * alpha + cf.l1_weight * alpha**2).sum(axis=-1)
-        return value, alpha, alpha
+        return value, alpha
     if spec.kind == "tabulated":
         vals = np.stack(
             [
@@ -293,19 +294,18 @@ def _h1_terms(spec: HamiltonianSpec, bounds: ControlBounds, t, x, p):
         )
         idx = np.argmin(vals, axis=0)
         value = np.take_along_axis(vals, idx[None], axis=0)[0]
-        alpha = spec.control_grid_u[idx]
-        return value, alpha, alpha
+        return value, spec.control_grid_u[idx]
     return _mollified_terms(_h1_terms, spec, bounds, t, x, p)
 
 
 def _h2_terms(spec: HamiltonianSpec, bounds: ControlBounds, t, x, q):
-    """(value, derivative, argmin) of H2, vectorized over nodes; q shape (...)."""
+    """(value, derivative) of H2, vectorized over nodes; q shape (...); H2_q is the minimizing eta."""
     q = np.asarray(q, dtype=float)
     if spec.kind == "closed-form":
         cf = spec.closed_form
         eta = np.minimum(np.maximum(cf.l3_vertex - q / (2.0 * cf.l3_weight), bounds.a_min), bounds.a_max)
         value = eta * q + cf.l3_weight * (eta - cf.l3_vertex) ** 2
-        return value, eta, eta
+        return value, eta
     if spec.kind == "tabulated":
         vals = np.stack(
             [
@@ -315,8 +315,7 @@ def _h2_terms(spec: HamiltonianSpec, bounds: ControlBounds, t, x, q):
         )
         idx = np.argmin(vals, axis=0)
         value = np.take_along_axis(vals, idx[None], axis=0)[0]
-        eta = spec.control_grid_eta[idx]
-        return value, eta, eta
+        return value, spec.control_grid_eta[idx]
     return _mollified_terms(_h2_terms, spec, bounds, t, x, q)
 
 
@@ -426,10 +425,10 @@ def eval_h1(model: ModelSpec, t: float, x, p) -> HamiltonianEval:
     p = np.atleast_1d(_check_finite("p", p))
     if p.shape != (model.dim,):
         raise ValueError(f"p must have {model.dim} components, got shape {p.shape}")
-    value, deriv, arg = h1_terms(model, t, x, p)
+    value, deriv = h1_terms(model, t, x, p)
     if model.dim == 1:
-        return HamiltonianEval(float(value), float(arg[..., 0]), float(deriv[..., 0]))
-    return HamiltonianEval(float(value), np.asarray(arg), np.asarray(deriv))
+        return HamiltonianEval(float(value), float(deriv[..., 0]), float(deriv[..., 0]))
+    return HamiltonianEval(float(value), np.asarray(deriv), np.asarray(deriv))
 
 
 def eval_h2(model: ModelSpec, t: float, x, q: float) -> HamiltonianEval:
@@ -437,8 +436,8 @@ def eval_h2(model: ModelSpec, t: float, x, q: float) -> HamiltonianEval:
     t = float(_check_finite("t", t))
     x = np.atleast_1d(_check_finite("x", x))
     q = float(_check_finite("q", q))
-    value, deriv, arg = h2_terms(model, t, x, q)
-    return HamiltonianEval(float(value), float(arg), float(deriv))
+    value, deriv = h2_terms(model, t, x, q)
+    return HamiltonianEval(float(value), float(deriv), float(deriv))
 
 
 def mollify_hamiltonian(spec: HamiltonianSpec, delta: float) -> HamiltonianSpec:
@@ -629,8 +628,8 @@ def validate_hypotheses(model: ModelSpec, samples, declared_c: float = 10.0) -> 
     if x.shape[1] != d or p.shape[1] != d:
         raise ConfigError(f"samples must carry {d}-component x and p")
 
-    h1v, h1p, _ = h1_terms(model, t, x, p)
-    h2v, h2q, _ = h2_terms(model, t, x, q)
+    h1v, h1p = h1_terms(model, t, x, p)
+    h2v, h2q = h2_terms(model, t, x, q)
     zeros_p = np.zeros_like(p)
     h1v0 = h1_value(model, t, x, zeros_p)
     h2v0 = h2_value(model, t, x, np.zeros_like(q))

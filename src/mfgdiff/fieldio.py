@@ -1,14 +1,12 @@
 """Deterministic CSV serialization of fields with a checksummed manifest.
 
-A field directory holds one CSV per time level (node coordinates followed by
-the value, 17 significant digits so float64 round-trips bit-exactly) and a
-manifest listing the grid metadata, a sha256 per level file, and a combined
-checksum over the per-file digests.  No timestamps are recorded: identical
-data produces identical bytes.
-
-Reading checks both: each level file's bytes against its listed digest
-before they are parsed, and the combined checksum over the digests.  A
-mismatch raises a ConfigError that names the file.
+A field directory holds `values.csv`: a header `level,x[,y],value`, then one
+row per (level, node), levels ascending and nodes in C order, 17 significant
+digits so float64 round-trips bit-exactly.  `manifest.txt` lists the grid
+metadata, a sha256 per level over exactly that level's rows, and a combined
+checksum over the level digests.  Identical data produces identical bytes.
+A corrupt level, or missing or extra rows, raise a ConfigError naming the
+first level that does not match.
 """
 
 from __future__ import annotations
@@ -23,108 +21,106 @@ from .fp import DensityPath
 from .grid import GridSpec, TimeField
 
 _FMT = "%.17g"
+_VALUES = "values.csv"
+_BLOCK = 1 << 20  # bytes per read of `values.csv`
+_GRID_KEYS = {"dim": int, "box_length": float, "nx": int, "nt": int,
+              "horizon": float, "a_max": float, "theta_lf": float}
 
 
-def _level_name(n: int) -> str:
-    return f"level_{n:06d}.csv"
+def _header(grid: GridSpec) -> bytes:
+    return (",".join(["level", "x", "y"][: grid.dim + 1] + ["value"]) + "\n").encode()
 
 
-def _level_template(grid: GridSpec) -> str:
-    """Text of one level file with every value left as a `%.17g` slot.
-
-    The coordinate columns are the same on every level, so they are
-    formatted once per grid.
-    """
+def _level_template(grid: GridSpec) -> list[str]:
+    """Rows of one level without their level column, each value a `%.17g` slot;
+    the coordinates are the same on every level, so they are formatted once per grid."""
     coords = grid.coords().reshape(-1, grid.dim)
-    header = ",".join(["x", "y"][: grid.dim] + ["value"])
-    rows = "".join(",".join(_FMT % c for c in row) + "," + _FMT + "\n" for row in coords.tolist())
-    return header + "\n" + rows
+    return [",".join(_FMT % c for c in row) + "," + _FMT + "\n" for row in coords.tolist()]
 
 
 def write_field(field: TimeField | DensityPath, path) -> str:
-    """Write all levels plus a manifest; returns the combined checksum."""
-    is_density = isinstance(field, DensityPath)
-    grid = field.grid
-    values = field.values
+    """Stream `values.csv` level by level, then write the manifest; returns the combined checksum."""
+    grid, values = field.grid, field.values
     if not np.all(np.isfinite(values)):
         raise ContractError("refusing to write non-finite values")
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    template = _level_template(grid)
+    rows = _level_template(grid)
     digests = []
-    for n in range(grid.nt + 1):
-        blob = (template % tuple(values[n].reshape(-1).tolist())).encode()
-        (out / _level_name(n)).write_bytes(blob)
-        digests.append(hashlib.sha256(blob).hexdigest())
+    with open(out / _VALUES, "wb") as fh:
+        fh.write(_header(grid))
+        for n in range(grid.nt + 1):
+            lead = f"{n},"
+            blob = ((lead + lead.join(rows)) % tuple(values[n].reshape(-1).tolist())).encode()
+            fh.write(blob)
+            digests.append(hashlib.sha256(blob).hexdigest())
     combined = hashlib.sha256("".join(digests).encode()).hexdigest()
     meta = [
-        f"kind={'density' if is_density else 'timefield'}",
-        f"dim={grid.dim}",
-        f"box_length={_FMT % grid.box_length}",
-        f"nx={grid.nx}",
-        f"nt={grid.nt}",
-        f"horizon={_FMT % grid.horizon}",
-        f"a_max={_FMT % grid.a_max}",
-        f"theta_lf={_FMT % grid.theta_lf}",
+        f"kind={'density' if isinstance(field, DensityPath) else 'timefield'}",
+        *(f"{key}={_FMT % getattr(grid, key)}" for key in _GRID_KEYS),
+        *(f"level {n} sha256={d}" for n, d in enumerate(digests)),
+        f"checksum={combined}",
     ]
-    meta += [f"file {_level_name(n)} sha256={d}" for n, d in enumerate(digests)]
-    meta.append(f"checksum={combined}")
     (out / "manifest.txt").write_text("\n".join(meta) + "\n")
     return combined
 
 
-def _read_manifest(path) -> tuple[dict, list[str]]:
-    """Metadata entries, and the per-file digest lines in their written order."""
+def read_manifest(path) -> dict:
+    """Every `key=value` entry of the manifest, the level digests under `level <n> sha256`."""
     man = Path(path) / "manifest.txt"
     if not man.is_file():
         raise ConfigError(f"no manifest at {man}")
-    meta, files = {}, []
-    for line in man.read_text().splitlines():
-        if line.startswith("file "):
-            files.append(line)
-            continue
-        key, _, val = line.partition("=")
-        meta[key] = val
-    return meta, files
+    return dict(line.partition("=")[::2] for line in man.read_text().splitlines())
 
 
-def read_manifest(path) -> dict:
-    return _read_manifest(path)[0]
+def _runs(fh, sizes):
+    """Read `fh` a block at a time; yield runs of `sizes` rows, with the offset past
+    each row (fewer if the file ends first), then whatever follows."""
+    buf, ends = b"", np.empty(0, dtype=np.int64)
+    for want in sizes:
+        while len(ends) < want and (block := fh.read(_BLOCK)):
+            ends = np.append(ends, len(buf) + 1 + np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == 10))
+            buf += block
+        cut = int(ends[want - 1]) if len(ends) >= want else len(buf)
+        yield buf[:cut], ends[:want]
+        buf, ends = buf[cut:], ends[want:] - cut
+    yield buf + fh.read(), None
 
 
 def read_field(path) -> TimeField | DensityPath:
-    """Reconstruct a field from a directory written by `write_field`, checking every digest."""
-    meta, files = _read_manifest(path)
-    grid = GridSpec(
-        dim=int(meta["dim"]),
-        box_length=float(meta["box_length"]),
-        nx=int(meta["nx"]),
-        nt=int(meta["nt"]),
-        horizon=float(meta["horizon"]),
-        a_max=float(meta["a_max"]),
-        theta_lf=float(meta["theta_lf"]),
-    )
-    if len(files) != grid.nt + 1:
-        raise ConfigError(f"manifest in {path} lists {len(files)} level files, expected {grid.nt + 1}")
-    values = np.empty((grid.nt + 1, *grid.shape))
-    combined = hashlib.sha256()
-    for n, listed in enumerate(files):
-        fname = Path(path) / _level_name(n)
-        if not fname.is_file():
-            raise ConfigError(f"missing level file {fname}")
-        blob = fname.read_bytes()
-        digest = hashlib.sha256(blob).hexdigest()
-        if listed != f"file {fname.name} sha256={digest}":
-            raise ConfigError(f"level file {fname} does not match its manifest digest")
-        combined.update(digest.encode())
-        body = blob.decode().partition("\n")[2].rstrip("\n").replace("\n", ",")
-        rows = np.fromstring(body, sep=",").reshape(-1, grid.dim + 1)
-        values[n] = rows[:, grid.dim].reshape(grid.shape)
+    """Reconstruct a field written by `write_field`, reading `values.csv` once, a run of
+    levels at a time; each level's digest is checked before that level is parsed."""
+    meta = read_manifest(path)
+    grid = GridSpec(**{key: cast(meta[key]) for key, cast in _GRID_KEYS.items()})
+    digests = [meta.get(f"level {n} sha256") for n in range(grid.nt + 1)]
+    fname = Path(path) / _VALUES
+    if not fname.is_file():
+        raise ConfigError(f"missing {fname}")
+    if None in digests:
+        raise ConfigError(f"manifest in {path} lists no digest for level {digests.index(None)}")
+    per, chunks = grid.n_nodes, grid.level_chunks()
+    values, combined = np.empty((grid.nt + 1, *grid.shape)), hashlib.sha256()
+    with open(fname, "rb") as fh:
+        if fh.readline() != _header(grid):
+            raise ConfigError(f"{fname} does not start with the header {_header(grid)!r}")
+        runs = _runs(fh, [(c.stop - c.start) * per for c in chunks])
+        for c, (text, ends) in zip(chunks, runs):
+            bounds = [0] + ends[per - 1 :: per].tolist()  # where each complete level of the run ends
+            for k, n in enumerate(range(c.start, c.stop)):
+                if k + 1 >= len(bounds):
+                    raise ConfigError(f"level {n} of {fname} has {len(ends) - k * per} rows, expected {per}")
+                digest = hashlib.sha256(text[bounds[k] : bounds[k + 1]]).hexdigest()
+                if digest != digests[n]:
+                    raise ConfigError(f"level {n} of {fname} does not match its manifest digest")
+                combined.update(digest.encode())
+            rows = np.fromstring(text[:-1].replace(b"\n", b","), sep=",")
+            values[c] = rows.reshape(-1, *grid.shape, grid.dim + 2)[..., -1]
+        rest = next(runs)[0]
+    if rest:
+        raise ConfigError(f"{fname} has {len(rest.splitlines())} rows after its last level {grid.nt}")
     if combined.hexdigest() != meta.get("checksum"):
         raise ConfigError(f"checksum in {path} manifest does not match its level digests")
-    if meta["kind"] == "density":
-        return DensityPath.from_values(grid, values)
-    return TimeField(grid, values)
+    return (DensityPath.from_values if meta["kind"] == "density" else TimeField)(grid, values)
 
 
 def write_table(path, header: list[str], rows) -> None:

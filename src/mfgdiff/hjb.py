@@ -255,8 +255,8 @@ def monotonicity_certificate(model: ModelSpec, grid: GridSpec, u_slice: np.ndarr
     x = grid.coords()
     lap = laplacian(np.asarray(u_slice, dtype=float), dx)
     grad = grad_central(np.asarray(u_slice, dtype=float), dx)
-    _, a_coef, _ = h2_terms(model, t, x, lap)
-    _, b_coef, _ = h1_terms(model, t, x, grad)
+    _, a_coef = h2_terms(model, t, x, lap)
+    _, b_coef = h1_terms(model, t, x, grad)
     theta = grid.theta_lf
     diffusive = a_coef / dx**2 + theta / (2.0 * dx)
     off_min = np.inf

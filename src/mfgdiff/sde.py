@@ -255,8 +255,8 @@ def _accumulate_costs(
         if alpha_const is None:
             p = interp_at(grads[level], cells)
             q = interp_at(laps[level], cells)
-            h1v, alpha, _ = h1_terms(model, s, x, p)
-            h2v, eta, _ = h2_terms(model, s, x, q)
+            h1v, alpha = h1_terms(model, s, x, p)
+            h2v, eta = h2_terms(model, s, x, q)
             l1_cost = h1v - np.sum(p * alpha, axis=-1)
             l3_cost = h2v - eta * q
         else:

@@ -12,7 +12,7 @@ has full support (minimum 0.22) with 7.6% of its mass within 0.1 of the
 seam, and for such measures the flat value can exceed the torus one (0.158
 against 0.135 for a quarter-box rotation of that density).  The Picard
 stopping rule and the Hölder diagnostic therefore measure the flat metric;
-ROADMAP item 3 plans the switch to the torus distance.
+ROADMAP item 4 plans the switch to the torus distance.
 
 In one dimension the value is exact and cheap: d1 = sum |CDF1 - CDF2| * dx.
 The maximizing dual potential is explicit (slopes -sign(CDF1 - CDF2)), and a

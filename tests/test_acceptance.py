@@ -89,8 +89,8 @@ def test_c01_hamiltonian_oracle_equivalence(acc_model):
     x = rng.uniform(0, 1, size=(n, 1))
     p = rng.uniform(-6, 6, size=(n, 1))
     q = rng.uniform(-10, 10, size=n)
-    v1, _, _ = h1_terms(acc_model, t, x, p)
-    v2, _, _ = h2_terms(acc_model, t, x, q)
+    v1, _ = h1_terms(acc_model, t, x, p)
+    v2, _ = h2_terms(acc_model, t, x, q)
     alphas = np.arange(-1.0, 1.0 + 5e-5, 1e-4)
     etas = np.arange(0.5, 2.0 + 5e-5, 1e-4)
     worst = 0.0

@@ -1,6 +1,7 @@
 """Configuration loading, field serialization, and the command-line surface."""
 
 import hashlib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -144,13 +145,20 @@ def small_grid():
     return GridSpec(dim=1, box_length=1.0, nx=16, nt=8, horizon=1e-4, a_max=0.5, theta_lf=0.0)
 
 
-def test_write_read_roundtrip_bit_exact(small_grid, tmp_path, rng):
-    u = TimeField(small_grid, rng.standard_normal((small_grid.nt + 1, small_grid.nx)))
-    write_field(u, tmp_path / "f")
+@pytest.mark.parametrize("kind", [TimeField, DensityPath])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_write_read_roundtrip_bit_exact(tmp_path, rng, dim, kind):
+    grid = GridSpec(dim=dim, box_length=1.0, nx=8, nt=5, horizon=1e-4, a_max=0.5, theta_lf=0.0)
+    values = rng.uniform(0.1, 2.0, (grid.nt + 1, *grid.shape))
+    # unit mass per level, so the same values also make a density path
+    values /= values.sum(axis=tuple(range(1, dim + 1)), keepdims=True) * grid.dx**dim
+    field = DensityPath.from_values(grid, values) if kind is DensityPath else TimeField(grid, values)
+    write_field(field, tmp_path / "f")
+    assert sorted(p.name for p in (tmp_path / "f").iterdir()) == ["manifest.txt", "values.csv"]
     back = read_field(tmp_path / "f")
-    assert isinstance(back, TimeField)
-    assert np.array_equal(back.values, u.values)
-    assert back.grid.same_lattice(small_grid)
+    assert type(back) is kind
+    assert np.array_equal(back.values, field.values)
+    assert back.grid.same_lattice(grid)
 
 
 def test_density_roundtrip_and_mass_column(small_grid, tmp_path):
@@ -160,29 +168,69 @@ def test_density_roundtrip_and_mass_column(small_grid, tmp_path):
     back = read_field(tmp_path / "m")
     assert isinstance(back, DensityPath)
     # value column sums to 1/dx per level
+    data = np.loadtxt(tmp_path / "m" / "values.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(np.unique(data[:, 0]), np.arange(small_grid.nt + 1))
     for n in range(small_grid.nt + 1):
-        data = np.loadtxt(tmp_path / "m" / f"level_{n:06d}.csv", delimiter=",", skiprows=1)
-        assert data[:, 1].sum() == pytest.approx(1.0 / small_grid.dx, abs=1e-12)
+        level = data[data[:, 0] == n]
+        assert len(level) == small_grid.nx
+        assert level[:, 2].sum() == pytest.approx(1.0 / small_grid.dx, abs=1e-12)
+
+
+def _level_lines(path, n):
+    """The lines of `values.csv`, and the indices among them of level n's rows."""
+    lines = (path / "values.csv").read_text().splitlines()
+    return lines, [i for i, line in enumerate(lines[1:], 1) if line.startswith(f"{n},")]
 
 
 def test_read_rejects_corrupted_level(small_grid, tmp_path, rng):
     vals = rng.standard_normal((small_grid.nt + 1, small_grid.nx))
     write_field(TimeField(small_grid, vals), tmp_path / "f")
-    level = tmp_path / "f" / "level_000003.csv"
-    lines = level.read_text().splitlines()
-    lines[2] = lines[2].rsplit(",", 1)[0] + ",999.0"
-    level.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ConfigError, match="level_000003.csv"):
+    lines, rows = _level_lines(tmp_path / "f", 3)
+    lines[rows[1]] = lines[rows[1]].rsplit(",", 1)[0] + ",999.0"
+    (tmp_path / "f" / "values.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=r"level 3 of .*values\.csv"):
         read_field(tmp_path / "f")
     # a digest line rewritten to match the corrupted level still breaks the combined checksum
     man = tmp_path / "f" / "manifest.txt"
-    digest = hashlib.sha256(level.read_bytes()).hexdigest()
+    digest = hashlib.sha256("".join(lines[i] + "\n" for i in rows).encode()).hexdigest()
     entries = [
-        f"file {level.name} sha256={digest}" if line.startswith(f"file {level.name} ") else line
+        f"level 3 sha256={digest}" if line.startswith("level 3 ") else line
         for line in man.read_text().splitlines()
     ]
     man.write_text("\n".join(entries) + "\n")
     with pytest.raises(ConfigError, match="checksum"):
+        read_field(tmp_path / "f")
+
+
+def test_read_rejects_wrong_row_count(small_grid, tmp_path, rng):
+    vals = rng.standard_normal((small_grid.nt + 1, small_grid.nx))
+    write_field(TimeField(small_grid, vals), tmp_path / "f")
+    csv = tmp_path / "f" / "values.csv"
+    lines = csv.read_text().splitlines()
+    last = small_grid.nt
+    # the last level's rows removed
+    csv.write_text("\n".join(lines[: -small_grid.nx]) + "\n")
+    with pytest.raises(ConfigError, match=f"level {last} of .*values\\.csv has 0 rows, expected {small_grid.nx}"):
+        read_field(tmp_path / "f")
+    # one extra row after the last level
+    csv.write_text("\n".join(lines + [lines[-1]]) + "\n")
+    with pytest.raises(ConfigError, match=f"values\\.csv has 1 rows after its last level {last}"):
+        read_field(tmp_path / "f")
+    # one extra row inside level 3: level 3 is the first that does not match
+    _, rows = _level_lines(tmp_path / "f", 3)
+    csv.write_text("\n".join(lines[: rows[0]] + [lines[rows[0]]] + lines[rows[0] :]) + "\n")
+    with pytest.raises(ConfigError, match=r"level 3 of .*values\.csv"):
+        read_field(tmp_path / "f")
+
+
+def test_read_rejects_per_level_layout(small_grid, tmp_path, rng):
+    # output directories of earlier versions held one level_NNNNNN.csv per level
+    vals = rng.standard_normal((small_grid.nt + 1, small_grid.nx))
+    write_field(TimeField(small_grid, vals), tmp_path / "f")
+    (tmp_path / "f" / "values.csv").rename(tmp_path / "f" / "level_000000.csv")
+    man = tmp_path / "f" / "manifest.txt"
+    man.write_text(re.sub(r"^level (\d+) ", lambda g: f"file level_{int(g[1]):06d}.csv ", man.read_text(), flags=re.M))
+    with pytest.raises(ConfigError, match=r"missing .*values\.csv"):
         read_field(tmp_path / "f")
 
 
@@ -193,11 +241,11 @@ def test_level_bytes_match_row_reference(tmp_path, rng, dim):
     values.reshape(-1)[:5] = [0.0, -0.0, 1e-300, 1.0 / 3.0, -2.5e17]
     write_field(TimeField(grid, values), tmp_path / "f")
     coords = grid.coords().reshape(-1, dim)
-    header = ",".join(["x", "y"][:dim] + ["value"])
+    rows = [",".join(["level", "x", "y"][: dim + 1] + ["value"])]
     for n in range(grid.nt + 1):
-        rows = [",".join("%.17g" % v for v in (*c, val)) for c, val in zip(coords, values[n].reshape(-1))]
-        expected = ("\n".join([header] + rows) + "\n").encode()
-        assert (tmp_path / "f" / f"level_{n:06d}.csv").read_bytes() == expected
+        rows += [",".join(["%d" % n] + ["%.17g" % v for v in (*c, val)]) for c, val in zip(coords, values[n].reshape(-1))]
+    expected = ("\n".join(rows) + "\n").encode()
+    assert (tmp_path / "f" / "values.csv").read_bytes() == expected
 
 
 def test_checksum_changes_iff_values_change(small_grid, tmp_path, rng):
@@ -267,6 +315,24 @@ def test_verify_sde_missing_prior_exit2(tmp_path):
         "--prior", str(tmp_path / "missing"),
     ])
     assert rc == 2
+
+
+def test_corrupt_prior_exit2_names_level(tmp_path, caplog):
+    path = _minimal_doc(tmp_path, **{"fixed_point.tol": 1e-2})
+    assert main(["solve-mfg", "--config", str(path), "--quiet"]) == 0
+    prior = tmp_path / "out"
+    lines, rows = _level_lines(prior / "m", 3)
+    lines[rows[2]] = lines[rows[2]].rsplit(",", 1)[0] + ",0.5"
+    (prior / "m" / "values.csv").write_text("\n".join(lines) + "\n")
+    for command in ("verify-sde", "wasserstein"):
+        caplog.clear()
+        rc = main([
+            command, "--config", str(path), "--quiet",
+            "--prior", str(prior), "--out", str(tmp_path / command),
+        ])
+        assert rc == 2
+        errors = [rec.getMessage() for rec in caplog.records if rec.levelname == "ERROR"]
+        assert any("level 3 of" in msg and "values.csv" in msg for msg in errors), errors
 
 
 def test_negative_density_hook_exit1(tmp_path):
