@@ -5,8 +5,9 @@ row per (level, node), levels ascending and nodes in C order, 17 significant
 digits so float64 round-trips bit-exactly.  `manifest.txt` lists the grid
 metadata, a sha256 per level over exactly that level's rows, and a combined
 checksum over the level digests.  Identical data produces identical bytes.
-A corrupt level, or missing or extra rows, raise a ConfigError naming the
-first level that does not match.
+A corrupt level, missing or extra rows, a row with a wrong number of
+fields, or a row whose level or coordinates differ from the manifest grid
+raise a ConfigError naming the first level that does not match.
 """
 
 from __future__ import annotations
@@ -98,7 +99,8 @@ def read_field(path) -> TimeField | DensityPath:
         raise ConfigError(f"missing {fname}")
     if None in digests:
         raise ConfigError(f"manifest in {path} lists no digest for level {digests.index(None)}")
-    per, chunks = grid.n_nodes, grid.level_chunks()
+    per, chunks, width = grid.n_nodes, grid.level_chunks(), grid.dim + 2
+    coords = grid.coords().reshape(per, grid.dim)
     values, combined = np.empty((grid.nt + 1, *grid.shape)), hashlib.sha256()
     with open(fname, "rb") as fh:
         if fh.readline() != _header(grid):
@@ -112,9 +114,21 @@ def read_field(path) -> TimeField | DensityPath:
                 digest = hashlib.sha256(text[bounds[k] : bounds[k + 1]]).hexdigest()
                 if digest != digests[n]:
                     raise ConfigError(f"level {n} of {fname} does not match its manifest digest")
+                if text.count(b",", bounds[k], bounds[k + 1]) != per * (width - 1):
+                    raise ConfigError(f"level {n} of {fname} has rows with a wrong number of fields")
                 combined.update(digest.encode())
-            rows = np.fromstring(text[:-1].replace(b"\n", b","), sep=",")
-            values[c] = rows.reshape(-1, *grid.shape, grid.dim + 2)[..., -1]
+            try:
+                rows = np.fromstring(text[:-1].replace(b"\n", b","), sep=",").reshape(-1, per, width)
+            except ValueError as exc:
+                raise ConfigError(f"levels {c.start}-{c.stop - 1} of {fname} do not parse: {exc}") from None
+            # the level and coordinate columns are written %.17g, so they read back exactly
+            misplaced = (rows[..., 0] != np.arange(c.start, c.stop)[:, None]) | np.any(
+                rows[..., 1:-1] != coords, axis=-1
+            )
+            if misplaced.any():
+                n = c.start + int(np.flatnonzero(misplaced.any(axis=1))[0])
+                raise ConfigError(f"level {n} of {fname} has rows off their level or grid coordinates")
+            values[c] = rows[..., -1].reshape(-1, *grid.shape)
         rest = next(runs)[0]
     if rest:
         raise ConfigError(f"{fname} has {len(rest.splitlines())} rows after its last level {grid.nt}")

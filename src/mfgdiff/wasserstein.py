@@ -25,6 +25,19 @@ mass cancels before the solve and the LP is posed at unit moved mass.
 Measures wider than 32 nodes per axis are block-coarsened first
 (diagnostic-grade accuracy, error O(dx * factor)).
 
+Successive levels of one `d1_path_sup` mostly pose the same LP (the same
+source and sink nodes) with slightly moved masses, so the sup reuses the
+optimal basis of the last level that had those node sets, as the
+transportation simplex would.  An optimal plan with exactly ns + nd - 1
+positive flows on a connected support is a spanning tree of the bipartite
+source-sink graph; the tree fixes the flows (from the marginals) and the
+potentials (f_i - g_j = c_ij on its edges).  When every flow is >= -1e-14
+and every reduced cost c_ij - f_i + g_j is >= -1e-12, at unit moved mass,
+the tree is primal and dual feasible, hence optimal by LP duality, and its
+cost is returned without a solve.  Otherwise HiGHS solves the level.  The
+stored trees live in a dict owned by the caller, one per `d1_path_sup`
+call; nothing is cached across calls.
+
 `holder_half_diagnostic` fits the exponent of d1(m(0), m(tau)) against tau
 over dyadic separations tau = T/2^k, k = 1..5; a diffusion-dominated path
 shows an exponent near 1/2 with a finite sup of d1 / sqrt(tau).
@@ -72,8 +85,11 @@ class GridMeasure:
         return cls(grid, np.asarray(values, dtype=float) * grid.dx**grid.dim)
 
 
-def d1(m1: GridMeasure, m2: GridMeasure) -> float:
-    """Order-1 transport distance between two measures on the same grid."""
+def d1(m1: GridMeasure, m2: GridMeasure, bases: dict | None = None) -> float:
+    """Order-1 transport distance between two measures on the same grid.
+
+    In 2D, `bases` is handed on to `transport_lp_cost`.
+    """
     if not m1.grid.same_lattice(m2.grid):
         raise ValueError("measures live on different grids")
     if abs(m1.weights.sum() - m2.weights.sum()) > _MASS_TOL:
@@ -82,7 +98,7 @@ def d1(m1: GridMeasure, m2: GridMeasure) -> float:
         return float(_d1_cdf(m1.weights, m2.weights, m1.grid.dx))
     g1, w1 = _coarsen(m1.grid, m1.weights)
     _, w2 = _coarsen(m2.grid, m2.weights)
-    return transport_lp_cost(_support_points(g1), w1.ravel(), w2.ravel())
+    return transport_lp_cost(_support_points(g1), w1.ravel(), w2.ravel(), bases)
 
 
 def _d1_cdf(w1: np.ndarray, w2: np.ndarray, dx: float) -> np.ndarray:
@@ -100,6 +116,7 @@ def d1_path_sup(p1: DensityPath, p2: DensityPath) -> float:
     if grid.dim == 1:
         # _d1_cdf is linear in w1 - w2: densities in, cell masses by scaling after
         return float(np.max(_d1_cdf(p1.values, p2.values, grid.dx)) * cell)
+    bases: dict = {}  # optimal trees of this sup's LPs, by (sources, sinks)
     worst = 0.0
     for n in range(grid.nt + 1):
         worst = max(
@@ -107,6 +124,7 @@ def d1_path_sup(p1: DensityPath, p2: DensityPath) -> float:
             d1(
                 GridMeasure.from_density(grid, p1.values[n]),
                 GridMeasure.from_density(grid, p2.values[n]),
+                bases,
             ),
         )
     return worst
@@ -149,7 +167,9 @@ def _coarsen(grid: GridSpec, weights: np.ndarray) -> tuple[GridSpec, np.ndarray]
     return coarse, wc
 
 
-def transport_lp_cost(points: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
+def transport_lp_cost(
+    points: np.ndarray, w1: np.ndarray, w2: np.ndarray, bases: dict | None = None
+) -> float:
     """Exact transportation LP with unit cost |x - y| between two weight vectors.
 
     Only the mass that moves is transported: for a metric cost
@@ -159,6 +179,14 @@ def transport_lp_cost(points: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> flo
     that small node masses are not lost in the solver's feasibility
     tolerance, and the optimum is scaled back.  Identical measures give
     exactly 0.0 without an LP.
+
+    `bases`, when given, maps (source nodes, sink nodes) to the spanning tree
+    of the last optimal plan for those node sets (flat indices into the
+    sources x sinks plan).  A stored tree is tried first: if its flows are
+    all >= -1e-14 and its reduced costs all >= -1e-12 at unit moved mass, it
+    is optimal by LP duality and its cost is returned without HiGHS.
+    Otherwise HiGHS solves the LP, and its plan is stored when its positive
+    flows form a spanning tree (exactly ns + nd - 1 of them, connected).
 
     Raises ValueError for a weight below -1e-12 or for total masses that
     differ by more than the mass tolerance; nothing is clamped or
@@ -182,6 +210,11 @@ def transport_lp_cost(points: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> flo
     b /= b.sum()
     pts = np.asarray(points, dtype=float)
     cost = np.linalg.norm(pts[src][:, None, :] - pts[dst][None, :, :], axis=-1)
+    key = (src.tobytes(), dst.tobytes())
+    if bases is not None and key in bases:
+        certified = _certified_tree_cost(cost, a, b, bases[key])
+        if certified is not None:
+            return certified * moved
     ns, nd = len(src), len(dst)
     nvar = ns * nd
     # row i sums variable block i (sources); row ns + j every nd-th variable from j (sinks)
@@ -193,7 +226,69 @@ def transport_lp_cost(points: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> flo
     res = linprog(cost.ravel(), A_eq=a_eq[:-1], b_eq=b_eq[:-1], method="highs", options=_LP_OPTIONS)
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
+    if bases is not None:
+        tree = np.flatnonzero(res.x > 0.0)
+        if _tree_walk(cost.shape, tree) is not None:
+            bases[key] = tree
     return float(res.fun) * moved
+
+
+def _tree_walk(shape: tuple[int, int], tree: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Breadth-first order from source 0, and each node's predecessor, of the graph
+    on sources 0..ns-1 and sinks ns..ns+nd-1 whose edges are the flat plan indices
+    `tree`; None unless those edges form a spanning tree."""
+    ns, nd = shape
+    nn = ns + nd
+    if tree.size != nn - 1:
+        return None
+    neighbours: list[list[int]] = [[] for _ in range(nn)]
+    for i, j in zip(*(part.tolist() for part in np.divmod(tree, nd))):
+        neighbours[i].append(ns + j)
+        neighbours[ns + j].append(i)
+    pred = [-1] * nn
+    pred[0] = 0
+    order = [0]
+    for v in order:  # the loop also visits the nodes appended while it runs
+        for w in neighbours[v]:
+            if pred[w] < 0:
+                pred[w] = v
+                order.append(w)
+    # nn - 1 edges reaching all nn nodes form a tree
+    return (np.asarray(order), np.asarray(pred)) if len(order) == nn else None
+
+
+def _certified_tree_cost(
+    cost: np.ndarray, a: np.ndarray, b: np.ndarray, tree: np.ndarray
+) -> float | None:
+    """Cost of the basic plan on `tree` when LP duality certifies it optimal, else None.
+
+    The flow on each tree edge is the net supply of the subtree below it, and
+    the potentials satisfy f_i - g_j = cost_ij on the edges (f = 0 at source 0).
+    """
+    walk = _tree_walk(cost.shape, tree)
+    if walk is None:
+        return None
+    ns = len(a)
+    order, pred = walk
+    child = order[1:]
+    parent = pred[child]
+    from_source = child < ns
+    # the edge joining each non-root node to its parent, as (source, sink)
+    edge_cost = cost[np.where(from_source, child, parent), np.where(from_source, parent, child) - ns]
+    step = np.where(from_source, edge_cost, -edge_cost)  # f_i = g_j + c_ij, g_j = f_i - c_ij
+    pot = [0.0] * (ns + len(b))  # f for the sources, then g for the sinks
+    for v, p, s in zip(child.tolist(), parent.tolist(), step.tolist()):
+        pot[v] = pot[p] + s
+    net = np.concatenate([a, -b]).tolist()
+    for v, p in zip(child[::-1].tolist(), parent[::-1].tolist()):
+        net[p] += net[v]
+    below = np.asarray(net)[child]
+    flow = np.where(from_source, below, -below)
+    reduced = cost - np.asarray(pot[:ns])[:, None]
+    reduced += np.asarray(pot[ns:])[None, :]
+    if flow.min() < -1e-14 or reduced.min() < -1e-12:
+        return None
+    return float(edge_cost @ flow)
 
 
 @dataclass(frozen=True)

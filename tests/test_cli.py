@@ -202,6 +202,57 @@ def test_read_rejects_corrupted_level(small_grid, tmp_path, rng):
         read_field(tmp_path / "f")
 
 
+def _rewrite_level(path, lines, n, rows):
+    """Write `lines` as `values.csv` and make the manifest vouch for them: the digest of
+    level n over the lines at `rows`, and the combined checksum, recomputed."""
+    (path / "values.csv").write_text("\n".join(lines) + "\n")
+    digest = hashlib.sha256("".join(lines[i] + "\n" for i in rows).encode()).hexdigest()
+    man = path / "manifest.txt"
+    entries = [
+        f"level {n} sha256={digest}" if line.startswith(f"level {n} ") else line
+        for line in man.read_text().splitlines()
+    ]
+    levels = "".join(line.partition("=")[2] for line in entries if line.startswith("level "))
+    entries[-1] = "checksum=" + hashlib.sha256(levels.encode()).hexdigest()
+    man.write_text("\n".join(entries) + "\n")
+
+
+def test_read_rejects_misaligned_rows(tmp_path):
+    grid = GridSpec(dim=1, box_length=1.0, nx=8, nt=4, horizon=1e-4, a_max=0.5, theta_lf=0.0)
+    vals = np.arange(grid.nt + 1)[:, None] * grid.nx + np.arange(grid.nx, dtype=float)
+    write_field(TimeField(grid, vals), tmp_path / "f")
+    lines, rows = _level_lines(tmp_path / "f", 2)
+    # one row of level 2 loses its value field and the next row gains it
+    moved = list(lines)
+    head, value = moved[rows[0]].rsplit(",", 1)
+    moved[rows[0]] = head
+    moved[rows[1]] += "," + value
+    _rewrite_level(tmp_path / "f", moved, 2, rows)
+    with pytest.raises(ConfigError, match=r"level 2 of .*values\.csv"):
+        read_field(tmp_path / "f")
+    # two rows of level 2 swapped: the values would land on the wrong nodes
+    swapped = list(lines)
+    swapped[rows[0]], swapped[rows[1]] = lines[rows[1]], lines[rows[0]]
+    _rewrite_level(tmp_path / "f", swapped, 2, rows)
+    with pytest.raises(ConfigError, match=r"level 2 of .*values\.csv"):
+        read_field(tmp_path / "f")
+    # a row of level 2 that lost its value field, with nothing to make up for it
+    short = list(lines)
+    short[rows[3]] = short[rows[3]].rsplit(",", 1)[0]
+    _rewrite_level(tmp_path / "f", short, 2, rows)
+    with pytest.raises(ConfigError, match=r"level 2 of .*values\.csv"):
+        read_field(tmp_path / "f")
+    # a value of level 2 that is not a number names the run of levels it sits in
+    garbled = list(lines)
+    garbled[rows[3]] = garbled[rows[3]].rsplit(",", 1)[0] + ",abc"
+    _rewrite_level(tmp_path / "f", garbled, 2, rows)
+    with pytest.raises(ConfigError, match=r"levels 0-4 of .*values\.csv do not parse"):
+        read_field(tmp_path / "f")
+    # the untouched rows, under the rewritten manifest, read back exactly
+    _rewrite_level(tmp_path / "f", lines, 2, rows)
+    assert np.array_equal(read_field(tmp_path / "f").values, vals)
+
+
 def test_read_rejects_wrong_row_count(small_grid, tmp_path, rng):
     vals = rng.standard_normal((small_grid.nt + 1, small_grid.nx))
     write_field(TimeField(small_grid, vals), tmp_path / "f")

@@ -5,10 +5,13 @@ import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
-from mfgdiff import ConfigError
+import mfgdiff.wasserstein as wasserstein
+from mfgdiff import ConfigError, model_a
 from mfgdiff.couplings import DensityInit
+from mfgdiff.fixed_point import phi_map
 from mfgdiff.fp import DensityPath, TransportOperator, solve_fp
 from mfgdiff.grid import GridSpec
+from mfgdiff.hjb import grid_for
 from mfgdiff.wasserstein import (
     GridMeasure,
     d1,
@@ -223,6 +226,120 @@ def test_path_sup_2d_matches_oracle(rng):
         for n in range(1, grid.nt + 1)
     ]
     assert d1_path_sup(p1, p2) == pytest.approx(max(per_level), abs=1e-12)
+
+
+@pytest.fixture
+def highs_solves(monkeypatch):
+    """Counts the HiGHS solves behind `transport_lp_cost`."""
+    count = [0]
+    solve = wasserstein.linprog
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(wasserstein, "linprog", counting)
+    return count
+
+
+def test_path_sup_2d_reuses_optimal_trees(highs_solves):
+    # two successive damped Picard iterates of 2D model A, as in the stopping rule
+    model = model_a(horizon=0.0625, dim=2)
+    grid = grid_for(model, nx=8, nt=64)
+    paths = [DensityPath.constant_in_time(grid, model.m0.discretize(grid))]
+    for _ in range(2):
+        image = phi_map(paths[-1], model, grid)[1]
+        paths.append(DensityPath.from_values(grid, 0.5 * paths[-1].values + 0.5 * image.values))
+    pts, cell = grid.coords().reshape(-1, 2), grid.dx**grid.dim
+    fresh = max(
+        transport_lp_cost(pts, paths[2].values[n].ravel() * cell, paths[1].values[n].ravel() * cell)
+        for n in range(grid.nt + 1)
+    )
+    highs_solves[0] = 0
+    sup = d1_path_sup(paths[2], paths[1])
+    assert sup == pytest.approx(fresh, abs=1e-15)
+    assert sup > 1e-3
+    assert highs_solves[0] < (grid.nt + 1) / 2
+
+
+def _moved_pair(grid, sources, sinks, a, b):
+    """Weights sharing half their mass uniformly; the other half moves from `a` on
+    the nodes `sources` to `b` on the nodes `sinks`."""
+    w1 = np.full(grid.n_nodes, 0.5 / grid.n_nodes)
+    w2 = w1.copy()
+    w1[sources] += 0.5 * np.asarray(a)
+    w2[sinks] += 0.5 * np.asarray(b)
+    return w1, w2
+
+
+def test_stored_tree_rejected_when_primal_infeasible(highs_solves):
+    grid = _grid2(nx=8)
+    pts = grid.coords().reshape(-1, 2)
+    sources, sinks = [9, 14], [17, 22]  # nodes (1, 1), (1, 6) onto (2, 1), (2, 6)
+    bases = {}
+    first = _moved_pair(grid, sources, sinks, [0.6, 0.4], [0.5, 0.5])
+    # optimal tree: (1,1)->(2,1) 0.5, (1,1)->(2,6) 0.1, (1,6)->(2,6) 0.4
+    value = transport_lp_cost(pts, *first, bases)
+    assert highs_solves[0] == 1 and len(bases) == 1
+    (tree,) = bases.values()
+    assert sorted(tree.tolist()) == [0, 1, 3]
+    assert transport_lp_cost(pts, *first, bases) == pytest.approx(value, abs=1e-15)
+    assert highs_solves[0] == 1  # certified from the stored tree
+    # same node sets; on that tree (1,1)->(2,6) would carry -0.1, so HiGHS solves it
+    second = _moved_pair(grid, sources, sinks, [0.4, 0.6], [0.5, 0.5])
+    assert transport_lp_cost(pts, *second, bases) == pytest.approx(
+        _full_lp_oracle(pts, *second), abs=1e-12
+    )
+    assert highs_solves[0] == 2
+    (tree,) = bases.values()
+    assert sorted(tree.tolist()) == [0, 2, 3]
+
+
+def _north_west_corner(ns, nd, a, b):
+    """Flat plan indices of the north-west-corner spanning tree for marginals a, b."""
+    a, b = a.copy(), b.copy()
+    i = j = 0
+    cells = [0]
+    while (i, j) != (ns - 1, nd - 1):
+        x = min(a[i], b[j])
+        a[i] -= x
+        b[j] -= x
+        if j == nd - 1 or (i < ns - 1 and a[i] <= b[j]):
+            i += 1
+        else:
+            j += 1
+        cells.append(i * nd + j)
+    return np.asarray(cells)
+
+
+def _assert_tree_rejected(pts, w1, w2, tree, highs_solves):
+    """`tree`, stored for the node sets of (w1, w2), falls back to HiGHS and the true optimum."""
+    bases = {}
+    transport_lp_cost(pts, w1, w2, bases)
+    (key,) = bases
+    bases[key] = np.asarray(tree)
+    solves = highs_solves[0]
+    assert transport_lp_cost(pts, w1, w2, bases) == pytest.approx(
+        _full_lp_oracle(pts, w1, w2), abs=1e-12
+    )
+    assert highs_solves[0] == solves + 1
+
+
+def test_north_west_corner_tree_rejected(rng, highs_solves):
+    grid = _grid2(nx=8)
+    w1, w2 = (w.ravel() for w in _LP_PAIRS["overlapping"](rng, grid))
+    diff = w1 - w2
+    a, b = diff[diff > 0], -diff[diff < 0]
+    tree = _north_west_corner(a.size, b.size, a / a.sum(), b / b.sum())
+    _assert_tree_rejected(grid.coords().reshape(-1, 2), w1, w2, tree, highs_solves)
+
+
+def test_crossed_tree_rejected(highs_solves):
+    grid = _grid2(nx=8)
+    w1, w2 = _moved_pair(grid, [9, 14], [17, 22], [0.6, 0.4], [0.5, 0.5])
+    # feasible (0.1 straight, 0.5 and 0.4 crossed) but the straight edge (1,6)->(2,6)
+    # has reduced cost 2 dx - 2 sqrt(26) dx < 0
+    _assert_tree_rejected(grid.coords().reshape(-1, 2), w1, w2, [0, 1, 2], highs_solves)
 
 
 @pytest.mark.parametrize("bad, message", [("negative", "nonnegative"), ("mass", "masses differ")])
