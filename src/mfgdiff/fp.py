@@ -11,6 +11,24 @@ with a = H2_q(t, x, Lap_h u) (diffusion coefficient, pinned to
 backward difference where b_k < 0, so every off-diagonal entry of L is
 nonnegative and L annihilates constants exactly.
 
+Per level, L is a stencil with nonnegative neighbor weights
+(`TransportOperator.weights`):
+
+    (L v)_i = diag_i v_i + sum_k (up_{k,i} v_{i+e_k} + dn_{k,i} v_{i-e_k}),
+
+    up_k = a / dx^2 + b_k^+ / dx,   dn_k = a / dx^2 - b_k^- / dx,
+    diag = -(2 d a / dx^2 + sum_k |b_k| / dx),
+
+and its transpose sends each node's weighted value to the neighbor that
+reads it:
+
+    (L^T m)_i = diag_i m_i + sum_k (up_{k,i-e_k} m_{i-e_k} + dn_{k,i+e_k} m_{i+e_k}).
+
+The marches below take the weights of I + dt * L_n, that is 1 + dt * diag,
+dt * up and dt * dn, for a chunk of levels at a time
+(`GridSpec.level_chunks`), computed from a and b when the march reaches the
+chunk, so each step is diag * v plus two shifted products per axis.
+
 The density is marched with the transpose:
 
     m^{n+1} = (I + dt * L_n^T) m^n.
@@ -32,7 +50,8 @@ satisfies the summation-by-parts identity
     <phi_T, m^{nt}> + dt * sum_n <psi^{n+1}, m^n> = <phi^0, m^0>
 
 to round-off (right-endpoint rule in psi against the left-endpoint density),
-because each step pairs a matrix with its exact transpose.
+because each step pairs a matrix with its exact transpose.  The duality
+check needs only phi^0, so it marches one slice.
 """
 
 from __future__ import annotations
@@ -43,7 +62,7 @@ import numpy as np
 
 from .control import ModelSpec, h1_terms, h2_terms
 from .errors import ContractError, StabilityError
-from .grid import GridSpec, TimeField, diff_backward, diff_forward, grad_central, laplacian
+from .grid import GridSpec, TimeField, _shift, grad_central, laplacian
 
 _NEG_TOL = 1e-14
 _MASS_TOL = 1e-12
@@ -82,25 +101,40 @@ class TransportOperator:
         b_arr = np.broadcast_to(b_vec, (grid.nt + 1, *grid.shape, grid.dim)).copy()
         return cls(grid, a_arr, b_arr)
 
+    def weights(self, levels: slice, step: bool = False) -> tuple:
+        """Stencil weights (diag, up, dn) of L_n, or of I + dt * L_n, on a run of levels.
+
+        diag has shape (c,) + grid.shape for the c levels of `levels`; up and
+        dn have shape (c, d) + grid.shape, and up[:, k] and dn[:, k] weigh the
+        neighbor one node ahead and one node behind along spatial axis k:
+
+            (L v)_i = diag_i v_i + sum_k up_k,i v_{i+e_k} + dn_k,i v_{i-e_k},
+
+        with up_k = a / dx^2 + b_k^+ / dx, dn_k = a / dx^2 - b_k^- / dx and
+        diag = -(2 d a / dx^2 + sum_k |b_k| / dx).  Computed from a and b at
+        call time, vectorized over the run.
+        """
+        dx, dim = self.grid.dx, self.grid.dim
+        a, b = self.a[levels], self.b[levels]
+        diag = -(2.0 * dim * a / dx**2 + np.sum(np.abs(b), axis=-1) / dx)
+        a_dx2 = a / dx**2
+        up = np.stack([a_dx2 + np.maximum(b[..., k], 0.0) / dx for k in range(dim)], axis=1)
+        dn = np.stack([a_dx2 - np.minimum(b[..., k], 0.0) / dx for k in range(dim)], axis=1)
+        if step:
+            dt = self.grid.dt
+            # 1 + dt * (-x) is 1 - dt * x to the last bit
+            return 1.0 + dt * diag, dt * up, dt * dn
+        return diag, up, dn
+
     def apply_generator(self, level: int, v: np.ndarray) -> np.ndarray:
         """(L v) at one time level."""
-        dx, dim = self.grid.dx, self.grid.dim
-        out = self.a[level] * laplacian(v, dx, dim)
-        for k in range(dim):
-            bk = self.b[(level, ..., k)]
-            out += np.maximum(bk, 0.0) * diff_forward(v, dx, k - dim)
-            out += np.minimum(bk, 0.0) * diff_backward(v, dx, k - dim)
-        return out
+        diag, up, dn = self.weights(slice(level, level + 1))
+        return _generator_step(diag[0], up[0], dn[0], v)
 
     def apply_adjoint(self, level: int, m: np.ndarray) -> np.ndarray:
         """(L^T m) at one time level: Lap_h(a m) minus the upwind divergence of b m."""
-        dx, dim = self.grid.dx, self.grid.dim
-        out = laplacian(self.a[level] * m, dx, dim)
-        for k in range(dim):
-            bk = self.b[(level, ..., k)]
-            out -= diff_backward(np.maximum(bk, 0.0) * m, dx, k - dim)
-            out -= diff_forward(np.minimum(bk, 0.0) * m, dx, k - dim)
-        return out
+        diag, up, dn = self.weights(slice(level, level + 1))
+        return _adjoint_step(diag[0], up[0], dn[0], m)
 
     def to_dense(self, level: int) -> np.ndarray:
         """Dense generator matrix at one level (small grids, inspection only)."""
@@ -114,13 +148,27 @@ class TransportOperator:
 
     def step_positivity_margin(self) -> float:
         """Min over nodes/levels of the diagonal entry of I + dt * L, reduced chunk by chunk."""
-        dx, dt = self.grid.dx, self.grid.dt
-        margin = np.inf
-        for c in self.grid.level_chunks():
-            drift_out = np.sum(np.abs(self.b[c]), axis=-1) / dx
-            diag = 1.0 - dt * (2.0 * self.grid.dim * self.a[c] / dx**2 + drift_out)
-            margin = min(margin, float(diag.min()))
-        return margin
+        return min(float(self.weights(c, step=True)[0].min()) for c in self.grid.level_chunks())
+
+
+def _generator_step(diag: np.ndarray, up: np.ndarray, dn: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """One level's weights applied to v: diag * v plus each neighbor value times its weight."""
+    dim = len(up)
+    out = diag * v
+    for k in range(dim):
+        out += up[k] * _shift(v, 1, k - dim)
+        out += dn[k] * _shift(v, -1, k - dim)
+    return out
+
+
+def _adjoint_step(diag: np.ndarray, up: np.ndarray, dn: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The transpose of `_generator_step`: each node's outflow to a neighbor lands there."""
+    dim = len(up)
+    out = diag * m
+    for k in range(dim):
+        out += _shift(up[k] * m, -1, k - dim)
+        out += _shift(dn[k] * m, 1, k - dim)
+    return out
 
 
 @dataclass
@@ -214,7 +262,9 @@ def solve_fp(op: TransportOperator, m0: np.ndarray) -> DensityPath:
 
     Rejects the run if the actual coefficients violate the positivity bound
     dt * (2 d a / dx^2 + sum_k |b_k| / dx) <= 1; aborts (no clamping) if a
-    level undershoots below -1e-14 or drifts in mass beyond 1e-12.
+    level undershoots below -1e-14 or drifts in mass beyond 1e-12.  The
+    levels are checked once per chunk, after the chunk is marched, and the
+    error names the first bad level.
     """
     grid = op.grid
     m0 = np.asarray(m0, dtype=float)
@@ -236,47 +286,58 @@ def solve_fp(op: TransportOperator, m0: np.ndarray) -> DensityPath:
     mass = np.empty(grid.nt + 1)
     vals[0] = m0
     mass[0] = m0.sum() * cell
-    for n in range(grid.nt):
-        nxt = vals[n] + grid.dt * op.apply_adjoint(n, vals[n])
-        if nxt.min() < -_NEG_TOL:
-            raise ContractError(
-                f"density undershoot {nxt.min():.3e} at level {n + 1}; aborting"
-            )
-        vals[n + 1] = nxt
-        mass[n + 1] = nxt.sum() * cell
-        if abs(mass[n + 1] - 1.0) > _MASS_TOL:
-            raise ContractError(
-                f"mass drift {mass[n + 1] - 1.0:.3e} at level {n + 1}; aborting"
-            )
+    for steps in _step_chunks(grid):
+        diag, up, dn = op.weights(steps, step=True)
+        for j, n in enumerate(range(steps.start, steps.stop)):
+            vals[n + 1] = _adjoint_step(diag[j], up[j], dn[j], vals[n])
+        _check_levels(vals, mass, slice(steps.start + 1, steps.stop + 1), cell)
     return DensityPath(grid, vals, mass)
 
 
-def solve_dual(op: TransportOperator, phi_terminal: np.ndarray, psi: TimeField) -> TimeField:
-    """Backward dual march phi^n = (I + dt L_n) phi^{n+1} + dt psi^{n+1}."""
-    grid = op.grid
-    phi = np.empty((grid.nt + 1, *grid.shape))
-    phi[grid.nt] = np.asarray(phi_terminal, dtype=float)
-    for n in range(grid.nt - 1, -1, -1):
-        phi[n] = phi[n + 1] + grid.dt * (
-            op.apply_generator(n, phi[n + 1]) + psi.values[n + 1]
-        )
-    return TimeField(grid, phi)
+def _step_chunks(grid: GridSpec) -> list[slice]:
+    """The march steps n = 0..nt-1 (from level n to n + 1), in the grid's level chunks."""
+    return [slice(c.start, min(c.stop, grid.nt)) for c in grid.level_chunks() if c.start < grid.nt]
+
+
+def _check_levels(vals: np.ndarray, mass: np.ndarray, new: slice, cell: float) -> None:
+    """Fill the mass of the freshly marched levels and abort at the first bad one.
+
+    A level is bad when it undershoots below -_NEG_TOL or drifts in mass
+    beyond _MASS_TOL; the undershoot is reported first, as a level-by-level
+    check would.
+    """
+    block = vals[new].reshape(new.stop - new.start, -1)
+    low = block.min(axis=1)
+    mass[new] = block.sum(axis=1) * cell
+    under = low < -_NEG_TOL
+    bad = under | (np.abs(mass[new] - 1.0) > _MASS_TOL)
+    if bad.any():
+        j = int(np.argmax(bad))
+        level = new.start + j
+        if under[j]:
+            raise ContractError(f"density undershoot {low[j]:.3e} at level {level}; aborting")
+        raise ContractError(f"mass drift {mass[level] - 1.0:.3e} at level {level}; aborting")
 
 
 def check_duality(m: DensityPath, op: TransportOperator, phi_terminal: np.ndarray, psi: TimeField) -> float:
     """Absolute duality gap; zero to round-off by exact transposition.
 
     Computes |<phi_T, m(T)> + dt * sum_n <psi^{n+1}, m^n> - <phi^0, m^0>| * dx^d
-    with phi from the backward dual march.
+    with phi^0 from the backward dual march
+    phi^n = (I + dt L_n) phi^{n+1} + dt psi^{n+1}, which keeps one slice.
     """
     grid = m.grid
     if not (op.grid.same_lattice(grid) and psi.grid.same_lattice(grid)):
         raise ValueError("duality check needs matching lattices")
-    phi = solve_dual(op, phi_terminal, psi)
+    phi_t = np.asarray(phi_terminal, dtype=float)
+    phi = phi_t
+    for steps in reversed(_step_chunks(grid)):
+        diag, up, dn = op.weights(steps, step=True)
+        source = grid.dt * psi.values[steps.start + 1 : steps.stop + 1]
+        for j in range(steps.stop - steps.start - 1, -1, -1):
+            phi = _generator_step(diag[j], up[j], dn[j], phi) + source[j]
     cell = grid.dx**grid.dim
-    terminal = float((np.asarray(phi_terminal) * m.values[grid.nt]).sum())
-    source = float(
-        sum((psi.values[n + 1] * m.values[n]).sum() for n in range(grid.nt)) * grid.dt
-    )
-    initial = float((phi.values[0] * m.values[0]).sum())
+    terminal = float(np.vdot(phi_t, m.values[grid.nt]))
+    source = float(np.vdot(psi.values[1:], m.values[:-1])) * grid.dt
+    initial = float(np.vdot(phi, m.values[0]))
     return abs(terminal + source - initial) * cell

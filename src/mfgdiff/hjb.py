@@ -120,17 +120,28 @@ def _step_bracket(model: ModelSpec, grid: GridSpec, x: np.ndarray, n, w: np.ndar
 
     at t = t_n.  n is one level index with w and f single slices, or an
     integer array of shape (c,) + (1,) * dim with w and f stacks of those c
-    levels.  At lam = 0, mu is exactly 1 and the bracket is the undiscounted
-    one to the last bit.
+    levels.  At lam = 0, mu is exactly 1: dividing and multiplying by it
+    changes no bit, and subtracting lam w = +-0 changes at most the sign of a
+    zero.  So that case skips the discount arithmetic and evaluates the
+    undiscounted bracket
+
+        H2(t, x, Lap_h w) + H1(t, x, Dc w) + (theta_lf dx / 2) Lap_h w + F.
     """
     t = n * grid.dt
+    lap = laplacian(w, grid.dx, grid.dim)
+    grad = grad_central(w, grid.dx, grid.dim)
+    if lam == 0.0:
+        return (
+            h2_value(model, t, x, lap)
+            + h1_value(model, t, x, grad)
+            + 0.5 * grid.theta_lf * grid.dx * lap
+            + f
+        )
     # math.exp level by level: a chunk gets the march's discount factors bit for bit
     if isinstance(n, int):
         mu = np.float64(math.exp(-lam * (grid.horizon - t)))
     else:
         mu = np.array([math.exp(-lam * (grid.horizon - tn)) for tn in t.ravel().tolist()]).reshape(t.shape)
-    lap = laplacian(w, grid.dx, grid.dim)
-    grad = grad_central(w, grid.dx, grid.dim)
     return (
         mu * h2_value(model, t, x, lap / mu)
         + mu * h1_value(model, t, x, grad / mu[..., None])

@@ -190,6 +190,55 @@ def test_step_matrix_nonnegative_unit_rowsums():
     assert np.allclose(dense.sum(axis=1), 1.0, atol=1e-12)
 
 
+def _random_operator(dim, rng):
+    """Random coefficients within the grid's budget, on a grid of at least 3 level chunks."""
+    nx, nt, horizon = (16, 778, 2.0) if dim == 1 else (8, 200, 1.0)
+    grid = GridSpec(dim=dim, box_length=1.0, nx=nx, nt=nt, horizon=horizon, a_max=0.5, theta_lf=1.0)
+    assert len(grid.level_chunks()) >= 3
+    a = rng.uniform(0.1, 0.5, (nt + 1, *grid.shape))
+    b = rng.uniform(-1.0, 1.0, (nt + 1, *grid.shape, dim))
+    return TransportOperator(grid, a, b)
+
+
+def _dense_generator(grid, a, b):
+    """L of one level from its definition, a * Lap_h + upwind b . D, as a dense matrix."""
+    idx = np.arange(grid.n_nodes).reshape(grid.shape)
+    rows = idx.ravel()
+    mat = np.zeros((grid.n_nodes, grid.n_nodes))
+    for k in range(grid.dim):
+        ahead = np.roll(idx, -1, axis=k).ravel()  # node i + e_k
+        behind = np.roll(idx, 1, axis=k).ravel()  # node i - e_k
+        diff = a.ravel() / grid.dx**2
+        drift = b[..., k].ravel() / grid.dx
+        np.add.at(mat, (rows, ahead), diff + np.maximum(drift, 0.0))
+        np.add.at(mat, (rows, behind), diff - np.minimum(drift, 0.0))
+        np.add.at(mat, (rows, rows), -2.0 * diff - np.abs(drift))
+    return mat
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_march_matches_dense_oracle(dim, rng):
+    op = _random_operator(dim, rng)
+    grid = op.grid
+    cell = grid.dx**dim
+    m0 = rng.uniform(0.1, 1.0, grid.shape)
+    m0 /= m0.sum() * cell
+    m = solve_fp(op, m0)
+    ref = m0.ravel()
+    worst = 0.0
+    for n in range(grid.nt):
+        dense = _dense_generator(grid, op.a[n], op.b[n])
+        if n in (0, grid.nt // 2, grid.nt - 1):
+            assert np.max(np.abs(op.to_dense(n) - dense)) <= 1e-13 * np.max(np.abs(dense))
+        ref = (np.eye(grid.n_nodes) + grid.dt * dense).T @ ref
+        worst = max(worst, float(np.max(np.abs(m.values[n + 1].ravel() - ref)) / np.max(ref)))
+    assert worst <= 1e-13
+    assert np.max(np.abs(m.mass - 1.0)) <= 1e-12
+    phi_t = rng.standard_normal(grid.shape)
+    psi = TimeField(grid, rng.standard_normal((grid.nt + 1, *grid.shape)))
+    assert check_duality(m, op, phi_t, psi) <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # forward marches against Monte-Carlo oracles
 # ---------------------------------------------------------------------------
@@ -339,6 +388,26 @@ def test_coefficient_range_guard(ma, grid32):
     op.a[0, 0] = 5.0
     with pytest.raises(StabilityError):
         solve_fp(op, ma.m0.discretize(grid32))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_undershoot_aborts_at_first_bad_level(dim):
+    """A forged margin within the -1e-12 slack: the march stops at the first negative level."""
+    nx, nt, horizon = (16, 778, 2.0) if dim == 1 else (8, 200, 1.0)
+    grid = GridSpec(dim=dim, box_length=1.0, nx=nx, nt=nt, horizon=horizon, a_max=0.5)
+    chunks = grid.level_chunks()
+    assert len(chunks) >= 3
+    a = np.zeros((nt + 1, *grid.shape))
+    # pure diffusion at one node of one level, with diagonal 1 - dt * 2 d a / dx^2 = -slack
+    at_zero = grid.dx**2 / (2 * dim * grid.dt)
+    first = chunks[1].start + 5
+    a[(first, *(2,) * dim)] = (1.0 + 2e-13) * at_zero
+    # a deeper undershoot three levels later in the same chunk, at a far node
+    a[(first + 3, *(nx // 2 + 2,) * dim)] = (1.0 + 8e-13) * at_zero
+    op = TransportOperator(grid, a, np.zeros((nt + 1, *grid.shape, dim)))
+    assert -1e-12 <= op.step_positivity_margin() < 0.0
+    with pytest.raises(ContractError, match=rf"density undershoot -2\.\d+e-13 at level {first + 1};"):
+        solve_fp(op, np.ones(grid.shape))
 
 
 def test_density_path_validators():
