@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, load_config
-from .control import validate_hypotheses
+from .control import AuditReport, validate_hypotheses
 from .diagnostics import (
     KrylovSample,
     class_m_check,
@@ -74,6 +74,11 @@ def _hypothesis_samples(cfg: RunConfig, n: int = 200, seed: int = 0):
         )
         for _ in range(n)
     ]
+
+
+def _write_audit(path: Path, header: list[str], report: AuditReport) -> None:
+    """One row per audited condition: name, worst value, bound, pass flag."""
+    write_table(path, header, [(c.name, c.worst, c.bound, int(c.passed)) for c in report.conditions])
 
 
 def _log_hypothesis_summary(cfg: RunConfig) -> None:
@@ -224,11 +229,7 @@ def _cmd_diagnose(cfg: RunConfig, out: Path) -> int:
         [(lip, semi, worst3, lin_gap, lam_ratio if np.isfinite(lam_ratio) else -1.0)],
     )
     report = validate_hypotheses(cfg.model, _hypothesis_samples(cfg, n=500, seed=cfg.mc.seed))
-    write_table(
-        out / "hypotheses.csv",
-        ["name", "constant", "bound", "passed"],
-        [(r.name, r.constant, r.bound, int(r.passed)) for r in report.results],
-    )
+    _write_audit(out / "hypotheses.csv", ["name", "constant", "bound", "passed"], report)
     d = cfg.model.dim
     samples = []
     for _ in range(500):
@@ -244,11 +245,7 @@ def _cmd_diagnose(cfg: RunConfig, out: Path) -> int:
             )
         )
     class_report = class_m_check(cfg.model, samples)
-    write_table(
-        out / "class_conditions.csv",
-        ["name", "worst", "threshold", "passed"],
-        [(c.name, c.worst, c.threshold, int(c.passed)) for c in class_report.conditions],
-    )
+    _write_audit(out / "class_conditions.csv", ["name", "worst", "threshold", "passed"], class_report)
     log.info("regularity: lipschitz %.4g, semiconcavity %.4g", lip, semi)
     log.info("class audit: %s", class_report.summary())
     return 0

@@ -40,8 +40,12 @@ parameter, and Gauss-Legendre quadrature otherwise.
 `validate_hypotheses` audits those structural bounds on a sample cloud:
 ellipticity of H2_q, boundedness of values and derivatives at zero, the
 coercivity-type bound H_last * arg - H >= -C, and the (t, x)-derivative
-bounds, estimating derivatives by centered differences with step
-1e-4 * (1 + |variable|) where no closed form exists.
+bounds.  It runs on the audit kernel that `diagnostics.class_m_check` shares:
+one condition type and one report type (`AuditCondition`, `AuditReport`:
+worst value, bound, pass flag and the first failing samples), one builder
+from per-sample pass flags (`audit_condition`), and one centred difference
+(`central_difference`, step 1e-4 * (1 + |variable|) unless given) for every
+derivative without a closed form.
 """
 
 from __future__ import annotations
@@ -543,45 +547,81 @@ def single_control_model(
 
 
 # --------------------------------------------------------------------------
-# structural-hypothesis audit
+# audit kernel: one condition type, one report type, one centred difference
 # --------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class HypothesisResult:
+class AuditCondition:
+    """One audited condition: its worst value over the samples against a bound."""
+
     name: str
-    constant: float
+    worst: float
     bound: float
     passed: bool
+    failing_samples: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
-class HypothesisReport:
-    results: tuple[HypothesisResult, ...]
+class AuditReport:
+    """The conditions of one audit; n_nonfinite counts the samples it skipped."""
+
+    conditions: tuple[AuditCondition, ...]
     n_samples: int
-    n_nonfinite: int
+    n_nonfinite: int = 0
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.results)
+        return all(c.passed for c in self.conditions)
 
-    def by_name(self, name: str) -> HypothesisResult:
-        for r in self.results:
-            if r.name == name:
-                return r
+    def by_name(self, name: str) -> AuditCondition:
+        for c in self.conditions:
+            if c.name == name:
+                return c
         raise KeyError(name)
 
     def summary(self) -> str:
         parts = [
-            f"{r.name}: C={r.constant:.4g} (bound {r.bound:.4g}) "
-            f"{'ok' if r.passed else 'FAIL'}"
-            for r in self.results
+            f"{c.name}: {c.worst:.4g} vs {c.bound:.4g} {'ok' if c.passed else 'FAIL'}"
+            for c in self.conditions
         ]
         tail = f"; {self.n_nonfinite} non-finite samples skipped" if self.n_nonfinite else ""
         return "; ".join(parts) + tail
 
 
-def validate_hypotheses(model: ModelSpec, samples, declared_c: float = 10.0) -> HypothesisReport:
+def audit_condition(name: str, per_sample_ok, worst, bound) -> AuditCondition:
+    """A condition from its per-sample pass flags, keeping the first 20 failing indices."""
+    failing = tuple(int(i) for i in np.flatnonzero(~per_sample_ok)[:20])
+    return AuditCondition(
+        name=name, worst=float(worst), bound=float(bound),
+        passed=bool(np.all(per_sample_ok)), failing_samples=failing,
+    )
+
+
+def central_difference(fn: Callable, v: np.ndarray, index, second: bool = False, h=None) -> np.ndarray:
+    """Centred difference of fn in the entries v[index] of the sample batch v.
+
+    The step is 1e-4 * (1 + |v[index]|) unless h is given.  Returns the first
+    difference (fn(v + h) - fn(v - h)) / (2 h), or with second=True the second
+    difference (fn(v + h) + fn(v - h) - 2 fn(v)) / (h * h).
+    """
+    if h is None:
+        h = _FD_STEP * (1.0 + np.abs(v[index]))
+    vp = v.copy()
+    vm = v.copy()
+    vp[index] += h
+    vm[index] -= h
+    if second:
+        return (fn(vp) + fn(vm) - 2.0 * fn(v)) / (h * h)
+    return (fn(vp) - fn(vm)) / (2.0 * h)
+
+
+# --------------------------------------------------------------------------
+# structural-hypothesis audit
+# --------------------------------------------------------------------------
+
+
+def validate_hypotheses(model: ModelSpec, samples, declared_c: float = 10.0) -> AuditReport:
     """Audit the structural bounds on a list of (t, x, p, q) samples.
 
     Reported constants per named condition (worst case over finite samples):
@@ -596,9 +636,9 @@ def validate_hypotheses(model: ModelSpec, samples, declared_c: float = 10.0) -> 
         curvature-tx-h2  max (|H2_xx| + |H2_t|) / (1 + |q|)
         x-gradient       max (|H1_x| + |H2_x|) / (1 + |p|)
 
-    Derivatives in t and x are centered finite differences with step
-    1e-4 * (1 + |variable|); the last-variable derivatives come from the
-    envelope relation.  Non-finite samples are counted and skipped.
+    Derivatives in t and x are `central_difference`s; the last-variable
+    derivatives come from the envelope relation.  Non-finite samples are
+    counted and skipped; failing sample indices refer to the list passed in.
     """
     rows = [
         (
@@ -611,113 +651,58 @@ def validate_hypotheses(model: ModelSpec, samples, declared_c: float = 10.0) -> 
     ]
     if not rows:
         raise ConfigError("hypothesis audit needs a nonempty sample list")
-    finite = [
-        r
-        for r in rows
-        if np.isfinite(r[0]) and np.all(np.isfinite(r[1])) and np.all(np.isfinite(r[2])) and np.isfinite(r[3])
-    ]
-    n_bad = len(rows) - len(finite)
-    if not finite:
+    t, x, p, q = (np.array(column) for column in zip(*rows))
+    finite = np.isfinite(t) & np.isfinite(x).all(axis=1) & np.isfinite(p).all(axis=1) & np.isfinite(q)
+    keep = np.flatnonzero(finite)
+    if keep.size == 0:
         raise ConfigError("hypothesis audit received only non-finite samples")
-
-    t = np.array([r[0] for r in finite])
-    x = np.stack([r[1] for r in finite])
-    p = np.stack([r[2] for r in finite])
-    q = np.array([r[3] for r in finite])
+    t, x, p, q = t[keep], x[keep], p[keep], q[keep]
     d = model.dim
     if x.shape[1] != d or p.shape[1] != d:
         raise ConfigError(f"samples must carry {d}-component x and p")
 
     h1v, h1p = h1_terms(model, t, x, p)
     h2v, h2q = h2_terms(model, t, x, q)
-    zeros_p = np.zeros_like(p)
-    h1v0 = h1_value(model, t, x, zeros_p)
+    h1v0 = h1_value(model, t, x, np.zeros_like(p))
     h2v0 = h2_value(model, t, x, np.zeros_like(q))
 
-    def dx_of(fn, k):
-        h = _FD_STEP * (1.0 + np.abs(x[:, k]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[:, k] = xp[:, k] + h
-        xm[:, k] = xm[:, k] - h
-        return (fn(xp) - fn(xm)) / (2.0 * h)
-
-    def dxx_of(fn, k):
-        h = _FD_STEP * (1.0 + np.abs(x[:, k]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[:, k] = xp[:, k] + h
-        xm[:, k] = xm[:, k] - h
-        return (fn(xp) + fn(xm) - 2.0 * fn(x)) / (h * h)
-
-    def dt_of(fn):
-        h = _FD_STEP * (1.0 + np.abs(t))
-        return (fn(t + h) - fn(t - h)) / (2.0 * h)
+    def dx_max(fn, second=False):
+        """Per-sample max over the axes of |x-difference of fn|."""
+        diffs = [np.abs(central_difference(fn, x, (..., k), second)) for k in range(d)]
+        return np.max(np.stack(diffs), axis=0)
 
     h1_at = lambda xx: h1_value(model, t, xx, p)
     h2_at = lambda xx: h2_value(model, t, xx, q)
     h2q_at = lambda xx: h2_terms(model, t, xx, q)[1]
     g1_at = lambda xx: np.sum(h1_terms(model, t, xx, p)[1] * p, axis=-1) - h1_value(model, t, xx, p)
     g2_at = lambda xx: h2_terms(model, t, xx, q)[1] * q - h2_value(model, t, xx, q)
-    h1_t = lambda tt: h1_value(model, tt, x, p)
-    h2_t = lambda tt: h2_value(model, tt, x, q)
+    h1_t = np.abs(central_difference(lambda tt: h1_value(model, tt, x, p), t, ...))
+    h2_t = np.abs(central_difference(lambda tt: h2_value(model, tt, x, q), t, ...))
 
     p_inf = np.max(np.abs(p), axis=1)
-    ellipticity = float(np.min(h2q))
-    value_zero = float(np.max(np.abs(h1v0) + np.abs(h2v0)))
-    grad_bound = float(np.max(np.max(np.abs(h1p), axis=1) + np.abs(h2q)))
-    mixed_qx = float(max(np.max(np.abs(dx_of(h2q_at, k))) for k in range(d)))
-    coercivity = float(
-        max(
-            np.max(-(np.sum(h1p * p, axis=-1) - h1v)),
-            np.max(-(h2q * q - h2v)),
-            0.0,
-        )
-    )
-    mixed_env = float(
-        max(
-            max(np.max(np.abs(dx_of(g1_at, k))) for k in range(d)),
-            max(np.max(np.abs(dx_of(g2_at, k))) for k in range(d)),
-        )
-    )
-    curv_h1 = float(
-        np.max(
-            (
-                np.max(np.stack([np.abs(dxx_of(h1_at, k)) for k in range(d)]), axis=0)
-                + np.abs(dt_of(h1_t))
-            )
-            / (1.0 + p_inf)
-        )
-    )
-    curv_h2 = float(
-        np.max(
-            (
-                np.max(np.stack([np.abs(dxx_of(h2_at, k)) for k in range(d)]), axis=0)
-                + np.abs(dt_of(h2_t))
-            )
-            / (1.0 + np.abs(q))
-        )
-    )
-    x_grad = float(
-        np.max(
-            (
-                np.max(np.stack([np.abs(dx_of(h1_at, k)) for k in range(d)]), axis=0)
-                + np.max(np.stack([np.abs(dx_of(h2_at, k)) for k in range(d)]), axis=0)
-            )
-            / (1.0 + p_inf)
-        )
-    )
+    coerc1 = -(np.sum(h1p * p, axis=-1) - h1v)
+    coerc2 = -(h2q * q - h2v)
+    per_sample = {
+        "value-at-zero": np.abs(h1v0) + np.abs(h2v0),
+        "gradient-bound": np.max(np.abs(h1p), axis=1) + np.abs(h2q),
+        "mixed-qx": dx_max(h2q_at),
+        "coercivity": np.maximum(np.maximum(coerc1, coerc2), 0.0),
+        "mixed-envelope": np.maximum(dx_max(g1_at), dx_max(g2_at)),
+        "curvature-tx-h1": (dx_max(h1_at, second=True) + h1_t) / (1.0 + p_inf),
+        "curvature-tx-h2": (dx_max(h2_at, second=True) + h2_t) / (1.0 + np.abs(q)),
+        "x-gradient": (dx_max(h1_at) + dx_max(h2_at)) / (1.0 + p_inf),
+    }
+
+    flags = np.ones(len(rows), dtype=bool)  # skipped non-finite samples do not fail
+
+    def condition(name, ok, worst, bound):
+        flags[keep] = ok
+        return audit_condition(name, flags, worst, bound)
 
     nu = model.bounds.a_min
-    results = (
-        HypothesisResult("ellipticity", ellipticity, nu, ellipticity >= nu * (1.0 - 1e-6)),
-        HypothesisResult("value-at-zero", value_zero, declared_c, value_zero <= declared_c),
-        HypothesisResult("gradient-bound", grad_bound, declared_c, grad_bound <= declared_c),
-        HypothesisResult("mixed-qx", mixed_qx, declared_c, mixed_qx <= declared_c),
-        HypothesisResult("coercivity", coercivity, declared_c, coercivity <= declared_c),
-        HypothesisResult("mixed-envelope", mixed_env, declared_c, mixed_env <= declared_c),
-        HypothesisResult("curvature-tx-h1", curv_h1, declared_c, curv_h1 <= declared_c),
-        HypothesisResult("curvature-tx-h2", curv_h2, declared_c, curv_h2 <= declared_c),
-        HypothesisResult("x-gradient", x_grad, declared_c, x_grad <= declared_c),
-    )
-    return HypothesisReport(results=results, n_samples=len(rows), n_nonfinite=n_bad)
+    conditions = [condition("ellipticity", h2q >= nu * (1.0 - 1e-6), np.min(h2q), nu)]
+    for name, v in per_sample.items():
+        # Python's max keeps the sign of a zero maximum, which the table writes as -0
+        worst = max(np.max(coerc1), np.max(coerc2), 0.0) if name == "coercivity" else np.max(v)
+        conditions.append(condition(name, v <= declared_c, worst, declared_c))
+    return AuditReport(conditions=tuple(conditions), n_samples=len(rows), n_nonfinite=len(rows) - keep.size)

@@ -33,16 +33,20 @@ from .grid import GridSpec
 _KERNEL_WRAPS = 8  # images summed on each side when wrapping the Gaussian
 
 
+def _wrapped_gaussian(offsets: np.ndarray, box: float, width: float) -> np.ndarray:
+    """Unnormalized Gaussian of the given width at `offsets`, summed over the box images."""
+    acc = np.zeros(offsets.shape)
+    for j in range(-_KERNEL_WRAPS, _KERNEL_WRAPS + 1):
+        acc += np.exp(-0.5 * ((offsets + j * box) / width) ** 2)
+    return acc
+
+
 @lru_cache(maxsize=64)
 def _axis_kernel(nx: int, dx: float, eps: float) -> np.ndarray:
     """Wrapped-Gaussian kernel samples along one axis, unit mass (sum * dx = 1)."""
     if eps <= 0:
         raise ConfigError(f"kernel width must be positive, got {eps}")
-    box = nx * dx
-    x = np.arange(nx) * dx
-    acc = np.zeros(nx)
-    for j in range(-_KERNEL_WRAPS, _KERNEL_WRAPS + 1):
-        acc += np.exp(-0.5 * ((x + j * box) / eps) ** 2)
+    acc = _wrapped_gaussian(np.arange(nx) * dx, nx * dx, eps)
     acc /= acc.sum() * dx
     return acc
 
@@ -176,13 +180,7 @@ class DensityInit:
             vals[idx] = 1.0
         else:
             x = grid.axis_coords()
-            box = grid.box_length
-            axes = []
-            for k in range(grid.dim):
-                acc = np.zeros(grid.nx)
-                for j in range(-_KERNEL_WRAPS, _KERNEL_WRAPS + 1):
-                    acc += np.exp(-0.5 * ((x - self.center[k] + j * box) / self.width) ** 2)
-                axes.append(acc)
+            axes = [_wrapped_gaussian(x - c, grid.box_length, self.width) for c in self.center[: grid.dim]]
             vals = axes[0] if grid.dim == 1 else np.multiply.outer(axes[0], axes[1])
         vals = vals / (vals.sum() * grid.dx**grid.dim)
         return vals

@@ -28,8 +28,10 @@ one is invariant under adding a constant to the field.
     namely positive one-homogeneity in (beta, B, p, s) (exact by
     construction, so the check exercises the assembly code), uniform
     ellipticity of dM/db_ii, concavity in B, the bounded-derivative
-    conditions, and the (t, x)-growth bounds.  Derivatives are sampled
-    centered differences with per-variable step 1e-4 * (1 + |variable|).
+    conditions, and the (t, x)-growth bounds.  It runs on the audit kernel
+    of `control`: derivatives are `central_difference`s, with step
+    1e-4 * (1 + |variable|) unless a step is given, and the result is an
+    `AuditReport`, the type of the structural-hypothesis audit.
 """
 
 from __future__ import annotations
@@ -38,11 +40,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import ModelSpec, h1_value, h2_value
+from .control import (
+    _FD_STEP,
+    AuditReport,
+    ModelSpec,
+    audit_condition,
+    central_difference,
+    h1_value,
+    h2_value,
+)
 from .errors import ConfigError
 from .grid import TimeField, diff_backward, diff_forward
-
-_FD_STEP = 1e-4
 
 
 # --------------------------------------------------------------------------
@@ -151,50 +159,7 @@ def krylov_m(model: ModelSpec, t, x, beta, big_b, p_under) -> np.ndarray:
     return beta * h2_value(model, t, x, q) + beta * h1_value(model, t, x, p_scaled)
 
 
-@dataclass(frozen=True)
-class ClassMCondition:
-    name: str
-    worst: float
-    threshold: float
-    passed: bool
-    failing_samples: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
-class ClassMReport:
-    conditions: tuple[ClassMCondition, ...]
-    n_samples: int
-    note: str = (
-        "smoothness is audited through sampled finite differences; the report "
-        "is advisory and does not block solving"
-    )
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.conditions)
-
-    def by_name(self, name: str) -> ClassMCondition:
-        for c in self.conditions:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def summary(self) -> str:
-        return "; ".join(
-            f"{c.name}: {c.worst:.4g} vs {c.threshold:.4g} {'ok' if c.passed else 'FAIL'}"
-            for c in self.conditions
-        )
-
-
-def _condition(name, per_sample_ok, worst, threshold) -> ClassMCondition:
-    failing = tuple(int(i) for i in np.flatnonzero(~per_sample_ok)[:20])
-    return ClassMCondition(
-        name=name, worst=float(worst), threshold=float(threshold),
-        passed=bool(np.all(per_sample_ok)), failing_samples=failing,
-    )
-
-
-def class_m_check(model: ModelSpec, samples, declared_c: float = 10.0, seed: int = 0) -> ClassMReport:
+def class_m_check(model: ModelSpec, samples, declared_c: float = 10.0) -> AuditReport:
     """Audit the structural class conditions on a list of KrylovSample points."""
     samples = list(samples)
     if not samples:
@@ -209,17 +174,10 @@ def class_m_check(model: ModelSpec, samples, declared_c: float = 10.0, seed: int
     s_var = np.array([s.s for s in samples])
     if x.shape[1] != d or big_b.shape[1] != d or p.shape[1] != d:
         raise ConfigError(f"samples must be {d}-dimensional for this model")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)  # fixed seed for the random test directions
 
-    def m_at(tt=None, xx=None, bb=None, bigb=None, pp=None):
-        return krylov_m(
-            model,
-            t if tt is None else tt,
-            x if xx is None else xx,
-            beta if bb is None else bb,
-            big_b if bigb is None else bigb,
-            p if pp is None else pp,
-        )
+    def m_at(tt=t, xx=x, bb=beta, bigb=big_b, pp=p):
+        return krylov_m(model, tt, xx, bb, bigb, pp)
 
     m0 = m_at()
     conditions = []
@@ -227,23 +185,18 @@ def class_m_check(model: ModelSpec, samples, declared_c: float = 10.0, seed: int
     # homogeneity: M(lam * args) = lam * M(args), exact by construction
     worst_hom = np.zeros(n)
     for lam in (0.5, 2.0, 10.0):
-        scaled = krylov_m(model, t, x, lam * beta, lam * big_b, lam * p)
+        scaled = m_at(bb=lam * beta, bigb=lam * big_b, pp=lam * p)
         rel = np.abs(scaled - lam * m0) / np.maximum(np.abs(lam * m0), 1e-12)
         worst_hom = np.maximum(worst_hom, rel)
-    conditions.append(_condition("homogeneity", worst_hom <= 1e-10, worst_hom.max(), 1e-10))
+    conditions.append(audit_condition("homogeneity", worst_hom <= 1e-10, worst_hom.max(), 1e-10))
 
-    # ellipticity: dM/db_ii >= nu along the diagonal, by centered differences
+    # ellipticity: dM/db_ii >= nu along the diagonal
     nu = model.bounds.a_min
-    ell_min = np.full(n, np.inf)
-    for i in range(d):
-        h = _FD_STEP * (1.0 + np.abs(big_b[:, i, i]))
-        delta = np.zeros_like(big_b)
-        delta[:, i, i] = h
-        fd = (m_at(bigb=big_b + delta) - m_at(bigb=big_b - delta)) / (2.0 * h)
-        ell_min = np.minimum(ell_min, fd)
-    conditions.append(
-        _condition("ellipticity", ell_min >= nu * (1.0 - 1e-6), ell_min.min(), nu)
+    ell_min = np.min(
+        np.stack([central_difference(lambda bigb: m_at(bigb=bigb), big_b, (..., i, i)) for i in range(d)]),
+        axis=0,
     )
+    conditions.append(audit_condition("ellipticity", ell_min >= nu * (1.0 - 1e-6), ell_min.min(), nu))
 
     # concavity in B along random rank-one directions
     xi = rng.standard_normal((n, d))
@@ -252,94 +205,51 @@ def class_m_check(model: ModelSpec, samples, declared_c: float = 10.0, seed: int
     h = 1e-2 * (1.0 + np.linalg.norm(big_b.reshape(n, -1), axis=1))
     hb = h[:, None, None] * direction
     second = m_at(bigb=big_b + hb) + m_at(bigb=big_b - hb) - 2.0 * m0
-    conditions.append(
-        _condition("concavity-in-B", second <= 1e-8, second.max(), 1e-8)
-    )
+    conditions.append(audit_condition("concavity-in-B", second <= 1e-8, second.max(), 1e-8))
 
     # second directional derivative in (B, p, s) bounded by C/beta * (|p0|^2 + s0^2)
     b0 = rng.standard_normal((n, d, d))
     b0 = 0.5 * (b0 + np.transpose(b0, (0, 2, 1)))
     p0 = rng.standard_normal((n, d))
     s0 = rng.standard_normal(n)
-    hr = 1e-2
-    plus = krylov_m(model, t, x, beta, big_b + hr * b0, p + hr * p0)
-    minus = krylov_m(model, t, x, beta, big_b - hr * b0, p - hr * p0)
-    dir2 = (plus + minus - 2.0 * m0) / hr**2
+    along = lambda e: m_at(bigb=big_b + e[:, None, None] * b0, pp=p + e[:, None] * p0)
+    dir2 = central_difference(along, np.zeros(n), ..., second=True, h=1e-2)
     bound_v = declared_c / beta * (np.sum(p0**2, axis=1) + s0**2)
     conditions.append(
-        _condition(
-            "directional-curvature", dir2 <= bound_v + 1e-8, (dir2 - bound_v).max(), 0.0
-        )
+        audit_condition("directional-curvature", dir2 <= bound_v + 1e-8, (dir2 - bound_v).max(), 0.0)
     )
 
-    # bounded first derivatives in (b_ij, p_i, beta) and mixed with x
-    worst_first = np.zeros(n)
+    # bounded first derivatives in (b_ij, p_i, beta) and mixed with x; b_ij moves
+    # along the symmetric direction (E_ij + E_ji) / 2, whose half steps sum to a
+    # full step on b_ii
+    firsts = []
     for i in range(d):
         for j in range(d):
+            sym = np.zeros((d, d))
+            sym[i, j] += 0.5
+            sym[j, i] += 0.5
             h = _FD_STEP * (1.0 + np.abs(big_b[:, i, j]))
-            delta = np.zeros_like(big_b)
-            delta[:, i, j] = 0.5 * h
-            delta[:, j, i] += 0.5 * h
-            fd = (m_at(bigb=big_b + delta) - m_at(bigb=big_b - delta)) / (2.0 * h)
-            worst_first = np.maximum(worst_first, np.abs(fd))
-    for i in range(d):
-        h = _FD_STEP * (1.0 + np.abs(p[:, i]))
-        delta = np.zeros_like(p)
-        delta[:, i] = h
-        fd = (m_at(pp=p + delta) - m_at(pp=p - delta)) / (2.0 * h)
-        worst_first = np.maximum(worst_first, np.abs(fd))
+            along = lambda e: m_at(bigb=big_b + e[:, None, None] * sym)
+            firsts.append(central_difference(along, np.zeros(n), ..., h=h))
+    firsts += [central_difference(lambda pp: m_at(pp=pp), p, (..., i)) for i in range(d)]
+    firsts.append(central_difference(lambda bb: m_at(bb=bb), beta, ...))
+    # the b_11 derivative steps by beta's step
     hbeta = _FD_STEP * (1.0 + np.abs(beta))
-    fd_beta = (m_at(bb=beta + hbeta) - m_at(bb=beta - hbeta)) / (2.0 * hbeta)
-    worst_first = np.maximum(worst_first, np.abs(fd_beta))
-
-    def mixed_with_x(shift_fn):
-        worst = np.zeros(n)
-        for k in range(d):
-            hx = _FD_STEP * (1.0 + np.abs(x[:, k]))
-            xp = x.copy()
-            xm = x.copy()
-            xp[:, k] += hx
-            xm[:, k] -= hx
-            worst = np.maximum(worst, np.abs((shift_fn(xp) - shift_fn(xm)) / (2.0 * hx)))
-        return worst
-
-    delta_b11 = np.zeros_like(big_b)
-    delta_b11[:, 0, 0] = hbeta
-    worst_mixed = mixed_with_x(
-        lambda xx: (m_at(xx=xx, bigb=big_b + delta_b11) - m_at(xx=xx, bigb=big_b - delta_b11))
-        / (2.0 * hbeta)
-    )
-    worst_mixed = np.maximum(
-        worst_mixed,
-        mixed_with_x(
-            lambda xx: (m_at(xx=xx, bb=beta + hbeta) - m_at(xx=xx, bb=beta - hbeta))
-            / (2.0 * hbeta)
-        ),
-    )
-    worst_vi = np.maximum(worst_first, worst_mixed)
+    d_b11 = lambda xx: central_difference(lambda bigb: m_at(xx=xx, bigb=bigb), big_b, (..., 0, 0), h=hbeta)
+    d_beta = lambda xx: central_difference(lambda bb: m_at(xx=xx, bb=bb), beta, ...)
+    firsts += [central_difference(fn, x, (..., k)) for fn in (d_b11, d_beta) for k in range(d)]
+    worst_vi = np.max(np.abs(np.stack(firsts)), axis=0)
     conditions.append(
-        _condition("derivative-bounds", worst_vi <= declared_c, worst_vi.max(), declared_c)
+        audit_condition("derivative-bounds", worst_vi <= declared_c, worst_vi.max(), declared_c)
     )
 
     # (t, x)-growth: |M_t| + |M_xx| <= C * sqrt(beta^2 + s^2 + |p|^2 + |B|^2)
     scale = np.sqrt(
         beta**2 + s_var**2 + np.sum(p**2, axis=1) + np.sum(big_b.reshape(n, -1) ** 2, axis=1)
     )
-    ht = _FD_STEP * (1.0 + np.abs(t))
-    m_t = np.abs((m_at(tt=t + ht) - m_at(tt=t - ht)) / (2.0 * ht))
-    worst_xx = np.zeros(n)
-    for k in range(d):
-        hx = _FD_STEP * (1.0 + np.abs(x[:, k]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[:, k] += hx
-        xm[:, k] -= hx
-        worst_xx = np.maximum(
-            worst_xx, np.abs((m_at(xx=xp) + m_at(xx=xm) - 2.0 * m0) / hx**2)
-        )
-    growth = (m_t + worst_xx) / scale
-    conditions.append(
-        _condition("tx-growth", growth <= declared_c, growth.max(), declared_c)
-    )
+    m_t = np.abs(central_difference(lambda tt: m_at(tt=tt), t, ...))
+    m_xx = [central_difference(lambda xx: m_at(xx=xx), x, (..., k), second=True) for k in range(d)]
+    growth = (m_t + np.max(np.abs(np.stack(m_xx)), axis=0)) / scale
+    conditions.append(audit_condition("tx-growth", growth <= declared_c, growth.max(), declared_c))
 
-    return ClassMReport(conditions=tuple(conditions), n_samples=n)
+    return AuditReport(conditions=tuple(conditions), n_samples=n)

@@ -49,6 +49,8 @@ from .grid import GridSpec, TimeField
 from .hjb import hjb_residual, solve_hjb
 from .wasserstein import d1_path_sup, holder_half_diagnostic
 
+_DUALITY_SEED = 0  # seed of the three random dual test pairs of the returned pair
+
 
 def coupling_fields(model: ModelSpec, grid: GridSpec, density_values: np.ndarray) -> tuple[TimeField, np.ndarray]:
     """Running-cost path F(t, x, m(t)) and terminal slice G(x, m(T)) for a path."""
@@ -115,7 +117,6 @@ def picard_solve(
     tol: float = 1e-4,
     max_iter: int = 50,
     init: DensityPath | None = None,
-    rng_seed: int = 0,
 ) -> PicardResult:
     """Damped Picard iteration on density paths.
 
@@ -174,7 +175,7 @@ def picard_solve(
 
     final_resid = _sup_abs(hjb_residual(u_final, model, f_final))
     del f_final
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(_DUALITY_SEED)
     gapd = 0.0
     for _ in range(3):
         phi_t = rng.standard_normal(grid.shape)

@@ -148,7 +148,7 @@ class TransportOperator:
 
     def step_positivity_margin(self) -> float:
         """Min over nodes/levels of the diagonal entry of I + dt * L, reduced chunk by chunk."""
-        return min(float(self.weights(c, step=True)[0].min()) for c in self.grid.level_chunks())
+        return float(np.min([self.weights(c, step=True)[0].min() for c in self.grid.level_chunks()]))
 
 
 def _generator_step(diag: np.ndarray, up: np.ndarray, dn: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -201,12 +201,12 @@ class DensityPath:
         return cls.from_values(grid, vals)
 
     def validate(self) -> None:
-        if self.values.min() < -_NEG_TOL:
+        if not (self.values.min() >= -_NEG_TOL):
             raise ContractError(
                 f"density undershoot {self.values.min():.3e} below -{_NEG_TOL:.0e}"
             )
         drift = np.max(np.abs(self.mass - 1.0))
-        if drift > _MASS_TOL:
+        if not (drift <= _MASS_TOL):
             raise ContractError(f"mass drift {drift:.3e} exceeds {_MASS_TOL:.0e}")
 
     def lp_norm(self, p: int, level: int | None = None) -> float:
@@ -264,19 +264,21 @@ def solve_fp(op: TransportOperator, m0: np.ndarray) -> DensityPath:
     dt * (2 d a / dx^2 + sum_k |b_k| / dx) <= 1; aborts (no clamping) if a
     level undershoots below -1e-14 or drifts in mass beyond 1e-12.  The
     levels are checked once per chunk, after the chunk is marched, and the
-    error names the first bad level.
+    error names the first bad level.  A NaN fails each of these checks.
     """
     grid = op.grid
     m0 = np.asarray(m0, dtype=float)
     if m0.shape != grid.shape:
         raise ValueError(f"initial density shape {m0.shape} != grid shape {grid.shape}")
     cell = grid.dx**grid.dim
+    if not np.all(np.isfinite(m0)):
+        raise ValueError("initial density has non-finite values")
     if m0.min() < -_NEG_TOL:
         raise ValueError(f"initial density has negative values ({m0.min():.3e})")
     if abs(m0.sum() * cell - 1.0) > _MASS_TOL:
         raise ValueError(f"initial density mass {m0.sum() * cell} is not 1")
     margin = op.step_positivity_margin()
-    if margin < -1e-12:
+    if not (margin >= -1e-12):  # a NaN coefficient makes the margin NaN
         raise StabilityError(
             f"transport coefficients violate the positivity bound "
             f"(diagonal margin {margin:.3e}); refine the time grid"
@@ -309,8 +311,9 @@ def _check_levels(vals: np.ndarray, mass: np.ndarray, new: slice, cell: float) -
     block = vals[new].reshape(new.stop - new.start, -1)
     low = block.min(axis=1)
     mass[new] = block.sum(axis=1) * cell
-    under = low < -_NEG_TOL
-    bad = under | (np.abs(mass[new] - 1.0) > _MASS_TOL)
+    # written as "not within bounds" so that a NaN level is bad too
+    under = ~(low >= -_NEG_TOL)
+    bad = under | ~(np.abs(mass[new] - 1.0) <= _MASS_TOL)
     if bad.any():
         j = int(np.argmax(bad))
         level = new.start + j

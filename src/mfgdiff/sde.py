@@ -126,6 +126,20 @@ def _check_increment_guard(increments: np.ndarray, bound: float, where: str) -> 
         )
 
 
+def _increment_bound(model: ModelSpec, dt: float) -> float:
+    """Sanity bound on one Euler increment: _GUARD_SIGMAS diffusion sigmas plus the drift bound's step."""
+    return _GUARD_SIGMAS * np.sqrt(model.bounds.lambda2**2 * dt) + model.bounds.drift_bound * dt
+
+
+def _check_constant_controls(model: ModelSpec, alpha: np.ndarray | None, eta: float | None) -> None:
+    """Reject a constant drift beyond the drift bound or a diffusion level outside [a_min, a_max]."""
+    bounds = model.bounds
+    if alpha is not None and not (np.max(np.abs(alpha)) <= bounds.drift_bound + 1e-12):
+        raise ConfigError("constant drift control exceeds the drift bound")
+    if eta is not None and not (bounds.a_min - 1e-12 <= eta <= bounds.a_max + 1e-12):
+        raise ConfigError("constant diffusion control leaves the admissible interval")
+
+
 def _estimate(costs: np.ndarray, antithetic: bool) -> McEstimate:
     if antithetic:
         half = costs.size // 2
@@ -176,11 +190,7 @@ def simulate_value(
     grid = u.grid
     if alpha_const is not None:
         alpha_const = np.broadcast_to(np.asarray(alpha_const, dtype=float), (grid.dim,))
-        if np.max(np.abs(alpha_const)) > model.bounds.drift_bound + 1e-12:
-            raise ConfigError("constant drift control exceeds the drift bound")
-    if eta_const is not None:
-        if not (model.bounds.a_min - 1e-12 <= eta_const <= model.bounds.a_max + 1e-12):
-            raise ConfigError("constant diffusion control leaves the admissible interval")
+    _check_constant_controls(model, alpha_const, eta_const)
 
     steps = _mc_steps(grid.horizon, cfg.dt_mc, "horizon")
     costs = _accumulate_costs(u, m, model, cfg, steps, horizon_level=grid.nt,
@@ -247,7 +257,7 @@ def _accumulate_costs(
     x = np.tile(np.asarray(cfg.x0, dtype=float), (n, 1))
     cost = np.zeros(n)
     sqdt = np.sqrt(dt)
-    guard = _GUARD_SIGMAS * np.sqrt(model.bounds.lambda2**2 * dt) + model.bounds.drift_bound * dt
+    guard = _increment_bound(model, dt)
     for j in range(steps):
         s = j * dt
         level = min(int(s / grid.dt + 1e-9), grid.nt)
@@ -295,11 +305,8 @@ def modulus_check(
         raise ConfigError("separations must be positive")
     dim = model.dim
     alpha = np.broadcast_to(np.asarray(alpha_const, dtype=float), (dim,))
-    if np.max(np.abs(alpha)) > model.bounds.drift_bound + 1e-12:
-        raise ConfigError("constant drift control exceeds the drift bound")
     eta = model.bounds.a_min if eta_const is None else float(eta_const)
-    if not (model.bounds.a_min - 1e-12 <= eta <= model.bounds.a_max + 1e-12):
-        raise ConfigError("constant diffusion control leaves the admissible interval")
+    _check_constant_controls(model, alpha, eta)
 
     dt = cfg.dt_mc
     checkpoints = [_mc_steps(h, dt, "h") for h in h_arr]
@@ -310,7 +317,7 @@ def modulus_check(
     running_max = np.zeros(n)
     sigma = np.sqrt(2.0 * eta)
     estimates = np.empty(h_arr.size)
-    guard = _GUARD_SIGMAS * np.sqrt(model.bounds.lambda2**2 * dt) + model.bounds.drift_bound * dt
+    guard = _increment_bound(model, dt)
     next_idx = 0
     for j in range(1, total + 1):
         inc = alpha * dt + sigma * np.sqrt(dt) * _draw_increments(rng, n, dim, cfg.antithetic)

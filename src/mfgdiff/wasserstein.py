@@ -57,6 +57,7 @@ from .grid import GridSpec
 
 _MASS_TOL = 1e-10
 _COARSE_LIMIT = 32
+_HOLDER_MAX_K = 5  # the Hölder diagnostic's separations go down to T / 2^5
 # HiGHS feasibility tolerances for the transport LP (defaults are 1e-7); the
 # solve is exact to round-off while the moved node masses, at unit moved
 # mass, stay above them.
@@ -300,15 +301,15 @@ class HolderDiagnostic:
     degenerate: bool
 
 
-def holder_half_diagnostic(m: DensityPath, max_k: int = 5) -> HolderDiagnostic:
+def holder_half_diagnostic(m: DensityPath) -> HolderDiagnostic:
     """Fit d1(m(0), m(tau)) ~ tau^s over dyadic tau anchored at t = 0.
 
-    Uses tau = T / 2^k for k = 1..max_k (only those landing on grid levels);
+    Uses tau = T / 2^k for k = 1..5 (only those landing on grid levels);
     needs at least four of them.  A path that never moves is reported as
     degenerate with no exponent.
     """
     grid = m.grid
-    ks = [k for k in range(1, max_k + 1) if grid.nt % (2**k) == 0]
+    ks = [k for k in range(1, _HOLDER_MAX_K + 1) if grid.nt % (2**k) == 0]
     if len(ks) < 4:
         raise ConfigError(
             f"need at least 4 dyadic separations; nt={grid.nt} admits {len(ks)}"

@@ -338,12 +338,12 @@ def test_hypotheses_model_a(ma, rng):
     report = validate_hypotheses(ma, _sample_cloud(rng))
     assert report.passed
     # ellipticity constant equals lambda1^2/2 on a q-range reaching the clamp
-    assert report.by_name("ellipticity").constant == pytest.approx(0.5, abs=1e-12)
+    assert report.by_name("ellipticity").worst == pytest.approx(0.5, abs=1e-12)
     # coercivity constant is the largest running cost at the argmin, <= 1
-    assert 0.0 <= report.by_name("coercivity").constant <= 1.0 + 1e-12
+    assert 0.0 <= report.by_name("coercivity").worst <= 1.0 + 1e-12
     # space-independent model: every (t, x)-derivative constant vanishes
-    assert report.by_name("mixed-qx").constant == pytest.approx(0.0, abs=1e-9)
-    assert report.by_name("x-gradient").constant == pytest.approx(0.0, abs=1e-9)
+    assert report.by_name("mixed-qx").worst == pytest.approx(0.0, abs=1e-9)
+    assert report.by_name("x-gradient").worst == pytest.approx(0.0, abs=1e-9)
 
 
 def test_hypothesis_coercivity_equals_running_cost(ma, rng):

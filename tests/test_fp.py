@@ -390,6 +390,45 @@ def test_coefficient_range_guard(ma, grid32):
         solve_fp(op, ma.m0.discretize(grid32))
 
 
+def _nan_at_level_270(coefficient):
+    """A 16x300 operator with a NaN written into a or b after the build, in the second level chunk."""
+    grid = _diffusion_grid(nx=16, nt=300, horizon=0.02, a=0.5)
+    assert grid.level_chunks()[1].start < 270
+    op = TransportOperator.constant(grid, a=0.5)
+    getattr(op, coefficient)[270, 3] = np.nan
+    return op, DensityInit(kind="gaussian", center=(0.5,), width=0.1).discretize(grid)
+
+
+@pytest.mark.parametrize("coefficient", ["a", "b"])
+def test_nan_coefficient_rejected(coefficient):
+    op, m0 = _nan_at_level_270(coefficient)
+    with pytest.raises(StabilityError):
+        solve_fp(op, m0)
+
+
+@pytest.mark.parametrize("coefficient", ["a", "b"])
+def test_nan_level_aborts_march(coefficient, monkeypatch):
+    # past the margin, the per-chunk level checks must still stop a NaN density
+    op, m0 = _nan_at_level_270(coefficient)
+    monkeypatch.setattr(op, "step_positivity_margin", lambda: 1.0)
+    with pytest.raises(ContractError, match="level 271"):
+        solve_fp(op, m0)
+
+
+def test_nan_density_path_rejected(grid32, ma):
+    vals = np.broadcast_to(ma.m0.discretize(grid32), (grid32.nt + 1, *grid32.shape)).copy()
+    vals[7, 3] = np.nan
+    with pytest.raises(ContractError):
+        DensityPath.from_values(grid32, vals)
+
+
+def test_nonfinite_initial_density_rejected(grid32, ma):
+    m0 = ma.m0.discretize(grid32)
+    m0[5] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_fp(TransportOperator.constant(grid32, a=0.5), m0)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_undershoot_aborts_at_first_bad_level(dim):
     """A forged margin within the -1e-12 slack: the march stops at the first negative level."""
