@@ -285,10 +285,19 @@ def _h1_terms(spec: HamiltonianSpec, bounds: ControlBounds, t, x, p):
     """
     p = np.asarray(p, dtype=float)
     if spec.kind == "closed-form":
+        # min(max(-p / (2 w), -c), c) and p alpha + w alpha^2, in place on fresh
+        # temporaries; p / (-2 w) rounds to -p / (2 w) exactly
         cf = spec.closed_form
-        alpha = np.minimum(np.maximum(-p / (2.0 * cf.l1_weight), -cf.drift_ctrl_max), cf.drift_ctrl_max)
-        value = (p * alpha + cf.l1_weight * alpha**2).sum(axis=-1)
-        return value, alpha
+        alpha = p / (-2.0 * cf.l1_weight)
+        np.maximum(alpha, -cf.drift_ctrl_max, out=alpha)
+        np.minimum(alpha, cf.drift_ctrl_max, out=alpha)
+        value = p * alpha
+        cost = alpha * alpha
+        cost *= cf.l1_weight
+        value += cost
+        # a sum over one component is that component (a sum turns -0 into +0, but the
+        # value is never -0: its cost term is at least +0)
+        return (value[..., 0] if spec.dim == 1 else value.sum(axis=-1)), alpha
     if spec.kind == "tabulated":
         vals = np.stack(
             [
@@ -306,9 +315,19 @@ def _h2_terms(spec: HamiltonianSpec, bounds: ControlBounds, t, x, q):
     """(value, derivative) of H2, vectorized over nodes; q shape (...); H2_q is the minimizing eta."""
     q = np.asarray(q, dtype=float)
     if spec.kind == "closed-form":
+        # min(max(v - q / (2 w), lo), hi) and eta q + w (eta - v)^2, in place on fresh
+        # temporaries; v + q / (-2 w) rounds to v - q / (2 w) exactly, and asarray
+        # keeps eta an array (with a buffer) for a 0-d q
         cf = spec.closed_form
-        eta = np.minimum(np.maximum(cf.l3_vertex - q / (2.0 * cf.l3_weight), bounds.a_min), bounds.a_max)
-        value = eta * q + cf.l3_weight * (eta - cf.l3_vertex) ** 2
+        eta = np.asarray(q / (-2.0 * cf.l3_weight))
+        eta += cf.l3_vertex
+        np.maximum(eta, bounds.a_min, out=eta)
+        np.minimum(eta, bounds.a_max, out=eta)
+        value = eta * q
+        cost = eta - cf.l3_vertex
+        cost *= cost
+        cost *= cf.l3_weight
+        value += cost
         return value, eta
     if spec.kind == "tabulated":
         vals = np.stack(

@@ -27,7 +27,10 @@ reads it:
 The marches below take the weights of I + dt * L_n, that is 1 + dt * diag,
 dt * up and dt * dn, for a chunk of levels at a time
 (`GridSpec.level_chunks`), computed from a and b when the march reaches the
-chunk, so each step is diag * v plus two shifted products per axis.
+chunk, so each step is diag * v plus two neighbour products per axis.  Each
+neighbour is one `take` through the grid's neighbour table
+(`grid.neighbour_table`): the generator gathers v at i + e_k and i - e_k,
+and the transpose gathers the weighted values it receives from them.
 
 The density is marched with the transpose:
 
@@ -62,7 +65,7 @@ import numpy as np
 
 from .control import ModelSpec, h1_terms, h2_terms
 from .errors import ContractError, StabilityError
-from .grid import GridSpec, TimeField, _shift, grad_central, laplacian
+from .grid import GridSpec, TimeField, grad_central, laplacian, neighbour_table
 
 _NEG_TOL = 1e-14
 _MASS_TOL = 1e-12
@@ -152,22 +155,20 @@ class TransportOperator:
 
 
 def _generator_step(diag: np.ndarray, up: np.ndarray, dn: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """One level's weights applied to v: diag * v plus each neighbor value times its weight."""
-    dim = len(up)
+    """One level's weights applied to the slice v: diag * v plus each neighbor value times its weight."""
     out = diag * v
-    for k in range(dim):
-        out += up[k] * _shift(v, 1, k - dim)
-        out += dn[k] * _shift(v, -1, k - dim)
+    for k, (ahead, behind) in enumerate(neighbour_table(v.shape)):
+        out += up[k] * v.take(ahead)
+        out += dn[k] * v.take(behind)
     return out
 
 
 def _adjoint_step(diag: np.ndarray, up: np.ndarray, dn: np.ndarray, m: np.ndarray) -> np.ndarray:
     """The transpose of `_generator_step`: each node's outflow to a neighbor lands there."""
-    dim = len(up)
     out = diag * m
-    for k in range(dim):
-        out += _shift(up[k] * m, -1, k - dim)
-        out += _shift(dn[k] * m, 1, k - dim)
+    for k, (ahead, behind) in enumerate(neighbour_table(m.shape)):
+        out += (up[k] * m).take(behind)
+        out += (dn[k] * m).take(ahead)
     return out
 
 
@@ -215,21 +216,6 @@ class DensityPath:
         vals = self.values if level is None else self.values[level : level + 1]
         norms = (np.abs(vals.reshape(vals.shape[0], -1)) ** p).sum(axis=1) * cell
         return float(np.max(norms) ** (1.0 / p))
-
-    def first_moment_spread(self) -> float:
-        """Sup over levels of the mean absolute deviation from the level mean.
-
-        Coordinates are unrolled (flat-line); meaningful while the mass stays
-        away from the wrap seam.
-        """
-        grid = self.grid
-        cell = grid.dx**grid.dim
-        coords = grid.coords()
-        levels = grid.nt + 1
-        w = self.values[..., None] * cell
-        mean = (coords * w).reshape(levels, -1, grid.dim).sum(axis=1)
-        dev = np.linalg.norm(coords - mean.reshape((levels,) + (1,) * grid.dim + (grid.dim,)), axis=-1)
-        return float(np.max((dev * self.values).reshape(levels, -1).sum(axis=1) * cell))
 
 
 def build_transport_operator(u: TimeField, model: ModelSpec) -> TransportOperator:
@@ -288,17 +274,12 @@ def solve_fp(op: TransportOperator, m0: np.ndarray) -> DensityPath:
     mass = np.empty(grid.nt + 1)
     vals[0] = m0
     mass[0] = m0.sum() * cell
-    for steps in _step_chunks(grid):
+    for steps in grid.level_chunks(stop=grid.nt):
         diag, up, dn = op.weights(steps, step=True)
         for j, n in enumerate(range(steps.start, steps.stop)):
             vals[n + 1] = _adjoint_step(diag[j], up[j], dn[j], vals[n])
         _check_levels(vals, mass, slice(steps.start + 1, steps.stop + 1), cell)
     return DensityPath(grid, vals, mass)
-
-
-def _step_chunks(grid: GridSpec) -> list[slice]:
-    """The march steps n = 0..nt-1 (from level n to n + 1), in the grid's level chunks."""
-    return [slice(c.start, min(c.stop, grid.nt)) for c in grid.level_chunks() if c.start < grid.nt]
 
 
 def _check_levels(vals: np.ndarray, mass: np.ndarray, new: slice, cell: float) -> None:
@@ -334,11 +315,12 @@ def check_duality(m: DensityPath, op: TransportOperator, phi_terminal: np.ndarra
         raise ValueError("duality check needs matching lattices")
     phi_t = np.asarray(phi_terminal, dtype=float)
     phi = phi_t
-    for steps in reversed(_step_chunks(grid)):
+    for steps in reversed(grid.level_chunks(stop=grid.nt)):
         diag, up, dn = op.weights(steps, step=True)
         source = grid.dt * psi.values[steps.start + 1 : steps.stop + 1]
         for j in range(steps.stop - steps.start - 1, -1, -1):
-            phi = _generator_step(diag[j], up[j], dn[j], phi) + source[j]
+            phi = _generator_step(diag[j], up[j], dn[j], phi)
+            phi += source[j]
     cell = grid.dx**grid.dim
     terminal = float(np.vdot(phi_t, m.values[grid.nt]))
     source = float(np.vdot(psi.values[1:], m.values[:-1])) * grid.dt

@@ -16,20 +16,27 @@ monotonicity, positivity and comparison argument below hangs on.
 Spatial derivatives are the standard periodic stencils: centered first
 differences, forward/backward one-sided differences, and the 3-point
 Laplacian per axis.  They act on the trailing spatial axes, so one call
-takes either a single time slice or a whole (nt + 1)-level stack, and every
-periodic difference in the package goes through them.  All four are built on
-one shift primitive (`_shift`: two slices joined by one concatenate),
-which costs a fraction of numpy's general-purpose roll on the small slices
-the explicit marches step through.
+takes either a single time slice or a whole (nt + 1)-level stack.
+`laplacian_gradient` returns the Laplacian and the centered gradient from
+one pair of neighbours per axis, for the value march.
+
+Every periodic neighbour in the package is read from one neighbour table
+(`neighbour_table`): per spatial shape, cached, the flat index of the node
+one step ahead and one step behind along each axis.  A neighbour is then
+one `ndarray.take` on the flattened spatial axes, which costs a fraction of
+numpy's roll, or of two slices and a concatenate, on the small slices the
+explicit marches step through.
 
 Passes over a level stack that are not a march (the scheme residual, the
 transport-operator build) walk it in chunks of consecutive levels
 (`GridSpec.level_chunks`), which bounds their temporaries by a fixed node
-count instead of by the whole stack.
+count instead of by the whole stack.  The marches check their levels once
+per chunk.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -122,14 +129,17 @@ class GridSpec:
     def times(self) -> np.ndarray:
         return np.arange(self.nt + 1) * self.dt
 
-    def level_chunks(self, start: int = 0) -> list[slice]:
-        """Consecutive runs of the time levels start..nt.
+    def level_chunks(self, start: int = 0, stop: int | None = None) -> list[slice]:
+        """Consecutive runs of the time levels start..stop - 1 (default: start..nt).
 
         Each run holds about _CHUNK_NODES nodes (at least one level), so a
-        pass that works chunk by chunk keeps its temporaries bounded.
+        pass that works chunk by chunk keeps its temporaries bounded.  With
+        stop = nt they are the march steps n = 0..nt - 1 (from level n to
+        n + 1, or back), cut where the level chunks are cut.
         """
+        stop = self.nt + 1 if stop is None else stop
         size = max(1, _CHUNK_NODES // self.n_nodes)
-        return [slice(lo, min(lo + size, self.nt + 1)) for lo in range(start, self.nt + 1, size)]
+        return [slice(lo, min(lo + size, stop)) for lo in range(start, stop, size)]
 
     def same_lattice(self, other: "GridSpec") -> bool:
         """Same nodes and time levels (stability data may differ)."""
@@ -182,26 +192,35 @@ class TimeField:
 # --------------------------------------------------------------------------
 
 
-def _shift(values: np.ndarray, step: int, axis: int) -> np.ndarray:
-    """Periodic neighbor along a trailing `axis`: out[i] = values[i + step], step = +-1.
+@functools.lru_cache(maxsize=32)
+def neighbour_table(shape: tuple[int, ...]) -> tuple:
+    """Flat node indices of the periodic neighbours on a spatial shape, cached by shape.
 
-    The same array as numpy's roll by -step along `axis`, built from two
-    slices and one concatenate.
+    One (ahead, behind) pair per axis k, each an index array shaped like
+    `shape`: ahead[i] is the flat index of node i + e_k and behind[i] that of
+    node i - e_k, wrapped around the torus.
     """
-    if axis == -1:  # the common case, without building an index tuple
-        return np.concatenate((values[..., step:], values[..., :step]), axis=-1)
-    inner = (slice(None),) * (-1 - axis)
-    return np.concatenate(
-        (values[(..., slice(step, None), *inner)], values[(..., slice(None, step), *inner)]), axis=axis
-    )
+    nodes = np.arange(math.prod(shape)).reshape(shape)
+    table = tuple((np.roll(nodes, -1, axis=k), np.roll(nodes, 1, axis=k)) for k in range(len(shape)))
+    for pair in table:
+        for index in pair:
+            index.setflags(write=False)
+    return table
+
+
+def _gather(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """values at the flat node indices `index` over its trailing spatial axes, per leading index."""
+    if values.ndim == index.ndim:  # one slice
+        return values.take(index)
+    return values.reshape(values.shape[: values.ndim - index.ndim] + (-1,)).take(index, axis=-1)
 
 
 def laplacian(values: np.ndarray, dx: float, dim: int | None = None) -> np.ndarray:
     """3-point periodic Laplacian summed over the trailing `dim` axes (default: all)."""
     dim = values.ndim if dim is None else dim
     out = 0.0
-    for ax in range(-dim, 0):
-        out = out + (_shift(values, 1, ax) + _shift(values, -1, ax) - 2.0 * values)
+    for ahead, behind in neighbour_table(values.shape[values.ndim - dim :]):
+        out = out + (_gather(values, ahead) + _gather(values, behind) - 2.0 * values)
     return out / (dx * dx)
 
 
@@ -212,25 +231,43 @@ def grad_central(values: np.ndarray, dx: float, dim: int | None = None) -> np.nd
     """
     dim = values.ndim if dim is None else dim
     comps = [
-        (_shift(values, 1, ax) - _shift(values, -1, ax)) / (2.0 * dx)
-        for ax in range(-dim, 0)
+        (_gather(values, ahead) - _gather(values, behind)) / (2.0 * dx)
+        for ahead, behind in neighbour_table(values.shape[values.ndim - dim :])
     ]
     # one component needs no stack, which costs more than the difference on a slice
     return np.stack(comps, axis=-1) if dim > 1 else comps[0][..., None]
+
+
+def laplacian_gradient(values: np.ndarray, dx: float, dim: int | None = None) -> tuple:
+    """(laplacian, grad_central) of values from one pair of neighbours per axis, bit for bit."""
+    dim = values.ndim if dim is None else dim
+    lap = 0.0
+    comps = []
+    for ahead, behind in neighbour_table(values.shape[values.ndim - dim :]):
+        a, b = _gather(values, ahead), _gather(values, behind)
+        lap = lap + (a + b - 2.0 * values)
+        a -= b  # the gathered copies are this call's own
+        a /= 2.0 * dx
+        comps.append(a)
+    lap /= dx * dx
+    return lap, (np.stack(comps, axis=-1) if dim > 1 else comps[0][..., None])
 
 
 def diff_forward(values: np.ndarray, dx: float, axis: int) -> np.ndarray:
     """Forward periodic difference along `axis`.
 
     Spatial axis k of a d-dimensional grid is axis k - d, which addresses
-    the same axis on a slice and on a level stack.
+    the same axis on a slice and on a level stack.  The neighbour is read
+    from the table of the trailing shape that starts at `axis`.
     """
-    return (_shift(values, 1, axis) - values) / dx
+    ahead = neighbour_table(values.shape[axis:])[0][0]
+    return (_gather(values, ahead) - values) / dx
 
 
 def diff_backward(values: np.ndarray, dx: float, axis: int) -> np.ndarray:
     """Backward periodic difference along `axis` (spatial axis k is k - d)."""
-    return (values - _shift(values, -1, axis)) / dx
+    behind = neighbour_table(values.shape[axis:])[0][1]
+    return (values - _gather(values, behind)) / dx
 
 
 def wrap_periodic(x: np.ndarray, length: float) -> np.ndarray:

@@ -26,6 +26,13 @@ weight 1 - dt * (2 d H2_q / dx^2 + d theta_lf / dx) stays in [0, 1].
 Monotonicity gives the discrete comparison principle and the sup-norm
 barrier bound for free.
 
+Each step makes one stencil call (`grid.laplacian_gradient`: Lap_h and Dc
+from one pair of neighbours per axis) and sums the bracket in place, in the
+order written above.  The march checks its levels for finiteness once per
+level chunk (`GridSpec.level_chunks`), as the density march does; a
+non-finite value raises `ContractError` naming the first bad level in march
+order and its node.
+
 The module also provides:
 
   * the exponential change of variable v(t, x) = exp(-lam (T - t)) u(t, x)
@@ -74,7 +81,7 @@ from .control import (
     h2_value,
 )
 from .errors import ContractError, StabilityError
-from .grid import GridSpec, TimeField, grad_central, laplacian
+from .grid import GridSpec, TimeField, grad_central, laplacian, laplacian_gradient
 
 _A_TOL = 1e-9
 
@@ -126,33 +133,43 @@ def _step_bracket(model: ModelSpec, grid: GridSpec, x: np.ndarray, n, w: np.ndar
     undiscounted bracket
 
         H2(t, x, Lap_h w) + H1(t, x, Dc w) + (theta_lf dx / 2) Lap_h w + F.
+
+    The terms are summed left to right, in place into the fresh H2 value.
     """
     t = n * grid.dt
-    lap = laplacian(w, grid.dx, grid.dim)
-    grad = grad_central(w, grid.dx, grid.dim)
+    dx = grid.dx
+    lap, grad = laplacian_gradient(w, dx, grid.dim)
     if lam == 0.0:
-        return (
-            h2_value(model, t, x, lap)
-            + h1_value(model, t, x, grad)
-            + 0.5 * grid.theta_lf * grid.dx * lap
-            + f
-        )
+        out = h2_value(model, t, x, lap)
+        out += h1_value(model, t, x, grad)
+        lap *= 0.5 * grid.theta_lf * dx
+        out += lap
+        out += f
+        return out
     # math.exp level by level: a chunk gets the march's discount factors bit for bit
     if isinstance(n, int):
         mu = np.float64(math.exp(-lam * (grid.horizon - t)))
     else:
         mu = np.array([math.exp(-lam * (grid.horizon - tn)) for tn in t.ravel().tolist()]).reshape(t.shape)
-    return (
-        mu * h2_value(model, t, x, lap / mu)
-        + mu * h1_value(model, t, x, grad / mu[..., None])
-        + 0.5 * grid.theta_lf * grid.dx * lap
-        + mu * f
-        - lam * w
-    )
+    out = h2_value(model, t, x, lap / mu)
+    out *= mu
+    drift = h1_value(model, t, x, grad / mu[..., None])
+    drift *= mu
+    out += drift
+    lap *= 0.5 * grid.theta_lf * dx
+    out += lap
+    out += mu * f
+    out -= lam * w
+    return out
 
 
 def _march(model: ModelSpec, f_path: TimeField, g_slice: np.ndarray, grid: GridSpec, lam: float) -> TimeField:
-    """March the terminal slice backward: w^n = w^{n+1} + dt * bracket(n + 1)."""
+    """March the terminal slice backward: w^n = w^{n+1} + dt * bracket(n + 1).
+
+    Finiteness is checked once per level chunk, after the chunk is marched.
+    Overflow and NaN warnings are silenced inside the chunk, so the levels
+    marched past a bad one stay quiet until the check names it.
+    """
     _check_model_grid(model, grid)
     if not f_path.grid.same_lattice(grid):
         raise ValueError("running-cost field lives on a different lattice")
@@ -163,15 +180,21 @@ def _march(model: ModelSpec, f_path: TimeField, g_slice: np.ndarray, grid: GridS
         raise ValueError("terminal slice contains non-finite values")
 
     x = grid.coords()
+    dt, f = grid.dt, f_path.values
     w = np.empty((grid.nt + 1, *grid.shape))
     w[grid.nt] = g
-    for n in range(grid.nt - 1, -1, -1):
-        wn1 = w[n + 1]
-        wnew = wn1 + grid.dt * _step_bracket(model, grid, x, n + 1, wn1, f_path.values[n + 1], lam)
-        if not np.isfinite(wnew).all():
-            bad = np.argwhere(~np.isfinite(wnew))[0]
-            raise ContractError(f"non-finite value at time level {n}, node {tuple(bad)}")
-        w[n] = wnew
+    for steps in reversed(grid.level_chunks(stop=grid.nt)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(steps.stop - 1, steps.start - 1, -1):
+                wn1 = w[n + 1]
+                step = _step_bracket(model, grid, x, n + 1, wn1, f[n + 1], lam)
+                step *= dt
+                np.add(wn1, step, out=w[n])
+        bad = ~np.isfinite(w[steps])
+        if bad.any():
+            j = np.flatnonzero(bad.reshape(len(bad), -1).any(axis=1))[-1]
+            node = tuple(np.argwhere(bad[j])[0].tolist())
+            raise ContractError(f"non-finite value at time level {steps.start + j}, node {node}")
     return TimeField(grid, w)
 
 

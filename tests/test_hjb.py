@@ -1,5 +1,7 @@
 """Backward solver: exactness, convergence, monotonicity, transform, linearization."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,23 @@ def test_march_rejects_bad_inputs(solve, ma, grid16):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ContractError, match=f"time level {grid16.nt - 1},"):
             solve(ma, TimeField.zeros(grid16), g, grid16)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("solve", [solve_hjb, _solve_discounted], ids=["direct", "discounted"])
+@pytest.mark.parametrize("dim,nx,nt,level,node", [(1, 16, 600, 400, (5,)), (2, 8, 100, 30, (3, 6))], ids=["1d", "2d"])
+def test_non_finite_cost_inside_a_level_chunk(bad, solve, dim, nx, nt, level, node):
+    # the march checks finiteness once per chunk: the error must still name the
+    # first bad level in march order, and the levels marched after it (which
+    # overflow and turn to NaN) must raise no warning under the suite's filter
+    model = model_a(horizon=0.05, dim=dim)
+    grid = grid_for(model, nx=nx, nt=nt)
+    assert any(c.start < level < c.stop - 1 for c in grid.level_chunks(stop=grid.nt))
+    f_path = TimeField.zeros(grid)
+    f_path.values[(level + 1, *node)] = bad  # level n reads the cost of level n + 1
+    g = np.cos(2 * np.pi * grid.coords()[..., 0])
+    with pytest.raises(ContractError, match=re.escape(f"time level {level}, node {node}")):
+        solve(model, f_path, g, grid)
 
 
 def test_linf_stability_bound(ma, grid16, rng):
