@@ -84,6 +84,9 @@ from .errors import ContractError, StabilityError
 from .grid import GridSpec, TimeField, grad_central, laplacian, laplacian_gradient
 
 _A_TOL = 1e-9
+# largest lam * T for which the discount factor exp(-lam (T - t)) stays a
+# normal float on every level (log(1 / smallest normal float), about 708.4)
+_MAX_DISCOUNT = math.log(1.0 / np.finfo(float).tiny)
 
 
 def _check_model_grid(model: ModelSpec, grid: GridSpec) -> None:
@@ -258,10 +261,10 @@ def solve_hjb_lambda(
     H_lam(t, x, w) = mu * H(t, x, w / mu) with mu = exp(-lam (T - t)), and the
     running cost is scaled the same way.  The extra +lam v term shows up as a
     (1 - lam dt) factor on the diagonal, so the march stays monotone for
-    lam * dt <= 1.
+    lam * dt <= 1.  The factor mu must not underflow either, so lam * T may
+    not exceed log(1 / smallest normal float), about 708.4.
     """
-    if lam < 0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
+    _check_discount(lam, grid)
     if lam * grid.dt > 1.0:
         raise StabilityError(f"discount step lam*dt={lam * grid.dt:.3g} exceeds 1")
     return _march(model, f_path, g_slice, grid, lam)
@@ -269,7 +272,19 @@ def solve_hjb_lambda(
 
 def hjb_lambda_residual(v: TimeField, model: ModelSpec, f_path: TimeField, lam: float) -> TimeField:
     """Scheme residual of a field under the discounted march."""
+    _check_discount(lam, v.grid)
     return _residual(v, model, f_path, lam)
+
+
+def _check_discount(lam: float, grid: GridSpec) -> None:
+    """Reject a negative lam, and a lam * T at which exp(-lam (T - t)) underflows."""
+    if lam < 0:
+        raise ValueError(f"lam must be nonnegative, got {lam}")
+    if lam * grid.horizon > _MAX_DISCOUNT:
+        raise StabilityError(
+            f"discount lam*T={lam * grid.horizon:.4g} exceeds {_MAX_DISCOUNT:.4g}: "
+            "exp(-lam (T - t)) underflows"
+        )
 
 
 # --------------------------------------------------------------------------

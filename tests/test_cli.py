@@ -1,7 +1,9 @@
 """Configuration loading, field serialization, and the command-line surface."""
 
 import hashlib
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +135,21 @@ def test_repo_configs_load():
     for name in ("model_a.yaml", "heat.yaml"):
         cfg = load_config(root / name)
         assert cfg.grid.nx >= 8
+
+
+def test_repo_2d_config_is_the_benchmark_run(tmp_path, monkeypatch):
+    # CI checks the 2D run's iteration count against the benchmark's fingerprint
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up there
+    spec.loader.exec_module(workloads)
+    doc = workloads.WORKLOADS["mfg_2d"].make_doc(False)
+    doc["mc"]["seed"] = 7
+    doc["output"] = {"directory": "out/model_a_2d"}
+    path = tmp_path / "mfg_2d.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert load_config(root / "configs" / "model_a_2d.yaml") == load_config(path)
 
 
 # ---------------------------------------------------------------------------

@@ -314,3 +314,18 @@ def test_linearize_single_control_constant_v(rng):
     lin = linearize(u, sc)
     assert np.allclose(lin.v.values, 1.0, atol=1e-13)
     assert linearization_identity_gap(u, sc, lin) <= 1e-10
+
+
+def test_discount_underflow_rejected_before_marching(ma):
+    # lam * T = 950: exp(-lam (T - t)) underflows to 0 on the early levels
+    grid = grid_for(ma, nx=16, nt=1000)
+    f_path = TimeField.zeros(grid)
+    g = np.cos(2 * np.pi * grid.axis_coords())
+    with pytest.raises(StabilityError, match=r"lam\*T=950"):
+        solve_hjb_lambda(ma, f_path, g, grid, 19000.0)
+    with pytest.raises(StabilityError, match=r"lam\*T=950"):
+        hjb_lambda_residual(TimeField.zeros(grid), ma, f_path, 19000.0)
+    # lam * T = 700 stays below log(1 / smallest normal float) and marches
+    v = solve_hjb_lambda(ma, f_path, g, grid, 14000.0)
+    assert np.all(np.isfinite(v.values))
+    assert np.max(np.abs(hjb_lambda_residual(v, ma, f_path, 14000.0).values)) <= 1e-9

@@ -402,3 +402,161 @@ def test_path_sup_distance(rng):
         GridMeasure.from_density(grid, base[5]), GridMeasure.from_density(grid, shifted[5])
     )
     assert sup == pytest.approx(level5, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# 2D path sup by level bounds
+# ---------------------------------------------------------------------------
+
+
+def _seam_pair(rng, grid):
+    # mass on the first and last rows and columns, where the flat cost is largest
+    w1, w2 = np.zeros(grid.shape), np.zeros(grid.shape)
+    w1[[0, -1], :] = rng.random((2, grid.nx))
+    w2[:, [0, -1]] = rng.random((grid.nx, 2))
+    return w1 / w1.sum(), w2 / w2.sum()
+
+
+def _corner_pair(rng, grid):
+    w1 = _block(rng, grid, slice(0, 2), slice(0, 2))
+    return w1, _block(rng, grid, slice(None), slice(None))
+
+
+def _point_uniform_pair(rng, grid):
+    point = np.zeros(grid.shape)
+    point[2, 5] = 1.0
+    return point, np.full(grid.shape, 1.0 / grid.n_nodes)
+
+
+def _identical_pair(rng, grid):
+    w = _block(rng, grid, slice(None), slice(None))
+    return w, w.copy()
+
+
+_BOUND_PAIRS = {
+    "random": _LP_PAIRS["random"],
+    "disjoint": _LP_PAIRS["disjoint"],
+    "small_masses": _LP_PAIRS["small_masses"],
+    "seam": _seam_pair,
+    "corner": _corner_pair,
+    "point_vs_uniform": _point_uniform_pair,
+    "identical": _identical_pair,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BOUND_PAIRS))
+def test_axis_plan_bound_above_oracle(rng, case):
+    grid = _grid2(nx=8)
+    w1, w2 = _BOUND_PAIRS[case](rng, grid)
+    bound = wasserstein._axis_plan_bound((w1 - w2)[None], grid.dx)[0]
+    oracle = _full_lp_oracle(grid.coords().reshape(-1, 2), w1.ravel(), w2.ravel())
+    assert bound * (1.0 + 1e-9) >= oracle
+    if case == "identical":
+        assert bound == 0.0
+
+
+def test_axis_plan_bound_above_oracle_after_coarsening(rng):
+    grid = GridSpec(dim=2, box_length=1.0, nx=64, nt=8, horizon=1e-4, a_max=0.5, theta_lf=0.0)
+    w1 = _block(rng, grid, slice(10, 30), slice(16, 34))
+    w2 = _block(rng, grid, slice(20, 40), slice(12, 28))
+    coarse, (c1, c2) = wasserstein._coarsen(grid, np.stack([w1, w2]))
+    assert coarse.nx == 32
+    bound = wasserstein._axis_plan_bound((c1 - c2)[None], coarse.dx)[0]
+    # the optimal plan lives on the support, so the oracle is posed there only
+    support = np.flatnonzero((c1 + c2).ravel() > 0.0)
+    pts = coarse.coords().reshape(-1, 2)[support]
+    oracle = _full_lp_oracle(pts, c1.ravel()[support], c2.ravel()[support])
+    assert bound * (1.0 + 1e-9) >= oracle
+    assert d1(GridMeasure(grid, w1), GridMeasure(grid, w2)) == pytest.approx(oracle, abs=1e-12)
+
+
+def _per_level_d1(p1, p2):
+    grid = p1.grid
+    return [
+        d1(GridMeasure.from_density(grid, p1.values[n]), GridMeasure.from_density(grid, p2.values[n]))
+        for n in range(grid.nt + 1)
+    ]
+
+
+@pytest.mark.parametrize("peak", ["first", "interior", "last", "none"])
+def test_pruned_path_sup_matches_brute_force(rng, peak):
+    grid = _grid2(nx=8, nt=12)
+    cell = grid.dx**grid.dim
+    full = (slice(None), slice(None))
+    base = np.stack([_block(rng, grid, *full) for _ in range(grid.nt + 1)])
+    other = np.stack([_block(rng, grid, *full) for _ in range(grid.nt + 1)])
+    # small differences on every level, one level far apart unless there is no peak
+    share = rng.uniform(0.02, 0.1, grid.nt + 1)
+    level = {"first": 0, "interior": 5, "last": grid.nt, "none": None}[peak]
+    if level is not None:
+        share[level] = 0.9
+    mixed = (1.0 - share[:, None, None]) * base + share[:, None, None] * other
+    p1, p2 = (DensityPath.from_values(grid, v / cell) for v in (base, mixed))
+    per_level = _per_level_d1(p1, p2)
+    if level is not None:
+        assert int(np.argmax(per_level)) == level
+    assert d1_path_sup(p1, p2) == pytest.approx(max(per_level), abs=1e-12)
+
+
+def test_pruned_path_sup_solves_past_a_loose_bound():
+    # point masses moved by these node offsets: the diagonal move at level 1 has the
+    # largest bound (4 dx against 2 sqrt(2) dx), the straight one at level 2 the max
+    grid = _grid2(nx=8, nt=6)
+    shifts = [(0, 0), (2, 2), (3, 0), (1, 1), (0, 2), (2, 1), (1, 0)]
+    values = np.zeros((2, grid.nt + 1, *grid.shape))
+    for n, (i, j) in enumerate(shifts):
+        values[0, n, 2, 2] = values[1, n, 2 + i, 2 + j] = 1.0 / grid.dx**grid.dim
+    p1, p2 = (DensityPath.from_values(grid, v) for v in values)
+    cell = grid.dx**grid.dim
+    bound = wasserstein._axis_plan_bound((values[0] - values[1]) * cell, grid.dx)
+    assert int(np.argmax(bound)) == 1
+    assert max(_per_level_d1(p1, p2)) == pytest.approx(3 * grid.dx, abs=1e-12)
+    assert d1_path_sup(p1, p2) == pytest.approx(3 * grid.dx, abs=1e-12)
+
+
+def test_pruned_path_sup_identical_paths_no_solve(rng, highs_solves):
+    grid = _grid2(nx=8, nt=6)
+    cell = grid.dx**grid.dim
+    values = np.stack([_block(rng, grid, slice(None), slice(None)) for _ in range(grid.nt + 1)])
+    p = DensityPath.from_values(grid, values / cell)
+    assert d1_path_sup(p, DensityPath.from_values(grid, p.values.copy())) == 0.0
+    assert highs_solves[0] == 0
+
+
+@pytest.mark.parametrize("bad", ["negative", "mass"])
+def test_pruned_path_sup_checks_every_level(rng, bad):
+    grid = _grid2(nx=8, nt=6)
+    cell = grid.dx**grid.dim
+    full = (slice(None), slice(None))
+    values = [np.stack([_block(rng, grid, *full) for _ in range(grid.nt + 1)]) / cell
+              for _ in range(2)]
+    # level 3 is shared by both paths, so its bound is 0 and it is never solved
+    values[1][3] = values[0][3]
+    if bad == "negative":
+        values[0][3, 0, 1] += values[0][3, 0, 0] + 1e-9 / cell
+        values[0][3, 0, 0] = -1e-9 / cell  # weight -1e-9, mass unchanged
+    else:
+        values[0][3] *= 1.0 + 1e-8
+    values[1][3] = values[0][3]
+    p1, p2 = (DensityPath(grid, v, v.reshape(grid.nt + 1, -1).sum(axis=1) * cell) for v in values)
+    with pytest.raises(ValueError, match="nonnegative" if bad == "negative" else "not 1"):
+        d1_path_sup(p1, p2)
+
+
+def test_path_sup_2d_solves_few_levels(monkeypatch):
+    model = model_a(horizon=0.0625, dim=2)
+    grid = grid_for(model, nx=8, nt=64)
+    paths = [DensityPath.constant_in_time(grid, model.m0.discretize(grid))]
+    for _ in range(2):
+        image = phi_map(paths[-1], model, grid)[1]
+        paths.append(DensityPath.from_values(grid, 0.5 * paths[-1].values + 0.5 * image.values))
+    calls = [0]
+    solve = wasserstein.transport_lp_cost
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(wasserstein, "transport_lp_cost", counting)
+    assert d1_path_sup(paths[2], paths[1]) > 1e-3
+    assert 1 <= calls[0] <= 16
