@@ -52,6 +52,9 @@ from .control import (
 from .errors import ConfigError
 from .grid import TimeField, diff_backward, diff_forward
 
+# Gathered entries (levels times triples) per chunk of `three_point_check`.
+_THREE_POINT_ENTRIES = 1 << 18
+
 
 # --------------------------------------------------------------------------
 # field diagnostics
@@ -89,7 +92,9 @@ def three_point_check(u: TimeField, triples: np.ndarray, delta: float) -> float:
     """Worst ratio of the three-point inequality over triples and time levels.
 
     triples holds on-grid index triples with shape (n, 3, dim); coordinates
-    enter the denominator unrolled (index * dx).
+    enter the denominator unrolled (index * dx).  The max is reduced over
+    chunks of levels of about _THREE_POINT_ENTRIES gathered values each, so
+    the temporaries do not grow with nt.
     """
     if delta <= 0:
         raise ConfigError(f"delta must be positive, got {delta}")
@@ -107,15 +112,16 @@ def three_point_check(u: TimeField, triples: np.ndarray, delta: float) -> float:
         + np.sum((xi + yi - 2 * zi) ** 2, axis=1)
     )
     denom = delta + quart / delta
-
-    def node_index(ii):
-        return tuple(ii[:, k] for k in range(grid.dim))
-
-    ux = u.values[(slice(None),) + node_index(triples[:, 0])]
-    uy = u.values[(slice(None),) + node_index(triples[:, 1])]
-    uz = u.values[(slice(None),) + node_index(triples[:, 2])]
-    ratios = (ux + uy - 2.0 * uz) / denom[None, :]
-    return float(np.max(ratios))
+    nodes = np.ravel_multi_index(tuple(np.moveaxis(triples, -1, 0)), grid.shape)
+    ix, iy, iz = nodes[:, 0], nodes[:, 1], nodes[:, 2]
+    flat = u.values.reshape(grid.nt + 1, -1)
+    rows = max(1, _THREE_POINT_ENTRIES // max(1, len(triples)))
+    worst = -np.inf
+    for lo in range(0, grid.nt + 1, rows):
+        chunk = flat[lo : lo + rows]
+        ratios = (chunk.take(ix, axis=1) + chunk.take(iy, axis=1) - 2.0 * chunk.take(iz, axis=1)) / denom
+        worst = np.maximum(worst, np.max(ratios))
+    return float(worst)
 
 
 # --------------------------------------------------------------------------

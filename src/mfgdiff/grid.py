@@ -298,8 +298,27 @@ def interp_cells(grid: GridSpec, points: np.ndarray) -> tuple:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
+    return _corner_cells(grid, wrap_periodic(pts, grid.box_length) / grid.dx)
+
+
+def wrapped_cells(grid: GridSpec, points: np.ndarray) -> tuple:
+    """`interp_cells` of points already wrapped into [0, L], without wrapping them again.
+
+    points has shape (n, dim).  Wrapping a coordinate in [0, L) leaves it as
+    it is and turns L into 0, so the cells equal `interp_cells`' bit for bit
+    once a coordinate of exactly L is located at node 0 with factor 0.  L / dx
+    can round to either side of nx (for L = 1, above at nx = 49 and below at
+    nx = 93), so that coordinate is found by comparing it with L, not by its
+    cell index.
+    """
+    z = points / grid.dx
+    z[points == grid.box_length] = 0.0
+    return _corner_cells(grid, z)
+
+
+def _corner_cells(grid: GridSpec, z: np.ndarray) -> tuple:
+    """Cell corners of scaled coordinates z = x / dx in [0, nx], shape (n, dim); see `interp_cells`."""
     nx = grid.nx
-    z = wrap_periodic(pts, grid.box_length) / grid.dx
     lower = np.floor(z)
     frac = z - lower
     i0 = lower.astype(np.intp)

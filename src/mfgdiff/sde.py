@@ -24,24 +24,30 @@ which holds for every representation because the argmin attains the infimum.
 Constant-control runs have no such identity and read the running costs at
 the fixed control from `control.running_costs`.
 
-Three instruments are provided:
+Four instruments are provided:
 
   * `simulate_value`: E[J] under feedback (or overridden constant) controls;
   * `dpp_check`: the one-step programming identity
         u(0, x0) = E[ running cost over [0, h] + u(h, X_h) ];
+  * `value_and_dpp`: both of the above from one sweep of feedback paths,
+    the probe being a snapshot of the running costs after h / dt_mc steps
+    (the two draw the same paths from the same seed, so each estimate
+    equals its own instrument's bit for bit);
   * `modulus_check`: the trajectory modulus E[sup_{s <= h} |X_s - x0|],
     whose dyadic log-log slope sits near 1/2 for diffusion-dominated
     configurations (the sqrt(h) estimate; a drift bound M adds an M*h term,
     so the fit is only meaningful for h small against (lambda1/M)^2).
 
 Spatial fields (lap u, grad u, F, G) are interpolated multilinearly and
-frozen per PDE time level (piecewise constant in time).  Each Euler step
-locates every path's cell once (`grid.interp_cells`) and gathers all the
-fields it needs from those cells (`grid.interp_at`), with the same values
-as one `interp_periodic` call per field.  Paths are advanced in one
-vectorized batch per step, so a fixed seed reproduces estimates
-bit-for-bit; antithetic pairing mirrors the Gaussian increments of the
-second half of the batch.
+frozen per PDE time level (piecewise constant in time).  All three path
+instruments on the torus run one stepping loop (`_accumulate_costs`).
+Each Euler step wraps the positions once, after the increment; the next
+step locates every path's cell from those wrapped positions
+(`grid.wrapped_cells`) and gathers all the fields it needs from those
+cells (`grid.interp_at`), with the same values as one `interp_periodic`
+call per field.  Paths are advanced in one vectorized batch per step, so a
+fixed seed reproduces estimates bit-for-bit; antithetic pairing mirrors
+the Gaussian increments of the second half of the batch.
 """
 
 from __future__ import annotations
@@ -58,10 +64,10 @@ from .grid import (
     TimeField,
     grad_central,
     interp_at,
-    interp_cells,
     interp_periodic,
     laplacian,
     wrap_periodic,
+    wrapped_cells,
 )
 
 _GUARD_SIGMAS = 10.0
@@ -115,9 +121,12 @@ class ModulusResult:
 
 def _check_increment_guard(increments: np.ndarray, bound: float, where: str) -> None:
     """Abort when per-step increments repeatedly exceed the sanity bound."""
+    count = increments.size - int(np.count_nonzero(np.abs(increments) <= bound))
+    if not count:
+        return
+    # a NaN fails the comparison too, so finiteness needs checking only now
     if not np.all(np.isfinite(increments)):
         raise ContractError(f"non-finite path increment during {where}")
-    count = int(np.count_nonzero(np.abs(increments) > bound))
     allowed = max(10, int(1e-6 * increments.size))
     if count > allowed:
         raise ContractError(
@@ -183,38 +192,58 @@ def simulate_value(
     """Sample mean and standard error of the control cost from x0 at t = 0.
 
     With no overrides the controls are the feedback synthesis from u, so the
-    mean estimates u(0, x0).  Passing `alpha_const` / `eta_const` runs a
-    (generally suboptimal) constant control pair instead, whose mean can only
-    sit above the value.
+    mean estimates u(0, x0).  Passing both `alpha_const` and `eta_const` runs
+    a (generally suboptimal) constant control pair instead, whose mean can
+    only sit above the value; passing one of them alone is an error.
     """
     grid = u.grid
+    if (alpha_const is None) != (eta_const is None):
+        missing = "alpha_const" if alpha_const is None else "eta_const"
+        raise ConfigError(f"a constant control pair needs both controls; {missing} is missing")
     if alpha_const is not None:
         alpha_const = np.broadcast_to(np.asarray(alpha_const, dtype=float), (grid.dim,))
     _check_constant_controls(model, alpha_const, eta_const)
 
     steps = _mc_steps(grid.horizon, cfg.dt_mc, "horizon")
-    costs = _accumulate_costs(u, m, model, cfg, steps, horizon_level=grid.nt,
-                              alpha_const=alpha_const, eta_const=eta_const,
-                              add_terminal_value=False)
+    (costs,) = _accumulate_costs(u, m, model, cfg, [(steps, None)], alpha_const, eta_const)
     return _estimate(costs, cfg.antithetic)
 
 
 def dpp_check(u: TimeField, m: DensityPath, model: ModelSpec, cfg: McConfig, h: float) -> DppResult:
     """Gap in the one-step programming identity at horizon h from (0, x0)."""
-    grid = u.grid
+    (costs,) = _accumulate_costs(u, m, model, cfg, [_dpp_probe(u.grid, cfg, h)])
+    return _dpp_result(u, cfg, costs)
+
+
+def value_and_dpp(
+    u: TimeField, m: DensityPath, model: ModelSpec, cfg: McConfig, h: float
+) -> tuple[McEstimate, DppResult]:
+    """`simulate_value` and `dpp_check` at h, bit for bit, from one sweep of feedback paths.
+
+    Both instruments draw the same paths from the same seed, so the probe
+    is a snapshot of the value run's costs after h / dt_mc steps.
+    """
+    steps = _mc_steps(u.grid.horizon, cfg.dt_mc, "horizon")
+    probe = _dpp_probe(u.grid, cfg, h)
+    costs, probe_costs = _accumulate_costs(u, m, model, cfg, [(steps, None), probe])
+    return _estimate(costs, cfg.antithetic), _dpp_result(u, cfg, probe_costs)
+
+
+def _dpp_probe(grid, cfg: McConfig, h: float) -> tuple[int, int]:
+    """(MC step, PDE level) of the programming-identity probe at h, which must land on both lattices."""
     steps = _mc_steps(h, cfg.dt_mc, "h")
     level = h / grid.dt
     if abs(level - round(level)) > 1e-9:
         raise ConfigError(f"h={h} must land on a grid time level (dt={grid.dt})")
     if h > grid.horizon * (1.0 + 1e-12):
         raise ConfigError("h exceeds the horizon")
-    costs = _accumulate_costs(
-        u, m, model, cfg, steps, horizon_level=int(round(level)),
-        alpha_const=None, eta_const=None, add_terminal_value=True,
-    )
+    return steps, int(round(level))
+
+
+def _dpp_result(u: TimeField, cfg: McConfig, costs: np.ndarray) -> DppResult:
     est = _estimate(costs, cfg.antithetic)
     x0 = np.asarray(cfg.x0)[None, :]
-    ref = float(interp_periodic(u.values[0], grid, x0)[0])
+    ref = float(interp_periodic(u.values[0], u.grid, x0)[0])
     return DppResult(gap=abs(est.mean - ref), std_error=est.std_error, mc_mean=est.mean, reference=ref)
 
 
@@ -223,17 +252,17 @@ def _accumulate_costs(
     m: DensityPath,
     model: ModelSpec,
     cfg: McConfig,
-    steps: int,
-    horizon_level: int,
-    alpha_const,
-    eta_const,
-    add_terminal_value: bool,
-) -> np.ndarray:
-    """Euler paths from (0, x0) for `steps` MC steps; cost per path.
+    ends,
+    alpha_const=None,
+    eta_const=None,
+) -> list[np.ndarray]:
+    """Euler paths from (0, x0); one cost per path at each of the `ends`.
 
-    Ends at PDE level `horizon_level`, adding either the terminal payoff
-    (full horizon) or the interpolated value slice there (programming
-    identity probes).  Rejects a density on another lattice, an MC step
+    `ends` holds (MC step, PDE level) pairs.  After that many steps, the end
+    is the running cost so far plus u at that level interpolated at the path
+    (programming identity probes), or plus the terminal payoff when the
+    level is None (full horizon).  The paths run to the last end and are
+    shared by all of them.  Rejects a density on another lattice, an MC step
     longer than the grid step, an x0 of the wrong dimension, and constant
     controls on a model without running costs, all before any field work.
     The feedback stencils are computed only when the controls are feedback.
@@ -250,18 +279,28 @@ def _accumulate_costs(
     else:
         # a spec without running costs fails here, before the coupling fields
         running_costs(model, 0.0, np.asarray(cfg.x0)[None, :], alpha_const, eta_const)
-    dt, dim = cfg.dt_mc, grid.dim
+    dt, dim, length = cfg.dt_mc, grid.dim, grid.box_length
     f_path, g_slice = coupling_fields(model, grid, m.values)
     rng = np.random.default_rng(cfg.seed)
     n = cfg.num_paths
     x = np.tile(np.asarray(cfg.x0, dtype=float), (n, 1))
+    # every later step locates its cells from the positions the step before wrapped
+    wrapped = wrap_periodic(x, length)
     cost = np.zeros(n)
     sqdt = np.sqrt(dt)
     guard = _increment_bound(model, dt)
-    for j in range(steps):
+    last = max(step for step, _ in ends)
+    out = [None] * len(ends)
+    for j in range(last + 1):
+        cells = wrapped_cells(grid, wrapped)
+        for k, (step, end_level) in enumerate(ends):
+            if step == j:
+                end = g_slice if end_level is None else u.values[end_level]
+                out[k] = cost + interp_at(end, cells)
+        if j == last:
+            break
         s = j * dt
         level = min(int(s / grid.dt + 1e-9), grid.nt)
-        cells = interp_cells(grid, x)
         if alpha_const is None:
             p = interp_at(grads[level], cells)
             q = interp_at(laps[level], cells)
@@ -278,10 +317,9 @@ def _accumulate_costs(
         sigma = np.sqrt(2.0 * eta)
         inc = alpha * dt + sigma[..., None] * sqdt * _draw_increments(rng, n, dim, cfg.antithetic)
         _check_increment_guard(inc, guard, "cost simulation")
-        x = wrap_periodic(x + inc, grid.box_length)
-    end = u.values[horizon_level] if add_terminal_value else g_slice
-    cost += interp_periodic(end, grid, x)
-    return cost
+        x = wrap_periodic(x + inc, length)
+        wrapped = x
+    return out
 
 
 def modulus_check(

@@ -1,5 +1,7 @@
 """Regularity constants, three-point inequality, structural-class audit."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,48 @@ def test_three_point_shift_invariant(rng):
     a = three_point_check(TimeField(grid, vals), triples, delta=0.1)
     b = three_point_check(TimeField(grid, vals + 5.0), triples, delta=0.1)
     assert a == pytest.approx(b, abs=1e-10)
+
+
+def _three_point_full_stack(u, triples, delta):
+    """The three-point ratio over the whole level stack at once (the reference)."""
+    dx = u.grid.dx
+    xi, yi, zi = (triples[:, k].astype(float) * dx for k in range(3))
+    quart = (
+        np.sum((xi - zi) ** 2, axis=1) ** 2
+        + np.sum((yi - zi) ** 2, axis=1) ** 2
+        + np.sum((xi + yi - 2 * zi) ** 2, axis=1)
+    )
+    denom = delta + quart / delta
+    ux, uy, uz = (u.values[(slice(None),) + tuple(triples[:, k].T)] for k in range(3))
+    return float(np.max((ux + uy - 2.0 * uz) / denom[None, :]))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_three_point_chunks_match_full_stack(dim, rng):
+    nx, nt = (64, 1040) if dim == 1 else (16, 600)
+    grid = GridSpec(dim=dim, box_length=1.0, nx=nx, nt=nt, horizon=1e-4, a_max=0.5)
+    vals = rng.standard_normal((nt + 1, *grid.shape))
+    triples = random_triples(grid, 1000, rng)
+    # the worst triple sits on the last level, in the last chunk
+    vals[(nt,) + tuple(triples[0, 0])] += 100.0
+    u = TimeField(grid, vals)
+    for delta in (grid.dx, 0.3):
+        got = three_point_check(u, triples, delta=delta)
+        assert float.hex(got) == float.hex(_three_point_full_stack(u, triples, delta))
+
+
+def test_three_point_traced_peak_bounded(rng):
+    # 64 x 4160 with 1000 triples: the full stacks took about 159 MB
+    grid = GridSpec(dim=1, box_length=1.0, nx=64, nt=4160, horizon=0.25, a_max=0.5)
+    u = TimeField(grid, rng.standard_normal((grid.nt + 1, grid.nx)))
+    triples = random_triples(grid, 1000, rng)
+    tracemalloc.start()
+    try:
+        three_point_check(u, triples, delta=grid.dx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_three_point_rejects_bad_delta(rng):

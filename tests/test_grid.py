@@ -13,6 +13,7 @@ from mfgdiff.grid import (
     interp_periodic,
     laplacian,
     wrap_periodic,
+    wrapped_cells,
 )
 
 
@@ -119,3 +120,30 @@ def test_interp_matches_mod_reference(dim, rng):
         assert got.shape == (pts.shape[0], 2)
         assert np.array_equal(got[:, 0], ref)
         assert np.array_equal(got[:, 1], _mod_reference(2.0 * values, grid, pts))
+
+
+def _same_cells(got, ref):
+    assert len(got) == len(ref)
+    for (g_index, g_factors), (r_index, r_factors) in zip(got, ref):
+        assert np.array_equal(g_index, r_index)
+        assert len(g_factors) == len(r_factors)
+        for g, r in zip(g_factors, r_factors):
+            assert np.array_equal(g.view(np.int64), r.view(np.int64))  # sign of zero included
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("nx", [49, 64, 93])
+def test_wrapped_cells_match_interp_cells(nx, dim, rng):
+    # L / dx rounds above nx at nx = 49, below it at nx = 93, and equals it at 64
+    grid = GridSpec(dim=dim, box_length=1.0, nx=nx, nt=4, horizon=1e-6, a_max=0.5)
+    seam = wrap_periodic(_seam_points(1.0), 1.0)
+    pts = wrap_periodic(rng.uniform(-3.0, 3.0, (2000, dim)), 1.0)
+    pts[: seam.size, 0] = seam
+    pts[seam.size : 2 * seam.size, -1] = seam
+    assert np.any(pts == 1.0)
+    _same_cells(wrapped_cells(grid, pts), interp_cells(grid, pts))
+    # a position of exactly L sits at node 0 with factor 0 toward node 1
+    at_length = np.ones((1, dim))
+    (i0, f0), (i1, f1) = wrapped_cells(grid, at_length)[:2]
+    assert i0[0] == 0 and i1[0] == (1 if dim == 1 else nx) and f1[0] == 0.0
+    _same_cells(wrapped_cells(grid, at_length), interp_cells(grid, at_length))

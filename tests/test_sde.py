@@ -14,6 +14,7 @@ from mfgdiff.sde import (
     dpp_check,
     modulus_check,
     simulate_value,
+    value_and_dpp,
 )
 
 from conftest import heat_solution
@@ -262,3 +263,88 @@ def test_estimates_match_recorded_bits(heat_setup):
     d = dpp_check(u2, d2, m2, McConfig(num_paths=1000, dt_mc=g2.dt, seed=46, x0=(0.03, 0.98)), h=g2.horizon / 2)
     got["dpp_2d"] = (d.mc_mean, d.std_error)
     assert {k: tuple(float.hex(v) for v in pair) for k, pair in got.items()} == _RECORDED_BITS
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_increment_guard_rejects_infinite(value):
+    inc = np.full((100, 1), 0.01)
+    inc[7] = value
+    with pytest.raises(ContractError, match="non-finite path increment during test"):
+        _check_increment_guard(inc, bound=0.1, where="test")
+
+
+def test_increment_guard_allows_exactly_allowed():
+    inc = np.full((100, 1), 0.1)  # at the bound is not beyond it
+    _check_increment_guard(inc, bound=0.1, where="test")
+    allowed = 10  # max(10, 1e-6 * size) for a small batch
+    inc[:allowed] = -5.0
+    _check_increment_guard(inc, bound=0.1, where="test")
+    inc[allowed] = 5.0
+    with pytest.raises(ContractError, match=f"11 path increments exceeded .* \\(allowed {allowed}\\)"):
+        _check_increment_guard(inc, bound=0.1, where="test")
+
+
+@pytest.mark.parametrize("given, missing", [({"eta_const": 2.0}, "alpha_const"), ({"alpha_const": 0.5}, "eta_const")])
+def test_half_given_constant_controls_rejected(given, missing, monkeypatch):
+    ma = model_a(horizon=0.01)
+    grid = grid_for(ma, nx=16, nt=64)
+    m = DensityPath.constant_in_time(grid, ma.m0.discretize(grid))
+    cfg = McConfig(num_paths=200, dt_mc=grid.dt, seed=0, x0=(0.5,))
+    # rejected before any field work
+    monkeypatch.setattr(sde, "_feedback_fields", _refuse)
+    monkeypatch.setattr(sde, "coupling_fields", _refuse)
+    with pytest.raises(ConfigError, match=f"{missing} is missing"):
+        simulate_value(TimeField.zeros(grid), m, ma, cfg, **given)
+
+
+@pytest.fixture(scope="module")
+def corner_2d_setup():
+    """2D model A with its fields, for paths started next to a corner of the box."""
+    m2 = model_a(horizon=0.01, dim=2)
+    g2 = grid_for(m2, nx=16, nt=40)
+    gamma = DensityPath.constant_in_time(g2, m2.m0.discretize(g2))
+    u2 = solve_hjb(m2, *coupling_fields(m2, g2, gamma.values), g2)
+    d2 = solve_fp(build_transport_operator(u2, m2), m2.m0.discretize(g2))
+    return m2, g2, u2, d2
+
+
+def _hex_fields(result):
+    return {k: float.hex(float(v)) for k, v in vars(result).items()}
+
+
+@pytest.mark.parametrize("case", ["plain", "antithetic", "h_is_horizon", "corner_2d"])
+def test_sweep_matches_separate_instruments(case, heat_setup, request):
+    if case == "corner_2d":
+        # started at (0.03, 0.98), so paths cross both seams
+        model, grid, u, m = request.getfixturevalue("corner_2d_setup")
+        cfg = McConfig(num_paths=400, dt_mc=grid.dt, seed=47, x0=(0.03, 0.98))
+        h = grid.horizon / 2
+    else:
+        model, grid, u, m = heat_setup
+        cfg = _cfg(grid, n=400, seed=48, antithetic=case == "antithetic")
+        h = grid.horizon if case == "h_is_horizon" else grid.horizon / 8
+    est, dpp = value_and_dpp(u, m, model, cfg, h)
+    assert _hex_fields(est) == _hex_fields(simulate_value(u, m, model, cfg))
+    assert _hex_fields(dpp) == _hex_fields(dpp_check(u, m, model, cfg, h))
+
+
+_EARLY_FAILURES = {
+    # (dt_mc / grid dt, x0, h / grid dt, message); the heat grid has 2048 steps
+    "dt_mc": (2.0, (0.2,), 8.0, "exceeds the grid step"),
+    "x0": (1.0, (0.2, 0.3), 8.0, "x0 needs 1 coordinates"),
+    "h_multiple": (1.0, (0.2,), 2.5, "positive multiple of dt_mc"),
+    "h_level": (0.5, (0.2,), 2.5, "grid time level"),
+    "h_horizon": (1.0, (0.2,), 4096.0, "exceeds the horizon"),
+}
+
+
+@pytest.mark.parametrize("instrument", [value_and_dpp, dpp_check], ids=["sweep", "dpp"])
+@pytest.mark.parametrize("case", sorted(_EARLY_FAILURES))
+def test_config_errors_before_field_work(heat_setup, monkeypatch, instrument, case):
+    sc, grid, u, m = heat_setup
+    dt_steps, x0, h_steps, message = _EARLY_FAILURES[case]
+    cfg = McConfig(num_paths=200, dt_mc=dt_steps * grid.dt, seed=0, x0=x0)
+    monkeypatch.setattr(sde, "_feedback_fields", _refuse)
+    monkeypatch.setattr(sde, "coupling_fields", _refuse)
+    with pytest.raises(ConfigError, match=message):
+        instrument(u, m, sc, cfg, h_steps * grid.dt)
