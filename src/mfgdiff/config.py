@@ -1,9 +1,11 @@
 """Strict YAML configuration for runnable experiments.
 
 A run document has five sections: model, grid, mc, fixed_point and output.
-Unknown keys are rejected by name, every component invariant is re-validated
-at load time, and every default the loader fills in is echoed through the
-run log, so two identical documents always describe identical runs.
+Unknown keys are rejected by name, and so is any float that is not finite
+(YAML .nan or .inf, named by its dotted key); every component invariant is
+re-validated at load time, and every default the loader fills in is echoed
+through the run log, so two identical documents always describe identical
+runs.
 
 The model section covers the closed-form quadratic record and declaratively
 tabulated control grids with zero/quadratic running costs; Hamiltonians that
@@ -13,6 +15,7 @@ need arbitrary callables are constructed in code, not from documents.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -76,6 +79,23 @@ def _take(section: dict, name: str, keys: set[str], required: set[str] | None = 
     if missing:
         raise ConfigError(f"missing required keys in {name!r}: {sorted(missing)}")
     return section
+
+
+def _reject_nonfinite(node, name: str) -> None:
+    """Raise ConfigError naming the dotted key of a float in `node` that is not finite.
+
+    A NaN passes comparisons such as `tol <= 0` unnoticed and an infinity
+    overflows far from the document, so both are refused before any field
+    work.  List entries are named by index, e.g. mc.x0[0].
+    """
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _reject_nonfinite(value, f"{name}.{key}" if name else str(key))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            _reject_nonfinite(value, f"{name}[{i}]")
+    elif isinstance(node, float) and not math.isfinite(node):
+        raise ConfigError(f"{name} is {node}; every number must be finite")
 
 
 def _echo_default(name: str, value):
@@ -197,6 +217,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config parse error in {p}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a mapping")
+    _reject_nonfinite(doc, "")
     doc = _take(doc, "<root>", {"model", "grid", "mc", "fixed_point", "output",
                                 "quadrature_order", "debug"},
                 required={"model", "grid"})

@@ -28,9 +28,9 @@ numpy's roll, or of two slices and a concatenate, on the small slices the
 explicit marches step through.
 
 Passes over a level stack that are not a march (the scheme residual, the
-transport-operator build) walk it in chunks of consecutive levels
-(`GridSpec.level_chunks`), which bounds their temporaries by a fixed node
-count instead of by the whole stack.  The marches check their levels once
+transport-operator build, the linearization) walk it in chunks of
+consecutive levels (`GridSpec.level_chunks`), which bounds their
+temporaries by a fixed node count instead of by the whole stack.  The marches check their levels once
 per chunk.
 """
 
@@ -79,9 +79,10 @@ class GridSpec:
             raise StabilityError(f"nt must be >= 1, got {self.nt}")
         if not (self.box_length > 0 and self.horizon > 0):
             raise StabilityError("box_length and horizon must be positive")
-        if self.a_max <= 0:
+        # written so that a NaN fails them too
+        if not self.a_max > 0:
             raise StabilityError(f"a_max must be positive, got {self.a_max}")
-        if self.theta_lf < 0:
+        if not self.theta_lf >= 0:
             raise StabilityError(f"theta_lf must be nonnegative, got {self.theta_lf}")
         # Allow a hair of slack so dt == bound passes despite rounding.
         if self.dt > self.cfl_bound() * (1.0 + 1e-12):
@@ -278,7 +279,18 @@ def wrap_periodic(x: np.ndarray, length: float) -> np.ndarray:
     exactly `length`, as it does there.  Adding 0.0 turns the -0.0 that fmod
     leaves on a nonpositive multiple of `length` into np.mod's +0.0.  About
     half the cost of np.mod, which also computes the quotient.
+
+    When every coordinate lies in [-length, 2 length), as after one Euler
+    step from the box, fmod is skipped: subtracting `length` from those
+    >= length is exact (Sterbenz), so it equals fmod there, and adding
+    `length` to those < 0 rounds as above.  A NaN fails the range check and
+    takes the fmod path.
     """
+    if x.size and -length <= x.min() and x.max() < 2.0 * length:
+        r = x.copy()
+        r[r >= length] -= length
+        r[r < 0] += length
+        return r + 0.0
     r = np.fmod(x, length)
     r[r < 0] += length
     return r + 0.0

@@ -60,8 +60,9 @@ The module also provides:
     exactly by the fundamental theorem of calculus.  The segment means are
     owned by `control` (`h2_segment_mean`, `h1_segment_mean`): closed form
     for the quadratic records, Gauss-Legendre quadrature on [0, 1]
-    otherwise.  Like the transport coefficients, they are one stencil call
-    and one Hamiltonian call over the whole stack of time levels.
+    otherwise.  Like the residual, they and the identity gap walk the level
+    stack in chunks (one stencil call and one Hamiltonian call per chunk),
+    so their temporaries are bounded by the chunk, not by the stack.
 """
 
 from __future__ import annotations
@@ -337,13 +338,12 @@ class LinearizedCoefficients:
     c: TimeField
 
 
-def _stack_derivatives(u: TimeField):
-    """(t, x, Lap_h u, Dc u) over all levels; t has shape (nt+1, 1, ..., 1)."""
+def _chunk_derivatives(u: TimeField, levels: slice):
+    """(t, Lap_h u, Dc u) on a run of levels; t has shape (c, 1, ..., 1)."""
     grid = u.grid
-    t = grid.times().reshape((-1,) + (1,) * grid.dim)
-    lap = laplacian(u.values, grid.dx, grid.dim)
-    grad = grad_central(u.values, grid.dx, grid.dim)
-    return t, grid.coords(), lap, grad
+    t = grid.times()[levels].reshape((-1,) + (1,) * grid.dim)
+    lap, grad = laplacian_gradient(u.values[levels], grid.dx, grid.dim)
+    return t, lap, grad
 
 
 def linearize(u: TimeField, model: ModelSpec, order: int = 16) -> LinearizedCoefficients:
@@ -355,13 +355,23 @@ def linearize(u: TimeField, model: ModelSpec, order: int = 16) -> LinearizedCoef
         V * Lap_h u + Z . Dc u + c = H2(t, x, Lap_h u) + H1(t, x, Dc u)
 
     holds at every node: exactly for closed-form Hamiltonians (closed-form
-    segment means), within quadrature tolerance otherwise.
+    segment means), within quadrature tolerance otherwise.  The fields are
+    filled chunk by chunk over the levels (`GridSpec.level_chunks`); every
+    operation is per node, so they equal a whole-stack evaluation bit for
+    bit while the temporaries stay bounded by the chunk.
     """
     grid = u.grid
-    t, x, lap, grad = _stack_derivatives(u)
-    v_vals = h2_segment_mean(model, t, x, lap, order)
-    z_vals = h1_segment_mean(model, t, x, grad, order)
-    c_vals = h2_value(model, t, x, np.zeros_like(lap)) + h1_value(model, t, x, np.zeros_like(grad))
+    x = grid.coords()
+    v_vals = np.empty_like(u.values)
+    z_vals = np.empty(u.values.shape + (grid.dim,))
+    c_vals = np.empty_like(u.values)
+    for levels in grid.level_chunks():
+        t, lap, grad = _chunk_derivatives(u, levels)
+        v_vals[levels] = h2_segment_mean(model, t, x, lap, order)
+        z_vals[levels] = h1_segment_mean(model, t, x, grad, order)
+        c_vals[levels] = h2_value(model, t, x, np.zeros_like(lap)) + h1_value(
+            model, t, x, np.zeros_like(grad)
+        )
     lo, hi = model.bounds.a_min, model.bounds.a_max
     if v_vals.min() < lo - _A_TOL or v_vals.max() > hi + _A_TOL:
         raise ContractError(
@@ -374,8 +384,18 @@ def linearize(u: TimeField, model: ModelSpec, order: int = 16) -> LinearizedCoef
 
 
 def linearization_identity_gap(u: TimeField, model: ModelSpec, coeffs: LinearizedCoefficients) -> float:
-    """Sup-norm gap of V*Lap u + Z.Du + c against H2 + H1 over all nodes."""
-    t, x, lap, grad = _stack_derivatives(u)
-    lhs = coeffs.v.values * lap + np.sum(coeffs.z * grad, axis=-1) + coeffs.c.values
-    rhs = h2_value(model, t, x, lap) + h1_value(model, t, x, grad)
-    return float(np.max(np.abs(lhs - rhs)))
+    """Sup-norm gap of V*Lap u + Z.Du + c against H2 + H1 over all nodes, chunk by chunk."""
+    grid = u.grid
+    x = grid.coords()
+    gap = np.float64(-np.inf)
+    for levels in grid.level_chunks():
+        t, lap, grad = _chunk_derivatives(u, levels)
+        lhs = (
+            coeffs.v.values[levels] * lap
+            + np.sum(coeffs.z[levels] * grad, axis=-1)
+            + coeffs.c.values[levels]
+        )
+        rhs = h2_value(model, t, x, lap) + h1_value(model, t, x, grad)
+        # np.maximum keeps a NaN, as a max over the whole stack would
+        gap = np.maximum(gap, np.max(np.abs(lhs - rhs)))
+    return float(gap)

@@ -55,6 +55,12 @@ relative 1e-9 for the LP's tolerance, is at most the largest value
 solved; identical paths return exactly 0.0 without an LP.  On the Picard
 iterates of 2D model A at 8x8x64 about one level in seven is solved.
 
+SciPy (HiGHS through `scipy.optimize.linprog`, and `scipy.sparse` for the
+constraint matrix) is imported at the first LP a process solves, not when
+this module loads.  Only the 2D distance needs it, and the import costs
+about half a second and some 40 MB of resident memory, which every 1D run
+and every CLI start would otherwise pay for nothing.
+
 `holder_half_diagnostic` fits the exponent of d1(m(0), m(tau)) against tau
 over dyadic separations tau = T/2^k, k = 1..5; a diffusion-dominated path
 shows an exponent near 1/2 with a finite sup of d1 / sqrt(tau).
@@ -65,8 +71,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .errors import ConfigError
 from .fp import DensityPath
@@ -244,6 +248,13 @@ def _coarsen(grid: GridSpec, weights: np.ndarray) -> tuple[GridSpec, np.ndarray]
     return coarse, wc
 
 
+def linprog(*args, **kwargs):
+    """`scipy.optimize.linprog`, imported on the first call (see the module docstring)."""
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
+
+
 def transport_lp_cost(
     points: np.ndarray, w1: np.ndarray, w2: np.ndarray, bases: dict | None = None
 ) -> float:
@@ -292,6 +303,8 @@ def transport_lp_cost(
         certified = _certified_tree_cost(cost, a, b, bases[key])
         if certified is not None:
             return certified * moved
+    from scipy import sparse
+
     ns, nd = len(src), len(dst)
     nvar = ns * nd
     # row i sums variable block i (sources); row ns + j every nd-th variable from j (sinks)

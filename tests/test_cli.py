@@ -439,6 +439,27 @@ def test_bad_config_exit2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "key, value, named",
+    [
+        ("grid.theta_lf", float("nan"), "grid.theta_lf"),
+        ("mc.dt_mc", float("nan"), "mc.dt_mc"),
+        ("model.horizon", float("inf"), "model.horizon"),
+        ("model.terminal.base.amplitude", float("nan"), "model.terminal.base.amplitude"),
+        ("model.m0.width", float("nan"), "model.m0.width"),
+        ("mc.x0", [float("nan")], "mc.x0[0]"),
+        ("model.discount", float("nan"), "model.discount"),
+        ("fixed_point.tol", float("nan"), "fixed_point.tol"),
+    ],
+)
+def test_nonfinite_number_exit2_names_key(tmp_path, caplog, key, value, named):
+    path = _minimal_doc(tmp_path, **{key: value})
+    assert main(["solve-hjb", "--config", str(path), "--quiet"]) == 2
+    errors = [rec.getMessage() for rec in caplog.records if rec.levelname == "ERROR"]
+    assert any(f"{named} is " in msg and "must be finite" in msg for msg in errors), errors
+    assert not (tmp_path / "out").exists()  # refused before any field work
+
+
 def test_seed_override(tmp_path):
     path = _minimal_doc(tmp_path)
     cfg = load_config(path)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mfgdiff.errors import StabilityError
 from mfgdiff.grid import (
     GridSpec,
     diff_backward,
@@ -73,6 +74,14 @@ def _seam_points(length):
     )
 
 
+@pytest.mark.parametrize("field", ["theta_lf", "a_max"])
+def test_gridspec_rejects_nan_stability_data(field):
+    spec = dict(dim=1, box_length=1.0, nx=8, nt=4, horizon=1e-3, a_max=0.5, theta_lf=1.0)
+    spec[field] = float("nan")
+    with pytest.raises(StabilityError, match=f"{field} must be"):
+        GridSpec(**spec)
+
+
 def test_wrap_periodic_matches_np_mod(rng):
     for length in _BOX_LENGTHS:
         x = np.concatenate([rng.uniform(-5 * length, 5 * length, 10_000), _seam_points(length)])
@@ -80,6 +89,23 @@ def test_wrap_periodic_matches_np_mod(rng):
         got = wrap_periodic(x, length)
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))  # sign of zero included
     assert wrap_periodic(np.array([-1e-17]), 1.0)[0] == 1.0  # rounds up to L, as np.mod does
+
+
+def test_wrap_periodic_in_range_matches_np_mod(rng):
+    # every coordinate in [-L, 2L) takes the subtract/add path; one outside it sends
+    # the whole array through fmod, so both paths are compared on the same values
+    for length in _BOX_LENGTHS:
+        x = np.concatenate([
+            [-length, -0.0, -5e-324, -1e-17, length,
+             np.nextafter(length, 0), np.nextafter(2 * length, 0)],
+            rng.uniform(-length, 2 * length, 10_000),
+        ])
+        ref = np.mod(x, length).view(np.int64)
+        in_range = wrap_periodic(x, length)
+        via_fmod = wrap_periodic(np.append(x, 2 * length), length)[:-1]
+        assert np.array_equal(in_range.view(np.int64), ref)
+        assert np.array_equal(via_fmod.view(np.int64), ref)
+    assert np.isnan(wrap_periodic(np.array([0.5, np.nan]), 1.0)[1])
 
 
 def _mod_reference(slice_values, grid, pts):

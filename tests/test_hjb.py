@@ -1,12 +1,15 @@
 """Backward solver: exactness, convergence, monotonicity, transform, linearization."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mfgdiff import ContractError, StabilityError, model_a, single_control_model
-from mfgdiff.grid import GridSpec, TimeField
+from mfgdiff import ContractError, StabilityError, model_a, mollify_model, single_control_model
+from mfgdiff import grid as grid_module
+from mfgdiff.control import h1_segment_mean, h1_value, h2_segment_mean, h2_value
+from mfgdiff.grid import GridSpec, TimeField, grad_central, laplacian
 from mfgdiff.hjb import (
     _step_bracket,
     grid_for,
@@ -314,6 +317,67 @@ def test_linearize_single_control_constant_v(rng):
     lin = linearize(u, sc)
     assert np.allclose(lin.v.values, 1.0, atol=1e-13)
     assert linearization_identity_gap(u, sc, lin) <= 1e-10
+
+
+def _whole_stack_linearization(u, model, order=16):
+    """V, Z, c and the identity gap evaluated over the whole level stack at once."""
+    grid = u.grid
+    t = grid.times().reshape((-1,) + (1,) * grid.dim)
+    x = grid.coords()
+    lap = laplacian(u.values, grid.dx, grid.dim)
+    grad = grad_central(u.values, grid.dx, grid.dim)
+    v = h2_segment_mean(model, t, x, lap, order)
+    z = h1_segment_mean(model, t, x, grad, order)
+    c = h2_value(model, t, x, np.zeros_like(lap)) + h1_value(model, t, x, np.zeros_like(grad))
+    lhs = v * lap + np.sum(z * grad, axis=-1) + c
+    gap = float(np.max(np.abs(lhs - (h2_value(model, t, x, lap) + h1_value(model, t, x, grad)))))
+    return v, z, c, gap
+
+
+@pytest.mark.parametrize("case", ["model_a_1d", "model_a_2d", "single_control", "mollified_a"])
+def test_chunked_linearization_matches_whole_stack(case, rng, monkeypatch):
+    # 150-node chunks: several per field, the last one partial, on cheap grids
+    monkeypatch.setattr(grid_module, "_CHUNK_NODES", 150)
+    model, nx, nt = {
+        "model_a_1d": (model_a(horizon=0.05), 16, 64),
+        "model_a_2d": (model_a(horizon=0.0625, dim=2), 8, 64),
+        "single_control": (single_control_model(nu=1.0, horizon=0.02), 16, 64),
+        "mollified_a": (mollify_model(model_a(horizon=0.01), 0.05), 8, 20),
+    }[case]
+    grid = grid_for(model, nx=nx, nt=nt)
+    sizes = [len(range(grid.nt + 1)[chunk]) for chunk in grid.level_chunks()]
+    assert len(sizes) > 1 and sizes[-1] < sizes[0]
+    u = solve_hjb(model, TimeField.zeros(grid), random_smooth_slice(grid, rng, amplitude=2.0), grid)
+    lin = linearize(u, model, order=8)
+    v, z, c, gap = _whole_stack_linearization(u, model, order=8)
+    assert np.array_equal(lin.v.values, v)
+    assert np.array_equal(lin.z, z)
+    assert np.array_equal(lin.c.values, c)
+    assert linearization_identity_gap(u, model, lin) == gap
+
+
+def test_linearization_memory_bounded_by_chunks():
+    # model A at 64x4160, the diagnose run of the reference document
+    model = model_a(horizon=0.25)
+    grid = grid_for(model, nx=64, nt=4160)
+    x = grid.coords()[..., 0]
+    t = grid.times()[:, None]
+    # the phase keeps every node off the zeros of the Laplacian, where the closed-form
+    # segment mean of H2_q cancels catastrophically and can leave [a_min, a_max]
+    u = TimeField(grid, np.cos(2 * np.pi * x + 0.3) * (1.0 + t))
+    tracemalloc.start()
+    try:
+        lin = linearize(u, model)
+        _, lin_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        linearization_identity_gap(u, model, lin)
+        _, gap_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stack = u.values.nbytes  # 2.1 MB; V, Z and c alone are three of them
+    assert lin_peak < 10e6 and lin_peak < 5 * stack
+    assert gap_peak - base < 2e6
 
 
 def test_discount_underflow_rejected_before_marching(ma):
