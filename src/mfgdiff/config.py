@@ -1,11 +1,11 @@
 """Strict YAML configuration for runnable experiments.
 
 A run document has five sections: model, grid, mc, fixed_point and output.
-Unknown keys are rejected by name, and so is any float that is not finite
-(YAML .nan or .inf, named by its dotted key); every component invariant is
-re-validated at load time, and every default the loader fills in is echoed
-through the run log, so two identical documents always describe identical
-runs.
+Unknown keys are rejected by name, and so is any number that is not finite
+(YAML .nan or .inf, or a quoted "nan" or "inf" on a real-valued key, named
+by its dotted key); every component invariant is re-validated at load time,
+and every default the loader fills in is echoed through the run log, so two
+identical documents always describe identical runs.
 
 The model section covers the closed-form quadratic record and declaratively
 tabulated control grids with zero/quadratic running costs; Hamiltonians that
@@ -98,6 +98,26 @@ def _reject_nonfinite(node, name: str) -> None:
         raise ConfigError(f"{name} is {node}; every number must be finite")
 
 
+def _real(value, name: str):
+    """`value` as a finite float, or a list of them for a list, else a ConfigError naming the key.
+
+    Every real-valued key is coerced here.  YAML reads a quoted number such as
+    "1e-3" or "nan" as a string, which float() accepts, so the finiteness
+    check follows the coercion; `_reject_nonfinite` cannot make it on the
+    document, where a string key such as output.directory may read "nan".
+    List entries are named by index, e.g. mc.x0[0].
+    """
+    if isinstance(value, list):
+        return [_real(entry, f"{name}[{i}]") for i, entry in enumerate(value)]
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} is {value!r}; every number must be finite")
+    return number
+
+
 def _echo_default(name: str, value):
     log.info("config default applied: %s = %r", name, value)
     return value
@@ -123,8 +143,8 @@ def _parse_lagrangian(desc: dict, name: str, is_drift: bool):
     if kind == "zero":
         return lambda t, x, control: node_zeros(t, x)
     if kind == "quadratic":
-        w = float(_opt(desc, f"{name}.weight", 1.0))
-        v = float(_opt(desc, f"{name}.vertex", 0.0))
+        w = _real(_opt(desc, f"{name}.weight", 1.0), f"{name}.weight")
+        v = _real(_opt(desc, f"{name}.vertex", 0.0), f"{name}.vertex")
         if is_drift:
             return lambda t, x, a: w * float(np.sum((np.asarray(a, dtype=float) - v) ** 2)) + node_zeros(t, x)
         return lambda t, x, e: w * (np.asarray(e, dtype=float) - v) ** 2 + node_zeros(t, x)
@@ -133,8 +153,10 @@ def _parse_lagrangian(desc: dict, name: str, is_drift: bool):
 
 def _parse_coupling(desc: dict, name: str) -> KernelCoupling:
     desc = _take(desc, name, {"eps", "gain"})
-    eps = float(_opt(desc, f"{name}.eps", 0.1))
-    return KernelCoupling(eps=eps, gain=float(_opt(desc, f"{name}.gain", 0.0)))
+    return KernelCoupling(
+        eps=_real(_opt(desc, f"{name}.eps", 0.1), f"{name}.eps"),
+        gain=_real(_opt(desc, f"{name}.gain", 0.0), f"{name}.gain"),
+    )
 
 
 def _parse_model(section: dict) -> ModelSpec:
@@ -147,9 +169,11 @@ def _parse_model(section: dict) -> ModelSpec:
     b = _take(section["bounds"], "model.bounds", {"lambda1", "lambda2", "drift_bound"},
               required={"lambda1", "lambda2"})
     bounds = ControlBounds(
-        lambda1=float(b["lambda1"]),
-        lambda2=float(b["lambda2"]),
-        drift_bound=float(_opt(b, "model.bounds.drift_bound", ControlBounds.drift_bound)),
+        lambda1=_real(b["lambda1"], "model.bounds.lambda1"),
+        lambda2=_real(b["lambda2"], "model.bounds.lambda2"),
+        drift_bound=_real(
+            _opt(b, "model.bounds.drift_bound", ControlBounds.drift_bound), "model.bounds.drift_bound"
+        ),
     )
     h = section["hamiltonians"]
     _take(h, "model.hamiltonians",
@@ -159,7 +183,8 @@ def _parse_model(section: dict) -> ModelSpec:
     dim = int(_opt(h, "model.hamiltonians.dim", HamiltonianSpec.dim))
     if h["kind"] == "closed-form":
         coeffs = {
-            f.name: float(_opt(h, f"model.hamiltonians.{f.name}", f.default))
+            f.name: _real(_opt(h, f"model.hamiltonians.{f.name}", f.default),
+                          f"model.hamiltonians.{f.name}")
             for f in fields(ClosedFormCoefficients)
         }
         ham = HamiltonianSpec(kind="closed-form", dim=dim, closed_form=ClosedFormCoefficients(**coeffs))
@@ -169,8 +194,12 @@ def _parse_model(section: dict) -> ModelSpec:
         ham = HamiltonianSpec(
             kind="tabulated",
             dim=dim,
-            control_grid_u=np.atleast_2d(np.asarray(h["control_grid_u"], dtype=float)),
-            control_grid_eta=np.asarray(h["control_grid_eta"], dtype=float),
+            control_grid_u=np.atleast_2d(
+                _real(h["control_grid_u"], "model.hamiltonians.control_grid_u")
+            ),
+            control_grid_eta=np.asarray(
+                _real(h["control_grid_eta"], "model.hamiltonians.control_grid_eta")
+            ),
             lagrangian_l1=_parse_lagrangian(h.get("l1", {}), "model.hamiltonians.l1", True),
             lagrangian_l3=_parse_lagrangian(h.get("l3", {}), "model.hamiltonians.l3", False),
         )
@@ -181,19 +210,21 @@ def _parse_model(section: dict) -> ModelSpec:
     base_desc = _take(term.get("base", {}), "model.terminal.base", {"kind", "value", "amplitude"})
     base = TerminalBase(
         kind=_opt(base_desc, "model.terminal.base.kind", TerminalBase.kind),
-        value=float(_opt(base_desc, "model.terminal.base.value", TerminalBase.value)),
-        amplitude=float(_opt(base_desc, "model.terminal.base.amplitude", TerminalBase.amplitude)),
+        value=_real(_opt(base_desc, "model.terminal.base.value", TerminalBase.value),
+                    "model.terminal.base.value"),
+        amplitude=_real(_opt(base_desc, "model.terminal.base.amplitude", TerminalBase.amplitude),
+                        "model.terminal.base.amplitude"),
     )
     coupling_g = _parse_coupling(term.get("coupling", {}), "model.terminal.coupling")
 
     m0d = _take(section.get("m0", {}), "model.m0", {"kind", "center", "width"})
     center = _opt(m0d, "model.m0.center", [0.5] * dim)
-    if isinstance(center, (int, float)):
+    if not isinstance(center, list):
         center = [center]
     m0 = DensityInit(
         kind=_opt(m0d, "model.m0.kind", DensityInit.kind),
-        center=tuple(float(c) for c in center),
-        width=float(_opt(m0d, "model.m0.width", DensityInit.width)),
+        center=tuple(_real(center, "model.m0.center")),
+        width=_real(_opt(m0d, "model.m0.width", DensityInit.width), "model.m0.width"),
     )
     return ModelSpec(
         bounds=bounds,
@@ -201,8 +232,8 @@ def _parse_model(section: dict) -> ModelSpec:
         coupling_f=_parse_coupling(section.get("coupling_f", {}), "model.coupling_f"),
         terminal=TerminalSpec(base=base, coupling=coupling_g),
         m0=m0,
-        horizon=float(section["horizon"]),
-        discount=float(_opt(section, "model.discount", ModelSpec.discount)),
+        horizon=_real(section["horizon"], "model.horizon"),
+        discount=_real(_opt(section, "model.discount", ModelSpec.discount), "model.discount"),
     )
 
 
@@ -232,12 +263,12 @@ def load_config(path) -> RunConfig:
     try:
         grid = GridSpec(
             dim=int(_opt(g, "grid.dim", model.dim)),
-            box_length=float(_opt(g, "grid.box_length", 1.0)),
+            box_length=_real(_opt(g, "grid.box_length", 1.0), "grid.box_length"),
             nx=int(g["nx"]),
             nt=int(g["nt"]),
             horizon=model.horizon,
             a_max=model.bounds.a_max,
-            theta_lf=float(theta),
+            theta_lf=_real(theta, "grid.theta_lf"),
         )
     except StabilityError as exc:
         raise ConfigError(f"grid: {exc}") from exc
@@ -246,20 +277,20 @@ def load_config(path) -> RunConfig:
 
     mc_sec = _take(doc.get("mc", {}), "mc", {"num_paths", "dt_mc", "seed", "x0", "antithetic"})
     x0 = _opt(mc_sec, "mc.x0", [0.5 * grid.box_length] * grid.dim)
-    if isinstance(x0, (int, float)):
+    if not isinstance(x0, list):
         x0 = [x0]
     mc = McConfig(
         num_paths=int(_opt(mc_sec, "mc.num_paths", 10000)),
-        dt_mc=float(_opt(mc_sec, "mc.dt_mc", grid.dt)),
+        dt_mc=_real(_opt(mc_sec, "mc.dt_mc", grid.dt), "mc.dt_mc"),
         seed=int(_opt(mc_sec, "mc.seed", 0)),
-        x0=tuple(float(c) for c in x0),
+        x0=tuple(_real(x0, "mc.x0")),
         antithetic=bool(_opt(mc_sec, "mc.antithetic", McConfig.antithetic)),
     )
 
     fp_sec = _take(doc.get("fixed_point", {}), "fixed_point", {"theta", "tol", "max_iter"})
     fixed_point = FixedPointConfig(
-        theta=float(_opt(fp_sec, "fixed_point.theta", FixedPointConfig.theta)),
-        tol=float(_opt(fp_sec, "fixed_point.tol", FixedPointConfig.tol)),
+        theta=_real(_opt(fp_sec, "fixed_point.theta", FixedPointConfig.theta), "fixed_point.theta"),
+        tol=_real(_opt(fp_sec, "fixed_point.tol", FixedPointConfig.tol), "fixed_point.tol"),
         max_iter=int(_opt(fp_sec, "fixed_point.max_iter", FixedPointConfig.max_iter)),
     )
 

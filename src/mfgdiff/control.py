@@ -383,16 +383,23 @@ def _clamp_antiderivative(r: np.ndarray, lo: float, hi: float) -> np.ndarray:
 def _mean_clamped_linear(a, b, lo: float, hi: float) -> np.ndarray:
     """Exact mean over s in [0,1] of clamp(a - b s, lo, hi), vectorized.
 
-    Equals (A(a) - A(a - b)) / b away from b = 0; the relative cancellation
-    there is harmless because every consumer multiplies the mean back by a
-    quantity proportional to b.
+    Where the segment [a - b, a] lies in one branch of the clamp, the mean is
+    that branch's own: lo, a - b/2 or hi, exact to round-off for any b.  Only
+    a segment that crosses a kink takes (A(a) - A(a - b)) / b.  That form
+    cancels as b shrinks, but a crossing segment is at least as long as the
+    distance from a to the kink, so it loses digits only for an a within
+    round-off of a kink.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    tiny = np.abs(b) < 1e-300
-    b_safe = np.where(tiny, 1.0, b)
-    mean = (_clamp_antiderivative(a, lo, hi) - _clamp_antiderivative(a - b_safe, lo, hi)) / b_safe
-    return np.where(tiny, np.clip(a, lo, hi), mean)
+    low, high = np.minimum(a, a - b), np.maximum(a, a - b)
+    mean = np.where(high <= lo, lo, np.where(low >= hi, hi, a - 0.5 * b))
+    crosses = ((low < lo) & (lo < high)) | ((low < hi) & (hi < high))
+    b_crossing = np.where(crosses, b, 1.0)
+    kinked = (
+        _clamp_antiderivative(a, lo, hi) - _clamp_antiderivative(a - b_crossing, lo, hi)
+    ) / b_crossing
+    return np.where(crosses, kinked, mean)
 
 
 def _quadrature_mean(terms: Callable, model: ModelSpec, t, x, end, order: int) -> np.ndarray:

@@ -460,6 +460,22 @@ def test_nonfinite_number_exit2_names_key(tmp_path, caplog, key, value, named):
     assert not (tmp_path / "out").exists()  # refused before any field work
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key, named", [("fixed_point.tol", "fixed_point.tol"), ("mc.x0", "mc.x0[0]")])
+def test_quoted_nonfinite_number_exit2_names_key(tmp_path, caplog, text, key, named):
+    # YAML reads a quoted "nan" as a string, which float() would take
+    path = _minimal_doc(tmp_path, **{key: [text] if key == "mc.x0" else text})
+    assert main(["solve-hjb", "--config", str(path), "--quiet"]) == 2
+    errors = [rec.getMessage() for rec in caplog.records if rec.levelname == "ERROR"]
+    assert any(f"{named} is '{text}'" in msg and "must be finite" in msg for msg in errors), errors
+    assert not (tmp_path / "out").exists()
+
+
+def test_string_key_may_read_nan(tmp_path):
+    path = _minimal_doc(tmp_path, **{"output.directory": "nan"})
+    assert load_config(path).output.directory == "nan"
+
+
 def test_seed_override(tmp_path):
     path = _minimal_doc(tmp_path)
     cfg = load_config(path)

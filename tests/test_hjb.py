@@ -310,6 +310,36 @@ def test_linearize_trapezoid_oracle(ma):
     assert float(exact) == pytest.approx(0.625, abs=1e-12)
 
 
+_TINY = [3e-16, -3e-16, 8.8e-17, -8.8e-17, 1e-200, -1e-200]
+
+
+@pytest.mark.parametrize("q", _TINY)
+def test_segment_means_exact_at_tiny_arguments(ma, q):
+    # inside the middle branch the means are linear: V = vertex - q / (4 w3), Z = -p / (4 w1)
+    cf = ma.hamiltonians.closed_form
+    t, x = 0.0, np.array([0.3])
+    v = h2_segment_mean(ma, t, x, np.array([q]))[0]
+    z = h1_segment_mean(ma, t, x[:, None], np.array([[q]]))[0, 0]
+    assert v == pytest.approx(cf.l3_vertex - q / (4.0 * cf.l3_weight), rel=1e-14, abs=0.0)
+    assert z == pytest.approx(-q / (4.0 * cf.l1_weight), rel=1e-14, abs=0.0)
+
+
+def test_linearize_tiny_laplacian(ma, grid16):
+    # an odd profile about node 5 with u(node 5) set so that Lap_h u there is exactly q
+    k = np.arange(grid16.nx) - 5
+    profile = np.sin(2.0 * np.pi * k / grid16.nx)
+    q = np.resize(_TINY, grid16.nt + 1)
+    values = np.tile(profile, (grid16.nt + 1, 1))
+    values[:, 5] = -0.5 * q * grid16.dx**2
+    u = TimeField(grid16, values)
+    assert np.array_equal(laplacian(u.values, grid16.dx, 1)[:, 5], q)
+    lin = linearize(u, ma)
+    cf = ma.hamiltonians.closed_form
+    exact = cf.l3_vertex - q / (4.0 * cf.l3_weight)
+    assert np.allclose(lin.v.values[:, 5], exact, rtol=1e-14, atol=0.0)
+    assert linearization_identity_gap(u, ma, lin) <= 1e-12
+
+
 def test_linearize_single_control_constant_v(rng):
     sc = single_control_model(nu=1.0, horizon=0.02)
     grid = grid_for(sc, nx=16, nt=64)

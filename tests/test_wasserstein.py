@@ -1,5 +1,7 @@
 """Transport distance: exactness, metric structure, duality, time exponent."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -8,7 +10,8 @@ from scipy.optimize import linprog
 import mfgdiff.wasserstein as wasserstein
 from mfgdiff import ConfigError, model_a
 from mfgdiff.couplings import DensityInit
-from mfgdiff.fixed_point import phi_map
+import mfgdiff.fixed_point as fixed_point
+from mfgdiff.fixed_point import phi_map, picard_solve
 from mfgdiff.fp import DensityPath, TransportOperator, solve_fp
 from mfgdiff.grid import GridSpec
 from mfgdiff.hjb import grid_for
@@ -470,6 +473,59 @@ def test_axis_plan_bound_above_oracle_after_coarsening(rng):
     assert d1(GridMeasure(grid, w1), GridMeasure(grid, w2)) == pytest.approx(oracle, abs=1e-12)
 
 
+def _assert_bounds_ordered(sigma, dx, oracle):
+    glued = wasserstein._glued_plan_bound(sigma[None], dx)[0]
+    axis = wasserstein._axis_plan_bound(sigma[None], dx)[0]
+    assert oracle <= glued * (1.0 + 1e-9)
+    assert glued <= axis * (1.0 + 1e-12)
+    return glued
+
+
+@pytest.mark.parametrize("case", sorted(_BOUND_PAIRS))
+def test_glued_plan_bound_between_oracle_and_axis_plan(rng, case):
+    grid = _grid2(nx=8)
+    w1, w2 = _BOUND_PAIRS[case](rng, grid)
+    oracle = _full_lp_oracle(grid.coords().reshape(-1, 2), w1.ravel(), w2.ravel())
+    glued = _assert_bounds_ordered(w1 - w2, grid.dx, oracle)
+    if case == "identical":
+        assert glued == 0.0
+
+
+def test_glued_plan_bound_between_oracle_and_axis_plan_after_coarsening(rng):
+    grid = GridSpec(dim=2, box_length=1.0, nx=64, nt=8, horizon=1e-4, a_max=0.5, theta_lf=0.0)
+    w1 = _block(rng, grid, slice(10, 30), slice(16, 34))
+    w2 = _block(rng, grid, slice(20, 40), slice(12, 28))
+    coarse, (c1, c2) = wasserstein._coarsen(grid, np.stack([w1, w2]))
+    support = np.flatnonzero((c1 + c2).ravel() > 0.0)
+    pts = coarse.coords().reshape(-1, 2)[support]
+    oracle = _full_lp_oracle(pts, c1.ravel()[support], c2.ravel()[support])
+    _assert_bounds_ordered(c1 - c2, coarse.dx, oracle)
+
+
+def test_glued_plan_bound_prices_a_diagonal_move_straight():
+    # the axis plans step 2 + 2 nodes; the glued plan moves 2 sqrt(2) nodes at once
+    grid = _grid2(nx=8)
+    sigma = np.zeros(grid.shape)
+    sigma[2, 3], sigma[4, 5] = 1.0, -1.0
+    glued = wasserstein._glued_plan_bound(sigma[None], grid.dx)[0]
+    assert glued == pytest.approx(2.0 * np.sqrt(2.0) * grid.dx, rel=1e-15, abs=0.0)
+    assert wasserstein._axis_plan_bound(sigma[None], grid.dx)[0] == pytest.approx(4.0 * grid.dx)
+
+
+@pytest.mark.parametrize("levels, nx, limit_mib", [(65, 8, 1), (4, 32, 4)])
+def test_glued_plan_bound_memory(rng, levels, nx, limit_mib):
+    grid = _grid2(nx=nx)
+    full = (slice(None), slice(None))
+    sigma = np.stack([_block(rng, grid, *full) - _block(rng, grid, *full) for _ in range(levels)])
+    tracemalloc.start()
+    try:
+        wasserstein._glued_plan_bound(sigma, grid.dx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2**20
+
+
 def _per_level_d1(p1, p2):
     grid = p1.grid
     return [
@@ -560,3 +616,63 @@ def test_path_sup_2d_solves_few_levels(monkeypatch):
     monkeypatch.setattr(wasserstein, "transport_lp_cost", counting)
     assert d1_path_sup(paths[2], paths[1]) > 1e-3
     assert 1 <= calls[0] <= 16
+
+
+def _model_a_2d():
+    model = model_a(horizon=0.0625, dim=2)
+    return model, grid_for(model, nx=8, nt=64)
+
+
+def test_path_sup_2d_exact_on_picard_iterates(monkeypatch):
+    # every gap the first three Picard steps of 2D model A take, against brute force
+    model, grid = _model_a_2d()
+    gaps = []
+
+    def recording(current, previous):
+        gaps.append((d1_path_sup(current, previous), max(_per_level_d1(current, previous))))
+        return gaps[-1][0]
+
+    monkeypatch.setattr(fixed_point, "d1_path_sup", recording)
+    picard_solve(model, grid, theta=0.5, tol=1e-3, max_iter=3)
+    assert len(gaps) == 3
+    for sup, brute in gaps:
+        assert sup == pytest.approx(brute, abs=1e-15)
+
+
+def test_picard_2d_lp_calls(monkeypatch):
+    # the path sups and the Hoelder tracker of one 2D model A solve
+    model, grid = _model_a_2d()
+    calls = [0]
+    solve = wasserstein.transport_lp_cost
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(wasserstein, "transport_lp_cost", counting)
+    result = picard_solve(model, grid, theta=0.5, tol=1e-3, max_iter=50)
+    assert len(result.report.gap_history) == 7
+    assert calls[0] <= 75
+
+
+
+def test_pruned_path_sup_tightens_from_the_solved_value(rng):
+    # two nearly equal levels whose glued bounds and LP values are ordered oppositely:
+    # the level solved first is not the max, and sigma_2 - sigma_1 is small, so only
+    # the solved value in d_1 + bound(sigma_2 - sigma_1) keeps the max level open
+    grid = _grid2(nx=8, nt=2)
+    pts = grid.coords().reshape(-1, 2)
+    full = (slice(None), slice(None))
+    base, other = _block(rng, grid, *full), _block(rng, grid, *full)
+    for _ in range(100):
+        pair = np.stack([other, 0.99 * other + 0.01 * _block(rng, grid, *full)])
+        lp = [transport_lp_cost(pts, base.ravel(), w.ravel()) for w in pair]
+        glued = wasserstein._glued_plan_bound(base - pair, grid.dx)
+        if (lp[1] > lp[0]) != (glued[1] > glued[0]):
+            break
+    else:
+        pytest.fail("no pair of nearly equal levels with opposite orders")
+    cell = grid.dx**grid.dim
+    p1 = DensityPath.from_values(grid, np.stack([base] * 3) / cell)
+    p2 = DensityPath.from_values(grid, np.concatenate([base[None], pair]) / cell)
+    assert d1_path_sup(p1, p2) == pytest.approx(max(lp), abs=1e-12)
