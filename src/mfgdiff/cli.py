@@ -4,8 +4,8 @@ Subcommands (all driven by one YAML document, see `config`):
 
     solve-hjb     backward solve with couplings frozen at the initial
                   density; writes the value field and a residual table
-    solve-mfg     damped Picard iteration; writes value field, density path
-                  and the per-iteration report
+    solve-mfg     damped Picard iteration; writes value field, density path,
+                  the per-iteration report and `wasserstein`'s tables
     verify-sde    Monte-Carlo verification against a prior solve-mfg output
                   directory (--prior)
     diagnose      regularity constants, structural-hypothesis audit and the
@@ -56,7 +56,7 @@ from .hjb import (
 from .sde import dpp_check, modulus_check, simulate_value, value_and_dpp  # noqa: F401
 # `d1` is not called here (the diagnostic returns its distances), but the
 # benchmark tracer in perfbench/spans.py still looks the name up in this module.
-from .wasserstein import d1, holder_half_diagnostic  # noqa: F401
+from .wasserstein import HolderDiagnostic, d1, holder_half_diagnostic  # noqa: F401
 
 log = logging.getLogger("mfgdiff")
 
@@ -133,14 +133,14 @@ def _cmd_solve_mfg(cfg: RunConfig, out: Path) -> int:
     rep = result.report
     write_table(
         out / "report.csv",
-        ["iteration", "gap", "hjb_residual_sup", "mass_drift", "holder_max_ratio"],
-        [
-            (k + 1, float(rep.gap_history[k]), float(rep.hjb_residual_history[k]),
-             float(rep.mass_drift_history[k]),
-             float(rep.holder_ratio_history[k]) if np.isfinite(rep.holder_ratio_history[k]) else -1.0)
-            for k in range(rep.iterations)
-        ],
+        ["iteration", "gap", "hjb_residual_sup", "mass_drift"],
+        zip(range(1, rep.iterations + 1), rep.gap_history.tolist(),
+            rep.hjb_residual_history.tolist(), rep.mass_drift_history.tolist()),
     )
+    if rep.holder is None:
+        log.info("no Hölder check: nt=%d admits fewer than 4 dyadic separations", cfg.grid.nt)
+    else:
+        _write_holder(out, rep.holder)
     log.info(
         "fixed point: converged=%s after %d iterations (last gap %.3e, "
         "self-residual %.3e, duality gap %.3e)",
@@ -153,6 +153,20 @@ def _cmd_solve_mfg(cfg: RunConfig, out: Path) -> int:
         m.lp_norm(1), m.lp_norm(2),
     )
     return 0
+
+
+def _write_holder(out: Path, diag: HolderDiagnostic) -> None:
+    """distances.csv (one row per dyadic separation) and holder.csv (the fit)."""
+    write_table(
+        out / "distances.csv",
+        ["tau", "d1"],
+        zip(diag.separations.tolist(), diag.distances.tolist()),
+    )
+    write_table(
+        out / "holder.csv",
+        ["exponent", "max_ratio", "degenerate"],
+        [(diag.exponent if not diag.degenerate else -1.0, diag.max_ratio, int(diag.degenerate))],
+    )
 
 
 def _load_prior(prior: Path):
@@ -262,16 +276,7 @@ def _cmd_wasserstein(cfg: RunConfig, out: Path, prior: Path | None) -> int:
     if not isinstance(m, DensityPath):
         raise ConfigError("prior m/ field is not a density path")
     diag = holder_half_diagnostic(m)
-    write_table(
-        out / "distances.csv",
-        ["tau", "d1"],
-        zip(diag.separations.tolist(), diag.distances.tolist()),
-    )
-    write_table(
-        out / "holder.csv",
-        ["exponent", "max_ratio", "degenerate"],
-        [(diag.exponent if not diag.degenerate else -1.0, diag.max_ratio, int(diag.degenerate))],
-    )
+    _write_holder(out, diag)
     log.info("transport distances written; fitted exponent %s",
              "degenerate" if diag.degenerate else f"{diag.exponent:.3f}")
     return 0

@@ -1,10 +1,11 @@
 """Strict YAML configuration for runnable experiments.
 
 A run document has five sections: model, grid, mc, fixed_point and output.
-Unknown keys are rejected by name, and so is any number that is not finite
-(YAML .nan or .inf, or a quoted "nan" or "inf" on a real-valued key, named
-by its dotted key); every component invariant is re-validated at load time,
-and every default the loader fills in is echoed through the run log, so two
+Unknown keys are rejected by name, and so is, by its dotted key, any number
+that is not finite (YAML .nan or .inf, or a quoted "nan" on a real-valued
+key), an integer key that is not a YAML integer, or a flag that is not a
+YAML boolean; every component invariant is re-validated at load time, and
+every default the loader fills in is echoed through the run log, so two
 identical documents always describe identical runs.
 
 The model section covers the closed-form quadratic record and declaratively
@@ -118,23 +119,41 @@ def _real(value, name: str):
     return number
 
 
+def _point(value, name: str) -> tuple[float, ...]:
+    """A list of finite floats as a tuple; a single number is a point in 1D."""
+    return tuple(_real(value if isinstance(value, list) else [value], name))
+
+
+def _integer(value, name: str) -> int:
+    """`value` if it is a YAML integer, else a ConfigError naming the key (int() reads 8.7 as 8)."""
+    if type(value) is not int:  # also refuses a bool, which isinstance counts as an int
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _boolean(value, name: str) -> bool:
+    """`value` if it is a YAML boolean, else a ConfigError naming the key (bool("false") is True)."""
+    if type(value) is not bool:
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def _echo_default(name: str, value):
     log.info("config default applied: %s = %r", name, value)
     return value
 
 
-def _opt(section: dict, name: str, default):
+def _opt(section: dict, name: str, default, kind=None):
     """The entry of `section` named by the last part of the dotted `name`, or the echoed default.
 
     An explicit null is rejected rather than read as a value: the default
-    comes only from omitting the key.
+    comes only from omitting the key.  `kind`, when given, coerces the value.
     """
     key = name.rpartition(".")[2]
-    if key not in section:
-        return _echo_default(name, default)
-    if section[key] is None:
+    if key in section and section[key] is None:
         raise ConfigError(f"{name} is null; omit the key to use its default")
-    return section[key]
+    value = section[key] if key in section else _echo_default(name, default)
+    return value if kind is None else kind(value, name)
 
 
 def _parse_lagrangian(desc: dict, name: str, is_drift: bool):
@@ -143,8 +162,8 @@ def _parse_lagrangian(desc: dict, name: str, is_drift: bool):
     if kind == "zero":
         return lambda t, x, control: node_zeros(t, x)
     if kind == "quadratic":
-        w = _real(_opt(desc, f"{name}.weight", 1.0), f"{name}.weight")
-        v = _real(_opt(desc, f"{name}.vertex", 0.0), f"{name}.vertex")
+        w = _opt(desc, f"{name}.weight", 1.0, _real)
+        v = _opt(desc, f"{name}.vertex", 0.0, _real)
         if is_drift:
             return lambda t, x, a: w * float(np.sum((np.asarray(a, dtype=float) - v) ** 2)) + node_zeros(t, x)
         return lambda t, x, e: w * (np.asarray(e, dtype=float) - v) ** 2 + node_zeros(t, x)
@@ -154,8 +173,8 @@ def _parse_lagrangian(desc: dict, name: str, is_drift: bool):
 def _parse_coupling(desc: dict, name: str) -> KernelCoupling:
     desc = _take(desc, name, {"eps", "gain"})
     return KernelCoupling(
-        eps=_real(_opt(desc, f"{name}.eps", 0.1), f"{name}.eps"),
-        gain=_real(_opt(desc, f"{name}.gain", 0.0), f"{name}.gain"),
+        eps=_opt(desc, f"{name}.eps", 0.1, _real),
+        gain=_opt(desc, f"{name}.gain", 0.0, _real),
     )
 
 
@@ -171,20 +190,17 @@ def _parse_model(section: dict) -> ModelSpec:
     bounds = ControlBounds(
         lambda1=_real(b["lambda1"], "model.bounds.lambda1"),
         lambda2=_real(b["lambda2"], "model.bounds.lambda2"),
-        drift_bound=_real(
-            _opt(b, "model.bounds.drift_bound", ControlBounds.drift_bound), "model.bounds.drift_bound"
-        ),
+        drift_bound=_opt(b, "model.bounds.drift_bound", ControlBounds.drift_bound, _real),
     )
     h = section["hamiltonians"]
     _take(h, "model.hamiltonians",
           {"kind", "dim", "drift_ctrl_max", "l1_weight", "l3_vertex", "l3_weight",
            "control_grid_u", "control_grid_eta", "l1", "l3"},
           required={"kind"})
-    dim = int(_opt(h, "model.hamiltonians.dim", HamiltonianSpec.dim))
+    dim = _opt(h, "model.hamiltonians.dim", HamiltonianSpec.dim, _integer)
     if h["kind"] == "closed-form":
         coeffs = {
-            f.name: _real(_opt(h, f"model.hamiltonians.{f.name}", f.default),
-                          f"model.hamiltonians.{f.name}")
+            f.name: _opt(h, f"model.hamiltonians.{f.name}", f.default, _real)
             for f in fields(ClosedFormCoefficients)
         }
         ham = HamiltonianSpec(kind="closed-form", dim=dim, closed_form=ClosedFormCoefficients(**coeffs))
@@ -210,21 +226,16 @@ def _parse_model(section: dict) -> ModelSpec:
     base_desc = _take(term.get("base", {}), "model.terminal.base", {"kind", "value", "amplitude"})
     base = TerminalBase(
         kind=_opt(base_desc, "model.terminal.base.kind", TerminalBase.kind),
-        value=_real(_opt(base_desc, "model.terminal.base.value", TerminalBase.value),
-                    "model.terminal.base.value"),
-        amplitude=_real(_opt(base_desc, "model.terminal.base.amplitude", TerminalBase.amplitude),
-                        "model.terminal.base.amplitude"),
+        value=_opt(base_desc, "model.terminal.base.value", TerminalBase.value, _real),
+        amplitude=_opt(base_desc, "model.terminal.base.amplitude", TerminalBase.amplitude, _real),
     )
     coupling_g = _parse_coupling(term.get("coupling", {}), "model.terminal.coupling")
 
     m0d = _take(section.get("m0", {}), "model.m0", {"kind", "center", "width"})
-    center = _opt(m0d, "model.m0.center", [0.5] * dim)
-    if not isinstance(center, list):
-        center = [center]
     m0 = DensityInit(
         kind=_opt(m0d, "model.m0.kind", DensityInit.kind),
-        center=tuple(_real(center, "model.m0.center")),
-        width=_real(_opt(m0d, "model.m0.width", DensityInit.width), "model.m0.width"),
+        center=_opt(m0d, "model.m0.center", [0.5] * dim, _point),
+        width=_opt(m0d, "model.m0.width", DensityInit.width, _real),
     )
     return ModelSpec(
         bounds=bounds,
@@ -233,7 +244,7 @@ def _parse_model(section: dict) -> ModelSpec:
         terminal=TerminalSpec(base=base, coupling=coupling_g),
         m0=m0,
         horizon=_real(section["horizon"], "model.horizon"),
-        discount=_real(_opt(section, "model.discount", ModelSpec.discount), "model.discount"),
+        discount=_opt(section, "model.discount", ModelSpec.discount, _real),
     )
 
 
@@ -262,10 +273,10 @@ def load_config(path) -> RunConfig:
         theta = _echo_default("grid.theta_lf", model.bounds.drift_bound)
     try:
         grid = GridSpec(
-            dim=int(_opt(g, "grid.dim", model.dim)),
-            box_length=_real(_opt(g, "grid.box_length", 1.0), "grid.box_length"),
-            nx=int(g["nx"]),
-            nt=int(g["nt"]),
+            dim=_opt(g, "grid.dim", model.dim, _integer),
+            box_length=_opt(g, "grid.box_length", 1.0, _real),
+            nx=_integer(g["nx"], "grid.nx"),
+            nt=_integer(g["nt"], "grid.nt"),
             horizon=model.horizon,
             a_max=model.bounds.a_max,
             theta_lf=_real(theta, "grid.theta_lf"),
@@ -276,37 +287,34 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"grid.dim={grid.dim} does not match the model dimension {model.dim}")
 
     mc_sec = _take(doc.get("mc", {}), "mc", {"num_paths", "dt_mc", "seed", "x0", "antithetic"})
-    x0 = _opt(mc_sec, "mc.x0", [0.5 * grid.box_length] * grid.dim)
-    if not isinstance(x0, list):
-        x0 = [x0]
     mc = McConfig(
-        num_paths=int(_opt(mc_sec, "mc.num_paths", 10000)),
-        dt_mc=_real(_opt(mc_sec, "mc.dt_mc", grid.dt), "mc.dt_mc"),
-        seed=int(_opt(mc_sec, "mc.seed", 0)),
-        x0=tuple(_real(x0, "mc.x0")),
-        antithetic=bool(_opt(mc_sec, "mc.antithetic", McConfig.antithetic)),
+        num_paths=_opt(mc_sec, "mc.num_paths", 10000, _integer),
+        dt_mc=_opt(mc_sec, "mc.dt_mc", grid.dt, _real),
+        seed=_opt(mc_sec, "mc.seed", 0, _integer),
+        x0=_opt(mc_sec, "mc.x0", [0.5 * grid.box_length] * grid.dim, _point),
+        antithetic=_opt(mc_sec, "mc.antithetic", McConfig.antithetic, _boolean),
     )
 
     fp_sec = _take(doc.get("fixed_point", {}), "fixed_point", {"theta", "tol", "max_iter"})
     fixed_point = FixedPointConfig(
-        theta=_real(_opt(fp_sec, "fixed_point.theta", FixedPointConfig.theta), "fixed_point.theta"),
-        tol=_real(_opt(fp_sec, "fixed_point.tol", FixedPointConfig.tol), "fixed_point.tol"),
-        max_iter=int(_opt(fp_sec, "fixed_point.max_iter", FixedPointConfig.max_iter)),
+        theta=_opt(fp_sec, "fixed_point.theta", FixedPointConfig.theta, _real),
+        tol=_opt(fp_sec, "fixed_point.tol", FixedPointConfig.tol, _real),
+        max_iter=_opt(fp_sec, "fixed_point.max_iter", FixedPointConfig.max_iter, _integer),
     )
 
     out_sec = _take(doc.get("output", {}), "output", {"directory", "write_fields"})
     output = OutputConfig(
         directory=str(_opt(out_sec, "output.directory", OutputConfig.directory)),
-        write_fields=bool(_opt(out_sec, "output.write_fields", OutputConfig.write_fields)),
+        write_fields=_opt(out_sec, "output.write_fields", OutputConfig.write_fields, _boolean),
     )
 
-    order = int(_opt(doc, "quadrature_order", RunConfig.quadrature_order))
+    order = _opt(doc, "quadrature_order", RunConfig.quadrature_order, _integer)
     if order < 2:
         raise ConfigError(f"quadrature_order must be >= 2, got {order}")
 
     hooks = doc.get("debug", {})
     hooks = _take(hooks, "debug", {"inject_negative_density"})
-    debug = tuple(k for k, v in hooks.items() if v)
+    debug = tuple(k for k, v in hooks.items() if _boolean(v, f"debug.{k}"))
 
     return RunConfig(
         model=model, grid=grid, mc=mc, fixed_point=fixed_point, output=output,

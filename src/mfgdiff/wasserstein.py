@@ -12,7 +12,12 @@ has full support (minimum 0.22) with 7.6% of its mass within 0.1 of the
 seam, and for such measures the flat value can exceed the torus one (0.158
 against 0.135 for a quarter-box rotation of that density).  The Picard
 stopping rule and the Hölder diagnostic therefore measure the flat metric;
-ROADMAP item 2 plans the switch to the torus distance.
+ROADMAP item 5 plans the switch to the torus distance.
+
+Every distance here is one kernel, `_level_sup`, the max of d1 over a stack
+of level pairs, each level checked as `GridMeasure` checks one measure:
+`d1` passes one pair, `d1_path_sup` the levels of two paths and
+`holder_half_diagnostic` a path against its own shift in time.
 
 In one dimension the value is exact and cheap: d1 = sum |CDF1 - CDF2| * dx.
 The maximizing dual potential is explicit (slopes -sign(CDF1 - CDF2)), and a
@@ -25,7 +30,7 @@ mass cancels before the solve and the LP is posed at unit moved mass.
 Measures wider than 32 nodes per axis are block-coarsened first
 (diagnostic-grade accuracy, error O(dx * factor)).
 
-Successive levels of one `d1_path_sup` mostly pose the same LP (the same
+Successive levels of one level sup mostly pose the same LP (the same
 source and sink nodes) with slightly moved masses, so the sup reuses the
 optimal basis of the last level that had those node sets, as the
 transportation simplex would.  An optimal plan with exactly ns + nd - 1
@@ -35,34 +40,33 @@ potentials (f_i - g_j = c_ij on its edges).  When every flow is >= -1e-14
 and every reduced cost c_ij - f_i + g_j is >= -1e-12, at unit moved mass,
 the tree is primal and dual feasible, hence optimal by LP duality, and its
 cost is returned without a solve.  Otherwise HiGHS solves the level.  The
-stored trees live in a dict owned by the caller, one per `d1_path_sup`
-call; nothing is cached across calls.
+stored trees live in a dict owned by the level sup, one per call;
+nothing is cached across calls.
 
-The 2D `d1_path_sup` keeps only the largest level value, so it solves the
-LP only on levels that can still hold it.  Every level of both paths is
-checked once, as `GridMeasure` checks one measure, and the whole stack is
-coarsened once, so that the bounds price the measures the LP sees.  Each
-level gets an upper bound from two axis-aligned plans, vectorized over
-levels: one moves mass along one axis until its marginal on that axis is
-the sink's, then along the other axis; the other plan swaps the axes.
-Each stage is a sum of flat 1D distances (CDF sums), and the cheaper plan
-bounds the level.  These l1 prices are a cheap screen: on the Picard
-iterates of 2D model A they are a median 1.29 times the LP value, about
-4/pi, as expected for mass that spreads in every direction.  The levels
-the screen leaves open are priced again, in one batch, by the same plans
-glued into one plan per level (each stage is a 1D monotone coupling; the
-gluing lemma joins them) with every composite move priced by its
-straight-line length, which comes to 1.02-1.06 times the LP value there.
-The level with the largest remaining bound is then solved exactly through
-`d1`, and after a solve at level n with value d_n every bound is
-tightened to min(ub_t, d_n + bound(sigma_t - sigma_n)), sigma = m1 - m2:
-the triangle inequality of the Kantorovich-Rubinstein norm, screened by
-the axis plans over all levels and glued on the levels still open.  The
-loop stops once the largest remaining bound, raised by a relative 1e-9
-for the LP's tolerance, is at most the largest value solved; identical
-paths return exactly 0.0 without an LP.  On the Picard iterates of 2D
-model A at 8x8x64 about one level in thirteen is solved (one in seven
-with the l1 prices alone).
+The 2D level sup keeps only the largest level value, so it solves the LP
+only on levels that can still hold it.  The whole stack is coarsened once,
+so that the bounds price the measures the LP sees.  Each level gets an
+upper bound from two axis-aligned plans, vectorized over levels: one moves
+mass along one axis until its marginal on that axis is the sink's, then
+along the other axis; the other plan swaps the axes.  Each stage is a sum
+of flat 1D distances (CDF sums), and the cheaper plan bounds the level.
+These l1 prices are a cheap screen: on the Picard iterates of 2D model A
+they are a median 1.29 times the LP value, about 4/pi, as expected for
+mass that spreads in every direction.  The levels the screen leaves open
+are priced again, in one batch, by the same plans glued into one plan per
+level (each stage is a 1D monotone coupling; the gluing lemma joins them)
+with every composite move priced by its straight-line length, which comes
+to 1.02-1.06 times the LP value there.  The level with the largest
+remaining bound is then solved exactly by `transport_lp_cost`, and after a
+solve at level n with value d_n every bound is tightened to
+min(ub_t, d_n + bound(sigma_t - sigma_n)), sigma = m1 - m2: the triangle
+inequality of the Kantorovich-Rubinstein norm, screened by the axis plans
+over all levels and glued on the levels still open.  The loop stops once
+the largest remaining bound, raised by a relative 1e-9 for the LP's
+tolerance, is at most the largest value solved; identical paths return
+exactly 0.0 without an LP.  On the Picard iterates of 2D model A at 8x8x64
+about one level in thirteen is solved (one in seven with the l1 prices
+alone).
 
 SciPy (HiGHS through `scipy.optimize.linprog`, and `scipy.sparse` for the
 constraint matrix) is imported at the first LP a process solves, not when
@@ -70,9 +74,10 @@ this module loads.  Only the 2D distance needs it, and the import costs
 about half a second and some 40 MB of resident memory, which every 1D run
 and every CLI start would otherwise pay for nothing.
 
-`holder_half_diagnostic` fits the exponent of d1(m(0), m(tau)) against tau
-over dyadic separations tau = T/2^k, k = 1..5; a diffusion-dominated path
-shows an exponent near 1/2 with a finite sup of d1 / sqrt(tau).
+`holder_half_diagnostic` fits the exponent of sup_t d1(m(t), m(t + tau))
+against dyadic tau = T/2^k, k = 1..5: the paper's density is 1/2-Hölder in
+time, uniformly in t.  A diffusion-dominated path shows an exponent near
+1/2 with a finite sup of d1 / sqrt(tau).
 """
 
 from __future__ import annotations
@@ -92,9 +97,9 @@ _HOLDER_MAX_K = 5  # the Hölder diagnostic's separations go down to T / 2^5
 # solve is exact to round-off while the moved node masses, at unit moved
 # mass, stay above them.
 _LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
-# relative slack on the level bounds of the 2D path sup, for the LP's tolerance
+# relative slack on the level bounds of the 2D level sup, for the LP's tolerance
 _LP_SLACK = 1e-9
-# elements per temporary when the 2D path sup prices levels by glued plans (128 KiB)
+# elements per temporary when the 2D level sup prices levels by glued plans (128 KiB)
 _GLUE_BUDGET = 1 << 14
 
 
@@ -133,20 +138,11 @@ def _check_levels(levels: np.ndarray) -> np.ndarray:
     return mass
 
 
-def d1(m1: GridMeasure, m2: GridMeasure, bases: dict | None = None) -> float:
-    """Order-1 transport distance between two measures on the same grid.
-
-    In 2D, `bases` is handed on to `transport_lp_cost`.
-    """
+def d1(m1: GridMeasure, m2: GridMeasure) -> float:
+    """Order-1 transport distance between two measures on the same grid."""
     if not m1.grid.same_lattice(m2.grid):
         raise ValueError("measures live on different grids")
-    if abs(m1.weights.sum() - m2.weights.sum()) > _MASS_TOL:
-        raise ValueError("measures have mismatched total mass")
-    if m1.grid.dim == 1:
-        return float(_d1_cdf(m1.weights, m2.weights, m1.grid.dx))
-    g1, w1 = _coarsen(m1.grid, m1.weights)
-    _, w2 = _coarsen(m2.grid, m2.weights)
-    return transport_lp_cost(_support_points(g1), w1.ravel(), w2.ravel(), bases)
+    return _level_sup(m1.grid, m1.weights[None], m2.weights[None], 1.0)
 
 
 def _d1_cdf(w1: np.ndarray, w2: np.ndarray, dx: float) -> np.ndarray:
@@ -156,30 +152,35 @@ def _d1_cdf(w1: np.ndarray, w2: np.ndarray, dx: float) -> np.ndarray:
 
 
 def d1_path_sup(p1: DensityPath, p2: DensityPath) -> float:
-    """Sup over time levels of d1 between two density paths.
-
-    In 2D the transport LP is solved only on the levels whose upper bound
-    can still exceed the largest value solved so far (see the module
-    docstring); the result is the max over all levels all the same.
-    """
-    grid = p1.grid
-    if not grid.same_lattice(p2.grid):
+    """Sup over time levels of d1 between two density paths."""
+    if not p1.grid.same_lattice(p2.grid):
         raise ValueError("paths live on different grids")
-    cell = grid.dx**grid.dim
+    return _level_sup(p1.grid, p1.values, p2.values, p1.grid.dx**p1.grid.dim)
+
+
+def _level_sup(grid: GridSpec, v1: np.ndarray, v2: np.ndarray, cell: float) -> float:
+    """Max over n of d1(cell * v1[n], cell * v2[n]), levels on the leading axis.
+
+    1D walks the levels in chunks (`GridSpec.level_chunks`) to bound its
+    temporaries; 2D prunes levels by bounds (see the module docstring).
+    """
+    best = 0.0
+    for chunk in grid.level_chunks(0, len(v1)) if grid.dim == 1 else [slice(None)]:
+        w = np.stack([v1[chunk], v2[chunk]])
+        w *= cell
+        mass = _check_levels(w.reshape(2 * w.shape[1], -1)).reshape(2, -1)
+        if not np.all(np.abs(mass[0] - mass[1]) <= _MASS_TOL):
+            raise ValueError("measures have mismatched total mass")
+        if grid.dim == 1:
+            best = max(best, float(np.max(_d1_cdf(w[0], w[1], grid.dx))))
     if grid.dim == 1:
-        # _d1_cdf is linear in w1 - w2: densities in, cell masses by scaling after
-        return float(np.max(_d1_cdf(p1.values, p2.values, grid.dx)) * cell)
-    w1, w2 = p1.values * cell, p2.values * cell
-    levels = (grid.nt + 1, grid.n_nodes)
-    mass1, mass2 = _check_levels(w1.reshape(levels)), _check_levels(w2.reshape(levels))
-    if not np.all(np.abs(mass1 - mass2) <= _MASS_TOL):
-        raise ValueError("measures have mismatched total mass")
-    lattice, w1 = _coarsen(grid, w1)
-    _, w2 = _coarsen(grid, w2)
+        return best
+    lattice, (w1, w2) = _coarsen(grid, w)
+    points = lattice.coords().reshape(-1, grid.dim)
     sigma = w1 - w2
     bound = _axis_plan_bound(sigma, lattice.dx)
     bases: dict = {}  # optimal trees of this sup's LPs, by (sources, sinks)
-    best = value = 0.0
+    value = 0.0
     rest = sigma
     while True:
         # glued plans re-price the levels that can still hold the max: each level
@@ -189,7 +190,7 @@ def d1_path_sup(p1: DensityPath, p2: DensityPath) -> float:
         n = int(np.argmax(bound))
         if bound[n] * (1.0 + _LP_SLACK) <= best:
             return best
-        value = d1(GridMeasure(lattice, w1[n]), GridMeasure(lattice, w2[n]), bases)
+        value = transport_lp_cost(points, w1[n].ravel(), w2[n].ravel(), bases)
         best = max(best, value)
         # triangle inequality of the Kantorovich-Rubinstein norm, screened by the axis plans
         rest = sigma - sigma[n]
@@ -310,10 +311,6 @@ def dual_potential_1d(m1: GridMeasure, m2: GridMeasure) -> np.ndarray:
     slopes = np.sign(diff[:-1])
     phi = np.concatenate([[0.0], np.cumsum(-slopes * m1.grid.dx)])
     return phi
-
-
-def _support_points(grid: GridSpec) -> np.ndarray:
-    return grid.coords().reshape(-1, grid.dim)
 
 
 def _coarsen(grid: GridSpec, weights: np.ndarray) -> tuple[GridSpec, np.ndarray]:
@@ -482,35 +479,25 @@ class HolderDiagnostic:
 
 
 def holder_half_diagnostic(m: DensityPath) -> HolderDiagnostic:
-    """Fit d1(m(0), m(tau)) ~ tau^s over dyadic tau anchored at t = 0.
+    """Fit sup_t d1(m(t), m(t + tau)) ~ tau^s over dyadic tau.
 
     Uses tau = T / 2^k for k = 1..5 (only those landing on grid levels);
     needs at least four of them.  A path that never moves is reported as
     degenerate with no exponent.
     """
     grid = m.grid
-    ks = [k for k in range(1, _HOLDER_MAX_K + 1) if grid.nt % (2**k) == 0]
-    if len(ks) < 4:
-        raise ConfigError(
-            f"need at least 4 dyadic separations; nt={grid.nt} admits {len(ks)}"
-        )
-    base = GridMeasure.from_density(grid, m.values[0])
-    taus, dists = [], []
-    for k in ks:
-        level = grid.nt // (2**k)
-        taus.append(level * grid.dt)
-        dists.append(d1(base, GridMeasure.from_density(grid, m.values[level])))
-    taus = np.asarray(taus)
-    dists = np.asarray(dists)
-    if np.all(dists < 1e-15):
-        return HolderDiagnostic(
-            exponent=float("nan"), max_ratio=0.0, separations=taus, distances=dists, degenerate=True
-        )
+    shifts = [grid.nt // 2**k for k in range(1, _HOLDER_MAX_K + 1) if grid.nt % 2**k == 0]
+    if len(shifts) < 4:
+        raise ConfigError(f"need at least 4 dyadic separations; nt={grid.nt} admits {len(shifts)}")
+    cell = grid.dx**grid.dim
+    taus = np.asarray([s * grid.dt for s in shifts])
+    dists = np.asarray([_level_sup(grid, m.values[:-s], m.values[s:], cell) for s in shifts])
+    degenerate = bool(np.all(dists < 1e-15))
     slope, _ = np.polyfit(np.log(taus), np.log(np.maximum(dists, 1e-300)), 1)
     return HolderDiagnostic(
-        exponent=float(slope),
-        max_ratio=float(np.max(dists / np.sqrt(taus))),
+        exponent=float("nan") if degenerate else float(slope),
+        max_ratio=0.0 if degenerate else float(np.max(dists / np.sqrt(taus))),
         separations=taus,
         distances=dists,
-        degenerate=False,
+        degenerate=degenerate,
     )

@@ -485,3 +485,30 @@ def test_seed_override(tmp_path):
 
     rc = cli_main(["solve-hjb", "--config", str(path), "--seed", "123", "--quiet"])
     assert rc == 0
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("grid.nx", "nan"),
+        ("grid.nx", 8.7),
+        ("grid.nt", "8"),
+        ("mc.num_paths", "nan"),
+        ("mc.seed", 1.5),
+        ("fixed_point.max_iter", "8"),
+        ("quadrature_order", 8.7),
+        ("model.hamiltonians.dim", "1"),
+        ("grid.dim", True),
+        ("mc.antithetic", "false"),
+        ("output.write_fields", "false"),
+        ("output.write_fields", 0),
+        ("debug.inject_negative_density", "false"),
+    ],
+)
+def test_integer_and_boolean_keys_exit2_names_key(tmp_path, caplog, key, value):
+    path = _minimal_doc(tmp_path, **{key: value})
+    assert main(["solve-hjb", "--config", str(path), "--quiet"]) == 2
+    errors = [rec.getMessage() for rec in caplog.records if rec.levelname == "ERROR"]
+    assert any(f"{key} must be" in msg and repr(value) in msg for msg in errors), errors
+    assert not (tmp_path / "out").exists()
+

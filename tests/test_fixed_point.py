@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import mfgdiff.fixed_point as fixed_point
 from mfgdiff import ConfigError, model_a
 from mfgdiff.couplings import DensityInit
 from mfgdiff.fixed_point import (
@@ -107,15 +108,30 @@ def test_picard_rejects_bad_damping(ma, grid32):
         picard_solve(ma, grid32, tol=-1.0)
 
 
-def test_picard_holder_ratios_tracked(ma, grid32):
+def test_picard_holder_checked_once(ma, grid32, monkeypatch):
+    calls = []
+    check = fixed_point.holder_half_diagnostic
+
+    def counting(m):
+        calls.append(m)
+        return check(m)
+
+    monkeypatch.setattr(fixed_point, "holder_half_diagnostic", counting)
     res = picard_solve(ma, grid32, theta=0.5, tol=1e-4, max_iter=50)
-    ratios = res.report.holder_ratio_history
-    finite = ratios[np.isfinite(ratios)]
-    assert finite.size >= res.report.iterations - 1
-    assert np.all(finite > 0)
-    # stable across the converged tail
-    tail = finite[-3:]
-    assert tail.max() / tail.min() < 1.5
+    assert res.report.iterations > 1
+    assert len(calls) == 1 and calls[0] is res.m
+    got, expected = res.report.holder, check(res.m)
+    assert not got.degenerate and got.degenerate == expected.degenerate
+    assert got.exponent == expected.exponent and got.max_ratio == expected.max_ratio
+    assert np.array_equal(got.separations, expected.separations)
+    assert np.array_equal(got.distances, expected.distances)
+
+
+def test_picard_holder_none_without_four_separations(ma_uncoupled, grid32):
+    # 424 = 8 * 53 levels admit only the separations T/2, T/4 and T/8
+    grid = grid_for(ma_uncoupled, nx=32, nt=424)
+    res = picard_solve(ma_uncoupled, grid, theta=1.0, tol=1e-12, max_iter=10)
+    assert res.report.converged and res.report.holder is None
 
 
 # ---------------------------------------------------------------------------

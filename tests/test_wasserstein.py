@@ -390,6 +390,67 @@ def test_holder_needs_four_separations():
         holder_half_diagnostic(path)
 
 
+def _rest_then_move(grid, start, end):
+    # start on [0, T/2], then a steady mix towards end: m(t) - m(s) = (a_t - a_s)(end - start)
+    share = np.clip(np.arange(grid.nt + 1) / (grid.nt / 2) - 1.0, 0.0, 1.0)
+    share = share.reshape(-1, *[1] * grid.dim)
+    cell = grid.dx**grid.dim
+    return DensityPath.from_values(grid, ((1.0 - share) * start + share * end) / cell)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_holder_uniform_in_time(rng, dim):
+    grid = _grid1(nx=16, nt=32) if dim == 1 else _grid2(nx=8, nt=32)
+    if dim == 1:
+        start, end = rng.random(grid.shape) + 0.1, rng.random(grid.shape) + 0.1
+        start, end = start / start.sum(), end / end.sum()
+    else:
+        full = (slice(None), slice(None))
+        start, end = _block(rng, grid, *full), _block(rng, grid, *full)
+    m = _rest_then_move(grid, start, end)
+    level = lambda n: GridMeasure.from_density(grid, m.values[n])  # noqa: E731
+    # anchored at t = 0 the path does not move within T/2, the largest separation
+    assert d1(level(0), level(grid.nt // 2)) == 0.0
+    diag = holder_half_diagnostic(m)
+    assert not diag.degenerate
+    # on the moving half a shift by s levels moves the share by s / (nt / 2)
+    full_move = d1(GridMeasure(grid, start), GridMeasure(grid, end))
+    shifts = np.rint(diag.separations / grid.dt)
+    expected = shifts / (grid.nt / 2) * full_move
+    assert diag.distances == pytest.approx(expected, rel=1e-9)
+    assert diag.distances[-1] > 0.0
+
+
+def _brute_force_holder(m, shifts):
+    grid = m.grid
+    level = lambda n: GridMeasure.from_density(grid, m.values[n])  # noqa: E731
+    return np.array([max(d1(level(t), level(t + s)) for t in range(grid.nt + 1 - s))
+                     for s in shifts])
+
+
+def test_holder_distances_match_brute_force_1d(rng):
+    grid = _grid1(nx=16, nt=64)
+    values = rng.random((grid.nt + 1, grid.nx)) + 0.1
+    m = DensityPath.from_values(grid, values / (values.sum(axis=1, keepdims=True) * grid.dx))
+    diag = holder_half_diagnostic(m)
+    brute = _brute_force_holder(m, np.rint(diag.separations / grid.dt).astype(int))
+    np.testing.assert_allclose(diag.distances, brute, rtol=0.0, atol=1e-15)
+
+
+def test_holder_distances_match_brute_force_2d(rng):
+    # levels that drift a little at a time, with one jump in the middle
+    grid = _grid2(nx=8, nt=16)
+    full = (slice(None), slice(None))
+    levels = [_block(rng, grid, *full)]
+    for n in range(grid.nt):
+        mix = 0.5 if n == 9 else 0.05
+        levels.append((1.0 - mix) * levels[-1] + mix * _block(rng, grid, *full))
+    m = DensityPath.from_values(grid, np.stack(levels) / grid.dx**grid.dim)
+    diag = holder_half_diagnostic(m)
+    brute = _brute_force_holder(m, np.rint(diag.separations / grid.dt).astype(int))
+    np.testing.assert_allclose(diag.distances, brute, rtol=1e-9, atol=0.0)
+
+
 def test_path_sup_distance(rng):
     grid = _grid1(nx=32, nt=32)
     base = np.ones((grid.nt + 1, grid.nx))
@@ -599,6 +660,26 @@ def test_pruned_path_sup_checks_every_level(rng, bad):
         d1_path_sup(p1, p2)
 
 
+@pytest.mark.parametrize("bad", ["negative", "mass"])
+def test_level_sup_checks_every_level_1d(rng, bad):
+    # 641 levels of 16 nodes walk in three chunks; the bad level sits in the last one
+    grid = _grid1(nx=16, nt=640, horizon=0.1)
+    assert len(grid.level_chunks()) == 3
+    values = rng.random((grid.nt + 1, grid.nx)) + 0.1
+    values /= values.sum(axis=1, keepdims=True) * grid.dx
+    if bad == "negative":
+        values[600, 1] += values[600, 0] + 1e-9 / grid.dx
+        values[600, 0] = -1e-9 / grid.dx  # weight -1e-9, mass unchanged
+    else:
+        values[600] *= 1.0 + 1e-8
+    bad_path = DensityPath(grid, values, values.sum(axis=1) * grid.dx)
+    good_path = DensityPath.from_values(grid, np.ones((grid.nt + 1, grid.nx)))
+    with pytest.raises(ValueError, match="nonnegative" if bad == "negative" else "not 1"):
+        d1_path_sup(good_path, bad_path)
+    with pytest.raises(ValueError, match="nonnegative" if bad == "negative" else "not 1"):
+        holder_half_diagnostic(bad_path)
+
+
 def test_path_sup_2d_solves_few_levels(monkeypatch):
     model = model_a(horizon=0.0625, dim=2)
     grid = grid_for(model, nx=8, nt=64)
@@ -653,6 +734,29 @@ def test_picard_2d_lp_calls(monkeypatch):
     result = picard_solve(model, grid, theta=0.5, tol=1e-3, max_iter=50)
     assert len(result.report.gap_history) == 7
     assert calls[0] <= 75
+
+
+def test_picard_2d_lp_calls_one_holder_check(monkeypatch):
+    # the path sups of the 7 iterations, then one Hoelder check of the returned density
+    model, grid = _model_a_2d()
+    calls = {"path_sup": 0, "holder": 0}
+    phase = ["path_sup"]
+    solve, check = wasserstein.transport_lp_cost, fixed_point.holder_half_diagnostic
+
+    def counting(*args, **kwargs):
+        calls[phase[0]] += 1
+        return solve(*args, **kwargs)
+
+    def holder(m):
+        phase[0] = "holder"
+        return check(m)
+
+    monkeypatch.setattr(wasserstein, "transport_lp_cost", counting)
+    monkeypatch.setattr(fixed_point, "holder_half_diagnostic", holder)
+    result = picard_solve(model, grid, theta=0.5, tol=1e-3, max_iter=50)
+    assert result.report.iterations == 7 and not result.report.holder.degenerate
+    assert calls["path_sup"] + calls["holder"] <= 40
+    assert 1 <= calls["holder"] <= 10
 
 
 
