@@ -193,10 +193,15 @@ def _parse_model(section: dict) -> ModelSpec:
         drift_bound=_opt(b, "model.bounds.drift_bound", ControlBounds.drift_bound, _real),
     )
     h = section["hamiltonians"]
-    _take(h, "model.hamiltonians",
-          {"kind", "dim", "drift_ctrl_max", "l1_weight", "l3_vertex", "l3_weight",
-           "control_grid_u", "control_grid_eta", "l1", "l3"},
-          required={"kind"})
+    own_keys = {
+        "closed-form": {f.name for f in fields(ClosedFormCoefficients)},
+        "tabulated": {"control_grid_u", "control_grid_eta", "l1", "l3"},
+    }
+    _take(h, "model.hamiltonians", {"kind", "dim"}.union(*own_keys.values()), required={"kind"})
+    if h["kind"] not in ("closed-form", "tabulated"):  # a tuple: a YAML list kind is unhashable
+        raise ConfigError(f"config hamiltonian kind must be closed-form or tabulated, got {h['kind']!r}")
+    # the keys of the other kind are refused, not dropped
+    _take(h, f"model.hamiltonians of kind {h['kind']}", {"kind", "dim"} | own_keys[h["kind"]])
     dim = _opt(h, "model.hamiltonians.dim", HamiltonianSpec.dim, _integer)
     if h["kind"] == "closed-form":
         coeffs = {
@@ -204,7 +209,7 @@ def _parse_model(section: dict) -> ModelSpec:
             for f in fields(ClosedFormCoefficients)
         }
         ham = HamiltonianSpec(kind="closed-form", dim=dim, closed_form=ClosedFormCoefficients(**coeffs))
-    elif h["kind"] == "tabulated":
+    else:
         if "control_grid_u" not in h or "control_grid_eta" not in h:
             raise ConfigError("tabulated hamiltonians need control_grid_u and control_grid_eta")
         ham = HamiltonianSpec(
@@ -219,8 +224,6 @@ def _parse_model(section: dict) -> ModelSpec:
             lagrangian_l1=_parse_lagrangian(h.get("l1", {}), "model.hamiltonians.l1", True),
             lagrangian_l3=_parse_lagrangian(h.get("l3", {}), "model.hamiltonians.l3", False),
         )
-    else:
-        raise ConfigError(f"config hamiltonian kind must be closed-form or tabulated, got {h['kind']!r}")
 
     term = _take(section.get("terminal", {}), "model.terminal", {"base", "coupling"})
     base_desc = _take(term.get("base", {}), "model.terminal.base", {"kind", "value", "amplitude"})

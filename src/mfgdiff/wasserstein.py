@@ -45,28 +45,22 @@ nothing is cached across calls.
 
 The 2D level sup keeps only the largest level value, so it solves the LP
 only on levels that can still hold it.  The whole stack is coarsened once,
-so that the bounds price the measures the LP sees.  Each level gets an
-upper bound from two axis-aligned plans, vectorized over levels: one moves
-mass along one axis until its marginal on that axis is the sink's, then
-along the other axis; the other plan swaps the axes.  Each stage is a sum
-of flat 1D distances (CDF sums), and the cheaper plan bounds the level.
-These l1 prices are a cheap screen: on the Picard iterates of 2D model A
-they are a median 1.29 times the LP value, about 4/pi, as expected for
-mass that spreads in every direction.  The levels the screen leaves open
-are priced again, in one batch, by the same plans glued into one plan per
-level (each stage is a 1D monotone coupling; the gluing lemma joins them)
-with every composite move priced by its straight-line length, which comes
-to 1.02-1.06 times the LP value there.  The level with the largest
-remaining bound is then solved exactly by `transport_lp_cost`, and after a
-solve at level n with value d_n every bound is tightened to
-min(ub_t, d_n + bound(sigma_t - sigma_n)), sigma = m1 - m2: the triangle
-inequality of the Kantorovich-Rubinstein norm, screened by the axis plans
-over all levels and glued on the levels still open.  The loop stops once
-the largest remaining bound, raised by a relative 1e-9 for the LP's
-tolerance, is at most the largest value solved; identical paths return
-exactly 0.0 without an LP.  On the Picard iterates of 2D model A at 8x8x64
-about one level in thirteen is solved (one in seven with the l1 prices
-alone).
+so that the bounds price the measures the LP sees.  Each level is bounded,
+vectorized over levels, by one feasible plan: mass moves along one axis
+until its marginal on that axis is the sink's, then along the other axis,
+each stage a 1D monotone coupling; the gluing lemma joins the two stages
+into one plan, whose every composite move is priced by its straight-line
+length, and the cheaper of the two axis orders bounds the level.  On the
+Picard iterates of 2D model A this comes to 1.02-1.06 times the LP value.
+The level with the largest remaining bound is solved exactly by
+`transport_lp_cost`, and after a solve at level n with value d_n the bound
+of every level still open is tightened to min(ub_t, d_n + bound(sigma_t -
+sigma_n)), sigma = m1 - m2: the triangle inequality of the
+Kantorovich-Rubinstein norm, priced by the same glued plans.  The loop
+stops once the largest remaining bound, raised by a relative 1e-9 for the
+LP's tolerance, is at most the largest value solved; identical paths
+return exactly 0.0 without an LP.  On the Picard iterates of 2D model A at
+8x8x64 about one level in thirteen is solved.
 
 SciPy (HiGHS through `scipy.optimize.linprog`, and `scipy.sparse` for the
 constraint matrix) is imported at the first LP a process solves, not when
@@ -82,7 +76,7 @@ time, uniformly in t.  A diffusion-dominated path shows an exponent near
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -162,7 +156,9 @@ def _level_sup(grid: GridSpec, v1: np.ndarray, v2: np.ndarray, cell: float) -> f
     """Max over n of d1(cell * v1[n], cell * v2[n]), levels on the leading axis.
 
     1D walks the levels in chunks (`GridSpec.level_chunks`) to bound its
-    temporaries; 2D prunes levels by bounds (see the module docstring).
+    temporaries.  2D solves the LP only on the levels whose `_glued_plan_bound`
+    can still hold the max, and tightens the bounds of those levels after
+    each solve (see the module docstring).
     """
     best = 0.0
     for chunk in grid.level_chunks(0, len(v1)) if grid.dim == 1 else [slice(None)]:
@@ -178,24 +174,20 @@ def _level_sup(grid: GridSpec, v1: np.ndarray, v2: np.ndarray, cell: float) -> f
     lattice, (w1, w2) = _coarsen(grid, w)
     points = lattice.coords().reshape(-1, grid.dim)
     sigma = w1 - w2
-    bound = _axis_plan_bound(sigma, lattice.dx)
+    bound = _glued_plan_bound(sigma, lattice.dx)
     bases: dict = {}  # optimal trees of this sup's LPs, by (sources, sinks)
-    value = 0.0
-    rest = sigma
     while True:
-        # glued plans re-price the levels that can still hold the max: each level
-        # itself at first, then its difference from the level solved last
-        open_ = bound * (1.0 + _LP_SLACK) > best
-        bound[open_] = np.minimum(bound[open_], value + _glued_plan_bound(rest[open_], lattice.dx))
         n = int(np.argmax(bound))
         if bound[n] * (1.0 + _LP_SLACK) <= best:
             return best
         value = transport_lp_cost(points, w1[n].ravel(), w2[n].ravel(), bases)
         best = max(best, value)
-        # triangle inequality of the Kantorovich-Rubinstein norm, screened by the axis plans
-        rest = sigma - sigma[n]
-        np.minimum(bound, value + _axis_plan_bound(rest, lattice.dx), out=bound)
         bound[n] = -np.inf
+        # triangle inequality of the Kantorovich-Rubinstein norm, on the levels
+        # that can still hold the max
+        open_ = bound * (1.0 + _LP_SLACK) > best
+        rest = _glued_plan_bound(sigma[open_] - sigma[n], lattice.dx)
+        bound[open_] = np.minimum(bound[open_], value + rest)
 
 
 def _unit_parts(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -212,48 +204,28 @@ def _unit_parts(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pos, neg, moved
 
 
-def _axis_plan_bound(sigma: np.ndarray, dx: float) -> np.ndarray:
+def _glued_plan_bound(sigma: np.ndarray, dx: float) -> np.ndarray:
     """Upper bound on the order-1 transport cost of each 2D level of `sigma`.
 
     `sigma` is a stack of signed weights, levels on the leading axis.  Its
     positive part is carried onto its negative part, each scaled to unit
     mass and the cost scaled back by the mean of the two masses, as
-    `transport_lp_cost` does.  Two axis-aligned plans are priced per level
-    and the cheaper is returned: one moves mass along the last axis so that
-    the marginal on it matches the sink's, then along the other axis; the
-    other does the same with the axes swapped.  Each stage is a sum of flat
-    1D distances, and every step it takes is along one axis, so its
-    Euclidean cost is at most that sum.
-    """
-    pos, neg, moved = _unit_parts(sigma)
-
-    def along_last_first(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        # each line along the last axis keeps its source mass, spread like the sink's marginal
-        mid = src.sum(axis=-1, keepdims=True) * dst.sum(axis=-2, keepdims=True)
-        across = _d1_cdf(np.swapaxes(mid, -2, -1), np.swapaxes(dst, -2, -1), dx)
-        return (_d1_cdf(src, mid, dx) + across).sum(axis=-1)
-
-    swapped = along_last_first(np.swapaxes(pos, -2, -1), np.swapaxes(neg, -2, -1))
-    return np.minimum(along_last_first(pos, neg), swapped) * moved
-
-
-def _glued_plan_bound(sigma: np.ndarray, dx: float) -> np.ndarray:
-    """The plans of `_axis_plan_bound`, glued and priced by straight-line moves.
-
-    The two stages of an axis-aligned plan are 1D monotone couplings: in row
-    i, source column j goes to middle column k with mass R_i(j, k); in middle
-    column k, row i goes to sink row l with mass C_k(i, l).  They glue into
-    one plan of the source onto the sink (the gluing lemma),
+    `transport_lp_cost` does.  The plan moves mass along one axis, so that
+    each line keeps its source mass spread like the sink's marginal on that
+    axis, then along the other axis.  Its two stages are 1D monotone
+    couplings: in row i, source column j goes to middle column k with mass
+    R_i(j, k); in middle column k, row i goes to sink row l with mass
+    C_k(i, l).  They glue into one plan of the source onto the sink (the
+    gluing lemma),
 
         pi(i, j -> l, k) = R_i(j, k) C_k(i, l) / mid(i, k),
 
     and every composite move is priced by its Euclidean length
-    sqrt((l - i)^2 + (k - j)^2) dx, which is at most the two stages' l1
-    length, so each level's value lies between the LP's and the axis plan's.
-    The cheaper of the two axis orders is returned, scaled as in
-    `_axis_plan_bound`.  The work is n^4 per level of n x n nodes, but no
-    temporary holds more than n^3 per level, and levels are priced in blocks
-    of at most `_GLUE_BUDGET` elements per temporary.
+    sqrt((l - i)^2 + (k - j)^2) dx, so each level's price is at least the
+    LP's.  The cheaper of the two axis orders is returned.  The work is n^4
+    per level of n x n nodes, but no temporary holds more than n^3 per
+    level, and levels are priced in blocks of at most `_GLUE_BUDGET`
+    elements per temporary.
     """
     pos, neg, moved = _unit_parts(sigma)
     n = sigma.shape[-1]
@@ -324,16 +296,7 @@ def _coarsen(grid: GridSpec, weights: np.ndarray) -> tuple[GridSpec, np.ndarray]
     if nxc < 8:
         raise ConfigError(f"coarsening {grid.nx} per axis lands below the minimum grid")
     wc = weights.reshape(*weights.shape[:-2], nxc, factor, nxc, factor).sum(axis=(-3, -1))
-    coarse = GridSpec(
-        dim=grid.dim,
-        box_length=grid.box_length,
-        nx=nxc,
-        nt=grid.nt,
-        horizon=grid.horizon,
-        a_max=grid.a_max,
-        theta_lf=grid.theta_lf,
-    )
-    return coarse, wc
+    return replace(grid, nx=nxc), wc
 
 
 def linprog(*args, **kwargs):

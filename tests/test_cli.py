@@ -471,6 +471,30 @@ def test_quoted_nonfinite_number_exit2_names_key(tmp_path, caplog, text, key, na
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "hamiltonians, named",
+    [
+        (
+            {"kind": "closed-form", "control_grid_u": [[0.0]], "control_grid_eta": [1.0],
+             "l1": {"kind": "quadratic", "weight": 3.0}},
+            "control_grid_u",
+        ),
+        (
+            {"kind": "tabulated", "control_grid_u": [[0.0]], "control_grid_eta": [1.0],
+             "l1_weight": 7.0},
+            "l1_weight",
+        ),
+    ],
+)
+def test_other_kind_hamiltonian_key_exit2_names_key(tmp_path, caplog, hamiltonians, named):
+    # a key of the other Hamiltonian kind is refused, not dropped
+    path = _minimal_doc(tmp_path, **{"model.hamiltonians": hamiltonians})
+    assert main(["solve-hjb", "--config", str(path), "--quiet"]) == 2
+    errors = [rec.getMessage() for rec in caplog.records if rec.levelname == "ERROR"]
+    assert any("model.hamiltonians" in msg and repr(named) in msg for msg in errors), errors
+    assert not (tmp_path / "out").exists()
+
+
 def test_string_key_may_read_nan(tmp_path):
     path = _minimal_doc(tmp_path, **{"output.directory": "nan"})
     assert load_config(path).output.directory == "nan"

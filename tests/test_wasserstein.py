@@ -508,42 +508,14 @@ _BOUND_PAIRS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_BOUND_PAIRS))
-def test_axis_plan_bound_above_oracle(rng, case):
-    grid = _grid2(nx=8)
-    w1, w2 = _BOUND_PAIRS[case](rng, grid)
-    bound = wasserstein._axis_plan_bound((w1 - w2)[None], grid.dx)[0]
-    oracle = _full_lp_oracle(grid.coords().reshape(-1, 2), w1.ravel(), w2.ravel())
-    assert bound * (1.0 + 1e-9) >= oracle
-    if case == "identical":
-        assert bound == 0.0
-
-
-def test_axis_plan_bound_above_oracle_after_coarsening(rng):
-    grid = GridSpec(dim=2, box_length=1.0, nx=64, nt=8, horizon=1e-4, a_max=0.5, theta_lf=0.0)
-    w1 = _block(rng, grid, slice(10, 30), slice(16, 34))
-    w2 = _block(rng, grid, slice(20, 40), slice(12, 28))
-    coarse, (c1, c2) = wasserstein._coarsen(grid, np.stack([w1, w2]))
-    assert coarse.nx == 32
-    bound = wasserstein._axis_plan_bound((c1 - c2)[None], coarse.dx)[0]
-    # the optimal plan lives on the support, so the oracle is posed there only
-    support = np.flatnonzero((c1 + c2).ravel() > 0.0)
-    pts = coarse.coords().reshape(-1, 2)[support]
-    oracle = _full_lp_oracle(pts, c1.ravel()[support], c2.ravel()[support])
-    assert bound * (1.0 + 1e-9) >= oracle
-    assert d1(GridMeasure(grid, w1), GridMeasure(grid, w2)) == pytest.approx(oracle, abs=1e-12)
-
-
 def _assert_bounds_ordered(sigma, dx, oracle):
     glued = wasserstein._glued_plan_bound(sigma[None], dx)[0]
-    axis = wasserstein._axis_plan_bound(sigma[None], dx)[0]
     assert oracle <= glued * (1.0 + 1e-9)
-    assert glued <= axis * (1.0 + 1e-12)
     return glued
 
 
 @pytest.mark.parametrize("case", sorted(_BOUND_PAIRS))
-def test_glued_plan_bound_between_oracle_and_axis_plan(rng, case):
+def test_glued_plan_bound_above_oracle(rng, case):
     grid = _grid2(nx=8)
     w1, w2 = _BOUND_PAIRS[case](rng, grid)
     oracle = _full_lp_oracle(grid.coords().reshape(-1, 2), w1.ravel(), w2.ravel())
@@ -552,7 +524,7 @@ def test_glued_plan_bound_between_oracle_and_axis_plan(rng, case):
         assert glued == 0.0
 
 
-def test_glued_plan_bound_between_oracle_and_axis_plan_after_coarsening(rng):
+def test_glued_plan_bound_above_oracle_after_coarsening(rng):
     grid = GridSpec(dim=2, box_length=1.0, nx=64, nt=8, horizon=1e-4, a_max=0.5, theta_lf=0.0)
     w1 = _block(rng, grid, slice(10, 30), slice(16, 34))
     w2 = _block(rng, grid, slice(20, 40), slice(12, 28))
@@ -561,16 +533,16 @@ def test_glued_plan_bound_between_oracle_and_axis_plan_after_coarsening(rng):
     pts = coarse.coords().reshape(-1, 2)[support]
     oracle = _full_lp_oracle(pts, c1.ravel()[support], c2.ravel()[support])
     _assert_bounds_ordered(c1 - c2, coarse.dx, oracle)
+    assert d1(GridMeasure(grid, w1), GridMeasure(grid, w2)) == pytest.approx(oracle, abs=1e-12)
 
 
 def test_glued_plan_bound_prices_a_diagonal_move_straight():
-    # the axis plans step 2 + 2 nodes; the glued plan moves 2 sqrt(2) nodes at once
+    # the two stages step 2 + 2 nodes; the glued plan moves 2 sqrt(2) nodes at once
     grid = _grid2(nx=8)
     sigma = np.zeros(grid.shape)
     sigma[2, 3], sigma[4, 5] = 1.0, -1.0
     glued = wasserstein._glued_plan_bound(sigma[None], grid.dx)[0]
     assert glued == pytest.approx(2.0 * np.sqrt(2.0) * grid.dx, rel=1e-15, abs=0.0)
-    assert wasserstein._axis_plan_bound(sigma[None], grid.dx)[0] == pytest.approx(4.0 * grid.dx)
 
 
 @pytest.mark.parametrize("levels, nx, limit_mib", [(65, 8, 1), (4, 32, 4)])
@@ -595,9 +567,13 @@ def _per_level_d1(p1, p2):
     ]
 
 
-@pytest.mark.parametrize("peak", ["first", "interior", "last", "none"])
-def test_pruned_path_sup_matches_brute_force(rng, peak):
-    grid = _grid2(nx=8, nt=12)
+@pytest.mark.parametrize(
+    "peak, nx",
+    [pytest.param(peak, 8, id=peak) for peak in ("first", "interior", "last", "none")]
+    + [pytest.param("interior", 16, id="interior-16")],
+)
+def test_pruned_path_sup_matches_brute_force(rng, peak, nx):
+    grid = _grid2(nx=nx, nt=12)
     cell = grid.dx**grid.dim
     full = (slice(None), slice(None))
     base = np.stack([_block(rng, grid, *full) for _ in range(grid.nt + 1)])
@@ -616,19 +592,22 @@ def test_pruned_path_sup_matches_brute_force(rng, peak):
 
 
 def test_pruned_path_sup_solves_past_a_loose_bound():
-    # point masses moved by these node offsets: the diagonal move at level 1 has the
-    # largest bound (4 dx against 2 sqrt(2) dx), the straight one at level 2 the max
-    grid = _grid2(nx=8, nt=6)
-    shifts = [(0, 0), (2, 2), (3, 0), (1, 1), (0, 2), (2, 1), (1, 0)]
-    values = np.zeros((2, grid.nt + 1, *grid.shape))
-    for n, (i, j) in enumerate(shifts):
-        values[0, n, 2, 2] = values[1, n, 2 + i, 2 + j] = 1.0 / grid.dx**grid.dim
-    p1, p2 = (DensityPath.from_values(grid, v) for v in values)
+    # level 1 moves two half masses one node each, a value of dx, which the glued
+    # plan prices at (1 + sqrt(13))/2 dx, the largest bound; the max is level 2's
+    # straight move of 2 dx
+    grid = _grid2(nx=8, nt=3)
     cell = grid.dx**grid.dim
-    bound = wasserstein._axis_plan_bound((values[0] - values[1]) * cell, grid.dx)
+    values = np.zeros((2, grid.nt + 1, *grid.shape))
+    values[:, 0, 4, 4] = 1.0
+    values[0, 1, 3, 0] = values[0, 1, 0, 3] = values[1, 1, 2, 0] = values[1, 1, 0, 2] = 0.5
+    values[0, 2:, 2, 2] = values[1, 2, 2, 4] = values[1, 3, 3, 2] = 1.0
+    p1, p2 = (DensityPath.from_values(grid, v / cell) for v in values)
+    bound = wasserstein._glued_plan_bound(values[0] - values[1], grid.dx)
     assert int(np.argmax(bound)) == 1
-    assert max(_per_level_d1(p1, p2)) == pytest.approx(3 * grid.dx, abs=1e-12)
-    assert d1_path_sup(p1, p2) == pytest.approx(3 * grid.dx, abs=1e-12)
+    assert bound[1] == pytest.approx(0.5 * (1.0 + np.sqrt(13.0)) * grid.dx, rel=1e-12)
+    per_level = _per_level_d1(p1, p2)
+    assert per_level == pytest.approx([0.0, grid.dx, 2 * grid.dx, grid.dx], abs=1e-12)
+    assert d1_path_sup(p1, p2) == pytest.approx(2 * grid.dx, abs=1e-12)
 
 
 def test_pruned_path_sup_identical_paths_no_solve(rng, highs_solves):
