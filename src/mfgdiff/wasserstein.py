@@ -30,18 +30,32 @@ mass cancels before the solve and the LP is posed at unit moved mass.
 Measures wider than 32 nodes per axis are block-coarsened first
 (diagnostic-grade accuracy, error O(dx * factor)).
 
+The transportation LP is solved exactly by the transportation (network)
+simplex (Ahuja, Magnanti & Orlin, Network Flows, 1993, ch. 11; Peyré &
+Cuturi, Computational Optimal Transport, 2019, section 3.5), in numpy and
+plain Python.  A basis is a spanning tree of the bipartite source-sink
+graph: the tree fixes the flows (from the marginals) and the potentials
+(f_i - g_j = c_ij on its edges).  A cold solve starts from the least-cost
+(matrix-minimum) tree.  Each pivot prices every cell in one vectorized
+pass, brings in the cell of most negative reduced cost c_ij - f_i + g_j,
+moves flow round the tree cycle that cell closes, and drops the cycle edge
+whose flow runs out first, ties by cell index; only the subtree cut off by
+that edge is hung again.  Against cycling, Bland's rule (the entering cell
+is the first by index with a negative reduced cost) takes over after a run
+of degenerate pivots, which move no flow, until a pivot moves flow again,
+and a pivot cap raises RuntimeError.  A solve returns only through the LP
+duality certificate: the final tree's flows, recomputed from the
+marginals, are all >= -1e-14 and its reduced costs, from potentials
+recomputed from the costs, are all >= -1e-12, at unit moved mass.  The
+tree is then primal and dual feasible, hence optimal, and node masses far
+below any solver tolerance are transported exactly.
+
 Successive levels of one level sup mostly pose the same LP (the same
-source and sink nodes) with slightly moved masses, so the sup reuses the
-optimal basis of the last level that had those node sets, as the
-transportation simplex would.  An optimal plan with exactly ns + nd - 1
-positive flows on a connected support is a spanning tree of the bipartite
-source-sink graph; the tree fixes the flows (from the marginals) and the
-potentials (f_i - g_j = c_ij on its edges).  When every flow is >= -1e-14
-and every reduced cost c_ij - f_i + g_j is >= -1e-12, at unit moved mass,
-the tree is primal and dual feasible, hence optimal by LP duality, and its
-cost is returned without a solve.  Otherwise HiGHS solves the level.  The
-stored trees live in a dict owned by the level sup, one per call;
-nothing is cached across calls.
+source and sink nodes) with slightly moved masses, so the sup keeps the
+optimal tree of the last level that had those node sets and starts the
+simplex from it when its flows are still feasible; a stored tree that is
+still optimal is certified with no pivot.  The stored trees live in a dict
+owned by the level sup, one per call; nothing is cached across calls.
 
 The 2D level sup keeps only the largest level value, so it solves the LP
 only on levels that can still hold it.  The whole stack is coarsened once,
@@ -62,12 +76,6 @@ LP's tolerance, is at most the largest value solved; identical paths
 return exactly 0.0 without an LP.  On the Picard iterates of 2D model A at
 8x8x64 about one level in thirteen is solved.
 
-SciPy (HiGHS through `scipy.optimize.linprog`, and `scipy.sparse` for the
-constraint matrix) is imported at the first LP a process solves, not when
-this module loads.  Only the 2D distance needs it, and the import costs
-about half a second and some 40 MB of resident memory, which every 1D run
-and every CLI start would otherwise pay for nothing.
-
 `holder_half_diagnostic` fits the exponent of sup_t d1(m(t), m(t + tau))
 against dyadic tau = T/2^k, k = 1..5: the paper's density is 1/2-Hölder in
 time, uniformly in t.  A diffusion-dominated path shows an exponent near
@@ -87,10 +95,13 @@ from .grid import GridSpec
 _MASS_TOL = 1e-10
 _COARSE_LIMIT = 32
 _HOLDER_MAX_K = 5  # the Hölder diagnostic's separations go down to T / 2^5
-# HiGHS feasibility tolerances for the transport LP (defaults are 1e-7); the
-# solve is exact to round-off while the moved node masses, at unit moved
-# mass, stay above them.
-_LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+# transportation simplex, at unit moved mass: certificate tolerances on the
+# tree's flows and reduced costs, degenerate pivots in a row before Bland's
+# rule, and the pivot cap per node of the source-sink graph
+_FLOW_TOL = 1e-14
+_REDUCED_TOL = 1e-12
+_BLAND_AFTER = 32
+_PIVOTS_PER_NODE = 100
 # relative slack on the level bounds of the 2D level sup, for the LP's tolerance
 _LP_SLACK = 1e-9
 # elements per temporary when the 2D level sup prices levels by glued plans (128 KiB)
@@ -299,13 +310,6 @@ def _coarsen(grid: GridSpec, weights: np.ndarray) -> tuple[GridSpec, np.ndarray]
     return replace(grid, nx=nxc), wc
 
 
-def linprog(*args, **kwargs):
-    """`scipy.optimize.linprog`, imported on the first call (see the module docstring)."""
-    from scipy.optimize import linprog as solve
-
-    return solve(*args, **kwargs)
-
-
 def transport_lp_cost(
     points: np.ndarray, w1: np.ndarray, w2: np.ndarray, bases: dict | None = None
 ) -> float:
@@ -314,18 +318,15 @@ def transport_lp_cost(
     Only the mass that moves is transported: for a metric cost
     W1(w1, w2) = W1((w1 - w2)+, (w1 - w2)-), so mass shared by both measures
     cancels before the solve, with sources where w1 - w2 > 0 and sinks where
-    it is < 0.  Both sides are scaled to unit moved mass for the solve, so
-    that small node masses are not lost in the solver's feasibility
-    tolerance, and the optimum is scaled back.  Identical measures give
-    exactly 0.0 without an LP.
+    it is < 0.  Both sides are scaled to unit moved mass for the solve and
+    the optimum is scaled back.  Identical measures give exactly 0.0 without
+    a solve.  The LP is solved by the transportation simplex of `_Basis`.
 
     `bases`, when given, maps (source nodes, sink nodes) to the spanning tree
     of the last optimal plan for those node sets (flat indices into the
-    sources x sinks plan).  A stored tree is tried first: if its flows are
-    all >= -1e-14 and its reduced costs all >= -1e-12 at unit moved mass, it
-    is optimal by LP duality and its cost is returned without HiGHS.
-    Otherwise HiGHS solves the LP, and its plan is stored when its positive
-    flows form a spanning tree (exactly ns + nd - 1 of them, connected).
+    sources x sinks plan).  A stored tree whose flows are all >= -1e-14 at
+    unit moved mass starts the simplex; otherwise `_least_cost_start` does.
+    The optimal tree is stored back.
 
     Raises ValueError for a weight below -1e-12 or for total masses that
     differ by more than the mass tolerance; nothing is clamped or
@@ -350,86 +351,199 @@ def transport_lp_cost(
     pts = np.asarray(points, dtype=float)
     cost = np.linalg.norm(pts[src][:, None, :] - pts[dst][None, :, :], axis=-1)
     key = (src.tobytes(), dst.tobytes())
-    if bases is not None and key in bases:
-        certified = _certified_tree_cost(cost, a, b, bases[key])
-        if certified is not None:
-            return certified * moved
-    from scipy import sparse
-
-    ns, nd = len(src), len(dst)
-    nvar = ns * nd
-    # row i sums variable block i (sources); row ns + j every nd-th variable from j (sinks)
-    rows = np.concatenate([np.repeat(np.arange(ns), nd), ns + np.tile(np.arange(nd), ns)])
-    cols = np.tile(np.arange(nvar), 2)
-    a_eq = sparse.csr_matrix((np.ones(2 * nvar), (rows, cols)), shape=(ns + nd, nvar))
-    b_eq = np.concatenate([a, b])
-    # one marginal constraint is redundant; dropping it keeps HiGHS happy
-    res = linprog(cost.ravel(), A_eq=a_eq[:-1], b_eq=b_eq[:-1], method="highs", options=_LP_OPTIONS)
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
+    basis = _Basis(cost, a, b, bases[key]) if bases is not None and key in bases else None
+    if basis is None or not basis.feasible:
+        basis = _Basis(cost, a, b, _least_cost_start(cost, a, b))
+    value = basis.solve()
     if bases is not None:
-        tree = np.flatnonzero(res.x > 0.0)
-        if _tree_walk(cost.shape, tree) is not None:
-            bases[key] = tree
-    return float(res.fun) * moved
+        bases[key] = basis.cells()
+    return value * moved
 
 
-def _tree_walk(shape: tuple[int, int], tree: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Breadth-first order from source 0, and each node's predecessor, of the graph
-    on sources 0..ns-1 and sinks ns..ns+nd-1 whose edges are the flat plan indices
-    `tree`; None unless those edges form a spanning tree."""
-    ns, nd = shape
-    nn = ns + nd
-    if tree.size != nn - 1:
-        return None
-    neighbours: list[list[int]] = [[] for _ in range(nn)]
-    for i, j in zip(*(part.tolist() for part in np.divmod(tree, nd))):
-        neighbours[i].append(ns + j)
-        neighbours[ns + j].append(i)
-    pred = [-1] * nn
-    pred[0] = 0
-    order = [0]
-    for v in order:  # the loop also visits the nodes appended while it runs
-        for w in neighbours[v]:
-            if pred[w] < 0:
-                pred[w] = v
-                order.append(w)
-    # nn - 1 edges reaching all nn nodes form a tree
-    return (np.asarray(order), np.asarray(pred)) if len(order) == nn else None
+def _least_cost_start(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Flat plan indices of the least-cost (matrix-minimum) start, a spanning tree.
 
-
-def _certified_tree_cost(
-    cost: np.ndarray, a: np.ndarray, b: np.ndarray, tree: np.ndarray
-) -> float | None:
-    """Cost of the basic plan on `tree` when LP duality certifies it optimal, else None.
-
-    The flow on each tree edge is the net supply of the subtree below it, and
-    the potentials satisfy f_i - g_j = cost_ij on the edges (f = 0 at source 0).
+    Cells are taken in order of cost, ties by index, while their source and
+    sink are both open; each takes what it can and closes exactly one of
+    the two, the source when the masses tie (so a later cell of the sink
+    carries zero flow), and never the last open line of one side while the
+    other side has more than one.  Each of the ns + nd - 1 cells joins the
+    line it closes to a line closed later, which makes a spanning tree.
     """
-    walk = _tree_walk(cost.shape, tree)
-    if walk is None:
-        return None
-    ns = len(a)
-    order, pred = walk
-    child = order[1:]
-    parent = pred[child]
-    from_source = child < ns
-    # the edge joining each non-root node to its parent, as (source, sink)
-    edge_cost = cost[np.where(from_source, child, parent), np.where(from_source, parent, child) - ns]
-    step = np.where(from_source, edge_cost, -edge_cost)  # f_i = g_j + c_ij, g_j = f_i - c_ij
-    pot = [0.0] * (ns + len(b))  # f for the sources, then g for the sinks
-    for v, p, s in zip(child.tolist(), parent.tolist(), step.tolist()):
-        pot[v] = pot[p] + s
-    net = np.concatenate([a, -b]).tolist()
-    for v, p in zip(child[::-1].tolist(), parent[::-1].tolist()):
-        net[p] += net[v]
-    below = np.asarray(net)[child]
-    flow = np.where(from_source, below, -below)
-    reduced = cost - np.asarray(pot[:ns])[:, None]
-    reduced += np.asarray(pot[ns:])[None, :]
-    if flow.min() < -1e-14 or reduced.min() < -1e-12:
-        return None
-    return float(edge_cost @ flow)
+    ns, nd = cost.shape
+    left_a, left_b = a.tolist(), b.tolist()
+    open_a, open_b = [True] * ns, [True] * nd
+    rows, cols = ns, nd
+    cells = []
+    for cell in np.argsort(cost, axis=None, kind="stable").tolist():
+        i, j = divmod(cell, nd)
+        if not (open_a[i] and open_b[j]):
+            continue
+        cells.append(cell)
+        if len(cells) == ns + nd - 1:
+            break
+        if cols == 1 or (rows > 1 and left_a[i] <= left_b[j]):
+            left_b[j] -= left_a[i]
+            open_a[i] = False
+            rows -= 1
+        else:
+            left_a[i] -= left_b[j]
+            open_b[j] = False
+            cols -= 1
+    return np.asarray(cells)
+
+
+class _Basis:
+    """A basis of the transportation LP and the simplex that improves it.
+
+    The basis is a spanning tree of the bipartite graph on sources 0..ns-1
+    and sinks ns..ns+nd-1 whose edges are plan cells (i * nd + j for source
+    i, sink j).  The marginals fix the flow on each tree edge (the net
+    supply of the subtree below it), and the costs fix the potentials
+    (f_i - g_j = cost_ij on the tree's edges, f = 0 at source 0).  The tree
+    hangs from source 0: `pred` and `depth` give each node's parent and
+    distance from it, and `pot` its potential.
+    """
+
+    def __init__(self, cost: np.ndarray, a: np.ndarray, b: np.ndarray, cells: np.ndarray):
+        ns, nd = cost.shape
+        self.cost, self.a, self.b = cost, a, b
+        self.costs = cost.tolist()
+        self.adj: list[set[int]] = [set() for _ in range(ns + nd)]
+        for i, j in zip(*(part.tolist() for part in np.divmod(np.asarray(cells), nd))):
+            self.adj[i].add(ns + j)
+            self.adj[ns + j].add(i)
+        self.pred = [-1] * (ns + nd)
+        self.depth = [0] * (ns + nd)
+        self.pot = [0.0] * (ns + nd)
+        # ns + nd - 1 edges reaching all ns + nd nodes form a tree
+        order = self._hang(0, -1)
+        self.flow = self._flows(order) if len(order) == ns + nd == len(cells) + 1 else {}
+        self.feasible = bool(self.flow) and min(self.flow.values()) >= -_FLOW_TOL
+
+    def _cell(self, v: int) -> int:
+        """The plan cell of the tree edge from node v up to its parent."""
+        ns, nd = self.cost.shape
+        p = self.pred[v]
+        return v * nd + p - ns if v < ns else p * nd + v - ns
+
+    def _hang(self, top: int, parent: int) -> list[int]:
+        """Hang the nodes reachable from `top` without passing `parent` below
+        `parent` (from the root when it is -1), setting their `pred`, `depth`
+        and `pot`; returns them in breadth-first order.  From the root,
+        neighbours are visited in index order, so that the flows summed
+        along that order, and the cost, depend on the tree alone."""
+        ns, costs, pred, depth, pot = self.cost.shape[0], self.costs, self.pred, self.depth, self.pot
+
+        def hang_below(w, v):
+            pred[w], depth[w] = v, depth[v] + 1
+            pot[w] = pot[v] - costs[v][w - ns] if v < ns else pot[v] + costs[w][v - ns]
+
+        if parent < 0:
+            pred[top], depth[top], pot[top] = -1, 0, 0.0
+        else:
+            hang_below(top, parent)
+        order, seen = [top], {parent, top}
+        for v in order:  # the loop also visits the nodes appended while it runs
+            for w in sorted(self.adj[v]) if parent < 0 else self.adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    hang_below(w, v)
+                    order.append(w)
+        return order
+
+    def _flows(self, order: list[int]) -> dict[int, float]:
+        """Flow on each tree edge, by plan cell, from the marginals; `order` is
+        breadth-first from the root."""
+        ns = self.cost.shape[0]
+        net = np.concatenate([self.a, -self.b]).tolist()
+        flow = {}
+        for v in reversed(order[1:]):
+            net[self.pred[v]] += net[v]
+            flow[self._cell(v)] = net[v] if v < ns else -net[v]
+        return flow
+
+    def _reduced(self) -> np.ndarray:
+        ns = self.cost.shape[0]
+        pot = np.asarray(self.pot)
+        reduced = self.cost - pot[:ns, None]
+        reduced += pot[None, ns:]
+        return reduced
+
+    def cells(self) -> np.ndarray:
+        return np.sort(np.fromiter(self.flow, dtype=np.intp, count=len(self.flow)))
+
+    def solve(self) -> float:
+        """Pivot to an optimal tree and return its cost, certified by LP duality.
+
+        Each pivot brings in the cell of most negative reduced cost, or the
+        first one by index under Bland's rule, which takes over after
+        `_BLAND_AFTER` degenerate pivots in a row (moved flow <= 1e-14) and
+        lasts until a pivot moves flow.  The leaving edge is the one of least
+        flow against the cycle, ties (within 1e-14) by cell index.  The
+        certificate recomputes the final tree's flows from the marginals and
+        its potentials from the costs, and requires every flow >= -1e-14 and
+        every reduced cost >= -1e-12: a primal and dual feasible basis.
+        """
+        cap = _PIVOTS_PER_NODE * sum(self.cost.shape)
+        degenerate = 0
+        for _ in range(cap):
+            reduced = self._reduced().ravel()
+            if degenerate >= _BLAND_AFTER:
+                cell = int(np.argmax(reduced < -_REDUCED_TOL))
+            else:
+                cell = int(np.argmin(reduced))
+            if reduced[cell] >= -_REDUCED_TOL:
+                break
+            moved = self._pivot(cell)
+            degenerate = degenerate + 1 if moved <= _FLOW_TOL else 0
+        else:
+            raise RuntimeError(f"transport LP failed: no optimal tree after {cap} pivots")
+        self.flow = self._flows(self._hang(0, -1))
+        cells = np.fromiter(self.flow, dtype=np.intp, count=len(self.flow))
+        flow = np.fromiter(self.flow.values(), dtype=float, count=len(self.flow))
+        worst = self._reduced().min()
+        if flow.min() < -_FLOW_TOL or worst < -_REDUCED_TOL:
+            raise RuntimeError(
+                f"transport LP failed: least flow {flow.min():.3e}, least reduced cost {worst:.3e}"
+            )
+        return float(self.cost.ravel()[cells] @ flow)
+
+    def _pivot(self, cell: int) -> float:
+        """Bring plan cell `cell` into the tree; returns the flow moved round the cycle."""
+        ns, nd = self.cost.shape
+        pred, depth, flow = self.pred, self.depth, self.flow
+        source, sink = divmod(cell, nd)
+        u, w = source, ns + sink
+        # tree edges of the cycle, by their lower node, from the sink round to the source
+        from_sink, from_source = [], []
+        while u != w:
+            if depth[u] >= depth[w]:
+                from_source.append(u)
+                u = pred[u]
+            else:
+                from_sink.append(w)
+                w = pred[w]
+        cycle = from_sink + from_source[::-1]
+        edges = [self._cell(v) for v in cycle]
+        # the new cell carries flow from source to sink: edges alternate -, +, ... from the sink
+        moved = min(flow[e] for e in edges[0::2])
+        leave = min((e, k) for k, e in enumerate(edges) if k % 2 == 0 and flow[e] <= moved + _FLOW_TOL)[1]
+        for k, e in enumerate(edges):
+            flow[e] += moved if k % 2 else -moved
+        low = cycle[leave]
+        del flow[edges[leave]]
+        flow[cell] = moved
+        self.adj[low].discard(pred[low])
+        self.adj[pred[low]].discard(low)
+        self.adj[source].add(ns + sink)
+        self.adj[ns + sink].add(source)
+        # the subtree cut off below the leaving edge hangs again from the new cell
+        if leave < len(from_sink):
+            self._hang(ns + sink, source)
+        else:
+            self._hang(source, ns + sink)
+        return moved
 
 
 @dataclass(frozen=True)

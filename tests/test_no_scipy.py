@@ -1,9 +1,10 @@
-"""SciPy loads only where a transport LP is solved.
+"""The program runs without SciPy: no subcommand and no 2D distance loads it.
 
-`wasserstein` imports `scipy.optimize` and `scipy.sparse` at the first HiGHS
-solve.  pytest's own process has already imported `scipy.optimize` (the
-`filterwarnings` entry in pyproject.toml names one of its warnings), so the
-check runs in a fresh interpreter.
+The 2D transport LP is solved by `wasserstein`'s own transportation simplex;
+SciPy is left to the tests, whose oracle is HiGHS.  pytest's own process
+has already imported `scipy.optimize` (the `filterwarnings` entry in
+pyproject.toml names one of its warnings), so the check runs in a fresh
+interpreter.
 """
 
 import json
@@ -21,14 +22,15 @@ from test_cli import _minimal_doc
 
 _TESTS = Path(__file__).resolve().parent
 _SRC = _TESTS.parent / "src"
+_CONFIG_2D = _TESTS.parent / "configs" / "model_a_2d.yaml"
 
-# Runs every subcommand on a 1D document, records which SciPy modules are
-# loaded, then takes one 2D distance and records them again.
+# Runs every subcommand on a 1D document, takes one 2D distance, then runs a
+# 2D coupled solve, recording after each stage which SciPy modules are loaded.
 _SCRIPT = """
 import json, sys
 from mfgdiff.cli import main
 
-config, out = sys.argv[1], sys.argv[2]
+config, config_2d, out = sys.argv[1], sys.argv[2], sys.argv[3]
 runs = [
     ["solve-hjb", "--out", out + "/hjb"],
     ["solve-mfg", "--out", out + "/mfg"],
@@ -38,13 +40,15 @@ runs = [
 ]
 codes = [main([*run, "--config", config, "--quiet"]) for run in runs]
 watched = ("scipy.optimize", "scipy.sparse")
-after_1d = [name for name in watched if name in sys.modules]
+loaded = {"1d": [name for name in watched if name in sys.modules]}
 
-from test_deferred_scipy import pair
+from test_no_scipy import pair
 from mfgdiff.wasserstein import d1
 value = d1(*pair())
-after_2d = [name for name in watched if name in sys.modules]
-print(json.dumps({"codes": codes, "after_1d": after_1d, "after_2d": after_2d, "d1": value}))
+loaded["2d_d1"] = [name for name in watched if name in sys.modules]
+codes.append(main(["solve-mfg", "--out", out + "/mfg_2d", "--config", config_2d, "--quiet"]))
+loaded["2d_solve"] = [name for name in watched if name in sys.modules]
+print(json.dumps({"codes": codes, "loaded": loaded, "d1": value}))
 """
 
 
@@ -59,21 +63,21 @@ def pair():
     return measures
 
 
-def test_scipy_loads_only_at_the_first_lp(tmp_path):
+def test_scipy_never_loads(tmp_path):
     # the child imports `pair` from this file, so both sides build the same measures
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(_SRC), str(_TESTS), env.get("PYTHONPATH")])
     )
     done = subprocess.run(
-        [sys.executable, "-c", _SCRIPT, str(_minimal_doc(tmp_path)), str(tmp_path / "out")],
+        [sys.executable, "-c", _SCRIPT, str(_minimal_doc(tmp_path)), str(_CONFIG_2D),
+         str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
     seen = json.loads(done.stdout.splitlines()[-1])
-    assert seen["codes"] == [0] * 5
-    assert seen["after_1d"] == []
-    assert seen["after_2d"] == ["scipy.optimize", "scipy.sparse"]
+    assert seen["codes"] == [0] * 6
+    assert seen["loaded"] == {"1d": [], "2d_d1": [], "2d_solve": []}
     value = d1(*pair())
     assert value > 0.05
     assert seen["d1"] == value

@@ -232,20 +232,21 @@ def test_path_sup_2d_matches_oracle(rng):
 
 
 @pytest.fixture
-def highs_solves(monkeypatch):
-    """Counts the HiGHS solves behind `transport_lp_cost`."""
+def cold_starts(monkeypatch):
+    """Counts the simplex solves behind `transport_lp_cost` that start from
+    `_least_cost_start` rather than from a stored tree."""
     count = [0]
-    solve = wasserstein.linprog
+    start = wasserstein._least_cost_start
 
     def counting(*args, **kwargs):
         count[0] += 1
-        return solve(*args, **kwargs)
+        return start(*args, **kwargs)
 
-    monkeypatch.setattr(wasserstein, "linprog", counting)
+    monkeypatch.setattr(wasserstein, "_least_cost_start", counting)
     return count
 
 
-def test_path_sup_2d_reuses_optimal_trees(highs_solves):
+def test_path_sup_2d_reuses_optimal_trees(cold_starts):
     # two successive damped Picard iterates of 2D model A, as in the stopping rule
     model = model_a(horizon=0.0625, dim=2)
     grid = grid_for(model, nx=8, nt=64)
@@ -258,11 +259,11 @@ def test_path_sup_2d_reuses_optimal_trees(highs_solves):
         transport_lp_cost(pts, paths[2].values[n].ravel() * cell, paths[1].values[n].ravel() * cell)
         for n in range(grid.nt + 1)
     )
-    highs_solves[0] = 0
+    cold_starts[0] = 0
     sup = d1_path_sup(paths[2], paths[1])
     assert sup == pytest.approx(fresh, abs=1e-15)
     assert sup > 1e-3
-    assert highs_solves[0] < (grid.nt + 1) / 2
+    assert cold_starts[0] < (grid.nt + 1) / 2
 
 
 def _moved_pair(grid, sources, sinks, a, b):
@@ -275,7 +276,7 @@ def _moved_pair(grid, sources, sinks, a, b):
     return w1, w2
 
 
-def test_stored_tree_rejected_when_primal_infeasible(highs_solves):
+def test_stored_tree_rejected_when_primal_infeasible(cold_starts):
     grid = _grid2(nx=8)
     pts = grid.coords().reshape(-1, 2)
     sources, sinks = [9, 14], [17, 22]  # nodes (1, 1), (1, 6) onto (2, 1), (2, 6)
@@ -283,17 +284,17 @@ def test_stored_tree_rejected_when_primal_infeasible(highs_solves):
     first = _moved_pair(grid, sources, sinks, [0.6, 0.4], [0.5, 0.5])
     # optimal tree: (1,1)->(2,1) 0.5, (1,1)->(2,6) 0.1, (1,6)->(2,6) 0.4
     value = transport_lp_cost(pts, *first, bases)
-    assert highs_solves[0] == 1 and len(bases) == 1
+    assert cold_starts[0] == 1 and len(bases) == 1
     (tree,) = bases.values()
     assert sorted(tree.tolist()) == [0, 1, 3]
     assert transport_lp_cost(pts, *first, bases) == pytest.approx(value, abs=1e-15)
-    assert highs_solves[0] == 1  # certified from the stored tree
-    # same node sets; on that tree (1,1)->(2,6) would carry -0.1, so HiGHS solves it
+    assert cold_starts[0] == 1  # certified from the stored tree
+    # same node sets; on that tree (1,1)->(2,6) would carry -0.1, so the solve starts cold
     second = _moved_pair(grid, sources, sinks, [0.4, 0.6], [0.5, 0.5])
     assert transport_lp_cost(pts, *second, bases) == pytest.approx(
         _full_lp_oracle(pts, *second), abs=1e-12
     )
-    assert highs_solves[0] == 2
+    assert cold_starts[0] == 2
     (tree,) = bases.values()
     assert sorted(tree.tolist()) == [0, 2, 3]
 
@@ -315,34 +316,116 @@ def _north_west_corner(ns, nd, a, b):
     return np.asarray(cells)
 
 
-def _assert_tree_rejected(pts, w1, w2, tree, highs_solves):
-    """`tree`, stored for the node sets of (w1, w2), falls back to HiGHS and the true optimum."""
+def _assert_pivots_to_optimum(pts, w1, w2, tree, cold_starts):
+    """`tree`, feasible but not optimal for the node sets of (w1, w2), starts the
+    simplex, whose pivots reach the true optimum without a cold start."""
     bases = {}
     transport_lp_cost(pts, w1, w2, bases)
     (key,) = bases
     bases[key] = np.asarray(tree)
-    solves = highs_solves[0]
+    starts = cold_starts[0]
     assert transport_lp_cost(pts, w1, w2, bases) == pytest.approx(
         _full_lp_oracle(pts, w1, w2), abs=1e-12
     )
-    assert highs_solves[0] == solves + 1
+    assert cold_starts[0] == starts
+    assert sorted(bases[key].tolist()) != sorted(tree)
 
 
-def test_north_west_corner_tree_rejected(rng, highs_solves):
+def test_north_west_corner_tree_pivots_to_optimum(rng, cold_starts):
     grid = _grid2(nx=8)
     w1, w2 = (w.ravel() for w in _LP_PAIRS["overlapping"](rng, grid))
     diff = w1 - w2
     a, b = diff[diff > 0], -diff[diff < 0]
     tree = _north_west_corner(a.size, b.size, a / a.sum(), b / b.sum())
-    _assert_tree_rejected(grid.coords().reshape(-1, 2), w1, w2, tree, highs_solves)
+    _assert_pivots_to_optimum(grid.coords().reshape(-1, 2), w1, w2, tree.tolist(), cold_starts)
 
 
-def test_crossed_tree_rejected(highs_solves):
+def test_crossed_tree_pivots_to_optimum(cold_starts):
     grid = _grid2(nx=8)
     w1, w2 = _moved_pair(grid, [9, 14], [17, 22], [0.6, 0.4], [0.5, 0.5])
     # feasible (0.1 straight, 0.5 and 0.4 crossed) but the straight edge (1,6)->(2,6)
     # has reduced cost 2 dx - 2 sqrt(26) dx < 0
-    _assert_tree_rejected(grid.coords().reshape(-1, 2), w1, w2, [0, 1, 2], highs_solves)
+    _assert_pivots_to_optimum(grid.coords().reshape(-1, 2), w1, w2, [0, 1, 2], cold_starts)
+
+
+def _corners_to_centre(rng, grid):
+    w1, w2 = np.zeros(grid.shape), np.zeros(grid.shape)
+    w1[0, 0] = w1[0, -1] = w1[-1, 0] = w1[-1, -1] = 0.25
+    w2[3:5, 3:5] = 0.25
+    return w1, w2
+
+
+def _uniform_blocks(rng, grid):
+    w1, w2 = np.zeros(grid.n_nodes), np.zeros(grid.n_nodes)
+    w1[rng.choice(grid.n_nodes, 20, replace=False)] = 1.0 / 20
+    w2[rng.choice(grid.n_nodes, 20, replace=False)] = 1.0 / 20
+    return w1, w2
+
+
+def _integer_ratios(rng, grid):
+    w1, w2 = (rng.integers(0, 4, grid.n_nodes).astype(float) for _ in range(2))
+    return w1 / w1.sum(), w2 / w2.sum()
+
+
+# ties in the masses (zero-flow tree edges) or in the costs (many optimal plans)
+_DEGENERATE_PAIRS = {
+    "corners_to_centre": _corners_to_centre,
+    "uniform_blocks": _uniform_blocks,
+    "integer_ratios": _integer_ratios,
+}
+
+
+@pytest.mark.parametrize("bland", [False, True])
+@pytest.mark.parametrize("case", sorted(_DEGENERATE_PAIRS))
+def test_degenerate_lp_matches_full_oracle(rng, monkeypatch, case, bland):
+    if bland:  # Bland's rule from the first pivot on
+        monkeypatch.setattr(wasserstein, "_BLAND_AFTER", 0)
+    grid = _grid2(nx=8)
+    pts = grid.coords().reshape(-1, 2)
+    w1, w2 = (w.ravel() for w in _DEGENERATE_PAIRS[case](rng, grid))
+    bases = {}
+    value = transport_lp_cost(pts, w1, w2, bases)
+    assert value == pytest.approx(_full_lp_oracle(pts, w1, w2), abs=1e-12)
+    (tree,) = bases.values()
+    ns, nd = np.count_nonzero(w1 > w2), np.count_nonzero(w1 < w2)
+    assert len(np.unique(tree)) == ns + nd - 1
+    # the stored optimal tree is certified again with no pivot
+    pivots = [0]
+    pivot = wasserstein._Basis._pivot
+
+    def counting(self, cell):
+        pivots[0] += 1
+        return pivot(self, cell)
+
+    monkeypatch.setattr(wasserstein._Basis, "_pivot", counting)
+    assert transport_lp_cost(pts, w1, w2, bases) == value
+    assert pivots[0] == 0
+
+
+def test_pivot_cap_raises(rng, monkeypatch):
+    monkeypatch.setattr(wasserstein, "_PIVOTS_PER_NODE", 0)
+    grid = _grid2(nx=8)
+    w1, w2 = (w.ravel() for w in _LP_PAIRS["random"](rng, grid))
+    with pytest.raises(RuntimeError, match="transport LP failed"):
+        transport_lp_cost(grid.coords().reshape(-1, 2), w1, w2)
+
+
+def test_small_node_masses_on_a_row_exact():
+    # both measures on row 3: the flat 2D distance is the 1D one along the row, and
+    # the moved node masses at unit moved mass go down to 2e-12
+    grid = _grid2(nx=8)
+    y = grid.axis_coords()
+    w1, w2 = np.zeros(grid.shape), np.zeros(grid.shape)
+    w1[3] = np.exp(-((y - 0.44) ** 2) / (2 * 0.06**2))
+    w2[3] = np.exp(-((y - 0.56) ** 2) / (2 * 0.06**2))
+    w1 /= w1.sum()
+    w2 /= w2.sum()
+    diff = w1[3] - w2[3]
+    pos, neg = np.maximum(diff, 0.0), np.maximum(-diff, 0.0)
+    assert min(pos[pos > 0].min() / pos.sum(), neg[neg > 0].min() / neg.sum()) < 1e-11
+    exact = wasserstein._d1_cdf(w1[3], w2[3], grid.dx)
+    value = transport_lp_cost(grid.coords().reshape(-1, 2), w1.ravel(), w2.ravel())
+    assert value == pytest.approx(exact, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("bad, message", [("negative", "nonnegative"), ("mass", "masses differ")])
@@ -610,13 +693,13 @@ def test_pruned_path_sup_solves_past_a_loose_bound():
     assert d1_path_sup(p1, p2) == pytest.approx(2 * grid.dx, abs=1e-12)
 
 
-def test_pruned_path_sup_identical_paths_no_solve(rng, highs_solves):
+def test_pruned_path_sup_identical_paths_no_solve(rng, cold_starts):
     grid = _grid2(nx=8, nt=6)
     cell = grid.dx**grid.dim
     values = np.stack([_block(rng, grid, slice(None), slice(None)) for _ in range(grid.nt + 1)])
     p = DensityPath.from_values(grid, values / cell)
     assert d1_path_sup(p, DensityPath.from_values(grid, p.values.copy())) == 0.0
-    assert highs_solves[0] == 0
+    assert cold_starts[0] == 0
 
 
 @pytest.mark.parametrize("bad", ["negative", "mass"])
