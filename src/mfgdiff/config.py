@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -119,9 +120,12 @@ def _real(value, name: str):
     return number
 
 
-def _point(value, name: str) -> tuple[float, ...]:
-    """A list of finite floats as a tuple; a single number is a point in 1D."""
-    return tuple(_real(value if isinstance(value, list) else [value], name))
+def _point(value, name: str, dim: int) -> tuple[float, ...]:
+    """A list of `dim` finite floats as a tuple; a single number is a point in 1D."""
+    point = tuple(_real(value if isinstance(value, list) else [value], name))
+    if len(point) != dim:
+        raise ConfigError(f"{name} has {len(point)} coordinates; the model's dimension is {dim}")
+    return point
 
 
 def _integer(value, name: str) -> int:
@@ -237,7 +241,7 @@ def _parse_model(section: dict) -> ModelSpec:
     m0d = _take(section.get("m0", {}), "model.m0", {"kind", "center", "width"})
     m0 = DensityInit(
         kind=_opt(m0d, "model.m0.kind", DensityInit.kind),
-        center=_opt(m0d, "model.m0.center", [0.5] * dim, _point),
+        center=_opt(m0d, "model.m0.center", [0.5] * dim, partial(_point, dim=dim)),
         width=_opt(m0d, "model.m0.width", DensityInit.width, _real),
     )
     return ModelSpec(
@@ -294,7 +298,7 @@ def load_config(path) -> RunConfig:
         num_paths=_opt(mc_sec, "mc.num_paths", 10000, _integer),
         dt_mc=_opt(mc_sec, "mc.dt_mc", grid.dt, _real),
         seed=_opt(mc_sec, "mc.seed", 0, _integer),
-        x0=_opt(mc_sec, "mc.x0", [0.5 * grid.box_length] * grid.dim, _point),
+        x0=_opt(mc_sec, "mc.x0", [0.5 * grid.box_length] * grid.dim, partial(_point, dim=grid.dim)),
         antithetic=_opt(mc_sec, "mc.antithetic", McConfig.antithetic, _boolean),
     )
 

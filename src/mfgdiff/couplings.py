@@ -166,7 +166,7 @@ class DensityInit:
 
     def discretize(self, grid: GridSpec) -> np.ndarray:
         """Node values with total mass sum * dx^d == 1 (renormalized)."""
-        if len(self.center) < grid.dim:
+        if len(self.center) != grid.dim:
             raise ConfigError(
                 f"density center has {len(self.center)} coordinates, grid needs {grid.dim}"
             )
@@ -174,13 +174,11 @@ class DensityInit:
             vals = np.ones(grid.shape)
         elif self.kind == "dirac":
             vals = np.zeros(grid.shape)
-            idx = tuple(
-                int(round(c / grid.dx)) % grid.nx for c in self.center[: grid.dim]
-            )
+            idx = tuple(int(round(c / grid.dx)) % grid.nx for c in self.center)
             vals[idx] = 1.0
         else:
             x = grid.axis_coords()
-            axes = [_wrapped_gaussian(x - c, grid.box_length, self.width) for c in self.center[: grid.dim]]
+            axes = [_wrapped_gaussian(x - c, grid.box_length, self.width) for c in self.center]
             vals = axes[0] if grid.dim == 1 else np.multiply.outer(axes[0], axes[1])
         vals = vals / (vals.sum() * grid.dx**grid.dim)
         return vals

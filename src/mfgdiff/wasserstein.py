@@ -50,31 +50,23 @@ recomputed from the costs, are all >= -1e-12, at unit moved mass.  The
 tree is then primal and dual feasible, hence optimal, and node masses far
 below any solver tolerance are transported exactly.
 
-Successive levels of one level sup mostly pose the same LP (the same
-source and sink nodes) with slightly moved masses, so the sup keeps the
-optimal tree of the last level that had those node sets and starts the
-simplex from it when its flows are still feasible; a stored tree that is
-still optimal is certified with no pivot.  The stored trees live in a dict
-owned by the level sup, one per call; nothing is cached across calls.
-
 The 2D level sup keeps only the largest level value, so it solves the LP
 only on levels that can still hold it.  The whole stack is coarsened once,
 so that the bounds price the measures the LP sees.  Each level is bounded,
-vectorized over levels, by one feasible plan: mass moves along one axis
-until its marginal on that axis is the sink's, then along the other axis,
-each stage a 1D monotone coupling; the gluing lemma joins the two stages
-into one plan, whose every composite move is priced by its straight-line
-length, and the cheaper of the two axis orders bounds the level.  On the
-Picard iterates of 2D model A this comes to 1.02-1.06 times the LP value.
-The level with the largest remaining bound is solved exactly by
-`transport_lp_cost`, and after a solve at level n with value d_n the bound
-of every level still open is tightened to min(ub_t, d_n + bound(sigma_t -
-sigma_n)), sigma = m1 - m2: the triangle inequality of the
-Kantorovich-Rubinstein norm, priced by the same glued plans.  The loop
-stops once the largest remaining bound, raised by a relative 1e-9 for the
-LP's tolerance, is at most the largest value solved; identical paths
-return exactly 0.0 without an LP.  On the Picard iterates of 2D model A at
-8x8x64 about one level in thirteen is solved.
+vectorized over levels, by one feasible plan: mass moves along the last
+axis until its marginal on that axis is the sink's, then along the first
+axis, each stage a 1D monotone coupling; the gluing lemma joins the two
+stages into one plan, whose every composite move is priced by its
+straight-line length.  On the Picard iterates of 2D model A this comes to
+1.02-1.06 times the LP value.  The level with the largest remaining bound
+is solved exactly by `transport_lp_cost`, and after a solve at level n
+with value d_n the bound of every level still open is tightened to
+min(ub_t, d_n + bound(sigma_t - sigma_n)), sigma = m1 - m2: the triangle
+inequality of the Kantorovich-Rubinstein norm, priced by the same glued
+plans.  The loop stops once the largest remaining bound, raised by a
+relative 1e-9 for the LP's tolerance, is at most the largest value solved;
+identical paths return exactly 0.0 without an LP.  On the Picard iterates
+of 2D model A at 8x8x64 about one level in thirteen is solved.
 
 `holder_half_diagnostic` fits the exponent of sup_t d1(m(t), m(t + tau))
 against dyadic tau = T/2^k, k = 1..5: the paper's density is 1/2-Hölder in
@@ -186,12 +178,11 @@ def _level_sup(grid: GridSpec, v1: np.ndarray, v2: np.ndarray, cell: float) -> f
     points = lattice.coords().reshape(-1, grid.dim)
     sigma = w1 - w2
     bound = _glued_plan_bound(sigma, lattice.dx)
-    bases: dict = {}  # optimal trees of this sup's LPs, by (sources, sinks)
     while True:
         n = int(np.argmax(bound))
         if bound[n] * (1.0 + _LP_SLACK) <= best:
             return best
-        value = transport_lp_cost(points, w1[n].ravel(), w2[n].ravel(), bases)
+        value = transport_lp_cost(points, w1[n].ravel(), w2[n].ravel())
         best = max(best, value)
         bound[n] = -np.inf
         # triangle inequality of the Kantorovich-Rubinstein norm, on the levels
@@ -221,9 +212,9 @@ def _glued_plan_bound(sigma: np.ndarray, dx: float) -> np.ndarray:
     `sigma` is a stack of signed weights, levels on the leading axis.  Its
     positive part is carried onto its negative part, each scaled to unit
     mass and the cost scaled back by the mean of the two masses, as
-    `transport_lp_cost` does.  The plan moves mass along one axis, so that
-    each line keeps its source mass spread like the sink's marginal on that
-    axis, then along the other axis.  Its two stages are 1D monotone
+    `transport_lp_cost` does.  The plan moves mass along the last axis, so
+    that each row keeps its source mass spread like the sink's marginal on
+    that axis, then along the first axis.  Its two stages are 1D monotone
     couplings: in row i, source column j goes to middle column k with mass
     R_i(j, k); in middle column k, row i goes to sink row l with mass
     C_k(i, l).  They glue into one plan of the source onto the sink (the
@@ -233,10 +224,9 @@ def _glued_plan_bound(sigma: np.ndarray, dx: float) -> np.ndarray:
 
     and every composite move is priced by its Euclidean length
     sqrt((l - i)^2 + (k - j)^2) dx, so each level's price is at least the
-    LP's.  The cheaper of the two axis orders is returned.  The work is n^4
-    per level of n x n nodes, but no temporary holds more than n^3 per
-    level, and levels are priced in blocks of at most `_GLUE_BUDGET`
-    elements per temporary.
+    LP's.  The work is n^4 per level of n x n nodes, but no temporary holds
+    more than n^3 per level, and levels are priced in blocks of at most
+    `_GLUE_BUDGET` elements per temporary.
     """
     pos, neg, moved = _unit_parts(sigma)
     n = sigma.shape[-1]
@@ -248,11 +238,7 @@ def _glued_plan_bound(sigma: np.ndarray, dx: float) -> np.ndarray:
     cost = np.empty(len(sigma))
     for start in range(0, len(sigma), block):
         part = slice(start, start + block)
-        cost[part] = np.minimum(
-            _glued_cost(pos[part], neg[part], length, offset),
-            _glued_cost(np.swapaxes(pos[part], -2, -1), np.swapaxes(neg[part], -2, -1),
-                        length, offset),
-        )
+        cost[part] = _glued_cost(pos[part], neg[part], length, offset)
     return cost * dx * moved
 
 
@@ -310,9 +296,7 @@ def _coarsen(grid: GridSpec, weights: np.ndarray) -> tuple[GridSpec, np.ndarray]
     return replace(grid, nx=nxc), wc
 
 
-def transport_lp_cost(
-    points: np.ndarray, w1: np.ndarray, w2: np.ndarray, bases: dict | None = None
-) -> float:
+def transport_lp_cost(points: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
     """Exact transportation LP with unit cost |x - y| between two weight vectors.
 
     Only the mass that moves is transported: for a metric cost
@@ -320,24 +304,19 @@ def transport_lp_cost(
     cancels before the solve, with sources where w1 - w2 > 0 and sinks where
     it is < 0.  Both sides are scaled to unit moved mass for the solve and
     the optimum is scaled back.  Identical measures give exactly 0.0 without
-    a solve.  The LP is solved by the transportation simplex of `_Basis`.
+    a solve.  The LP is solved by the transportation simplex of `_Basis`,
+    started from `_least_cost_start`.
 
-    `bases`, when given, maps (source nodes, sink nodes) to the spanning tree
-    of the last optimal plan for those node sets (flat indices into the
-    sources x sinks plan).  A stored tree whose flows are all >= -1e-14 at
-    unit moved mass starts the simplex; otherwise `_least_cost_start` does.
-    The optimal tree is stored back.
-
-    Raises ValueError for a weight below -1e-12 or for total masses that
-    differ by more than the mass tolerance; nothing is clamped or
-    renormalized.
+    Raises ValueError for a weight that is NaN or below -1e-12 or for total
+    masses that differ by more than the mass tolerance; nothing is clamped
+    or renormalized.
     """
     w1 = np.asarray(w1, dtype=float)
     w2 = np.asarray(w2, dtype=float)
-    lowest = min(w1.min(), w2.min())
-    if lowest < -1e-12:
+    lowest = np.minimum(w1.min(), w2.min())
+    if not lowest >= -1e-12:
         raise ValueError(f"weights must be nonnegative, min is {lowest:.3e}")
-    if abs(w1.sum() - w2.sum()) > _MASS_TOL:
+    if not abs(w1.sum() - w2.sum()) <= _MASS_TOL:
         raise ValueError(f"total masses differ: {w1.sum()} against {w2.sum()}")
     diff = w1 - w2
     src = np.flatnonzero(diff > 0.0)
@@ -350,14 +329,7 @@ def transport_lp_cost(
     b /= b.sum()
     pts = np.asarray(points, dtype=float)
     cost = np.linalg.norm(pts[src][:, None, :] - pts[dst][None, :, :], axis=-1)
-    key = (src.tobytes(), dst.tobytes())
-    basis = _Basis(cost, a, b, bases[key]) if bases is not None and key in bases else None
-    if basis is None or not basis.feasible:
-        basis = _Basis(cost, a, b, _least_cost_start(cost, a, b))
-    value = basis.solve()
-    if bases is not None:
-        bases[key] = basis.cells()
-    return value * moved
+    return _Basis(cost, a, b, _least_cost_start(cost, a, b)).solve() * moved
 
 
 def _least_cost_start(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -402,7 +374,8 @@ class _Basis:
     supply of the subtree below it), and the costs fix the potentials
     (f_i - g_j = cost_ij on the tree's edges, f = 0 at source 0).  The tree
     hangs from source 0: `pred` and `depth` give each node's parent and
-    distance from it, and `pot` its potential.
+    distance from it, and `pot` its potential.  The starting `cells` must be
+    such a tree with flows >= -1e-14, as `_least_cost_start` gives.
     """
 
     def __init__(self, cost: np.ndarray, a: np.ndarray, b: np.ndarray, cells: np.ndarray):
@@ -416,10 +389,7 @@ class _Basis:
         self.pred = [-1] * (ns + nd)
         self.depth = [0] * (ns + nd)
         self.pot = [0.0] * (ns + nd)
-        # ns + nd - 1 edges reaching all ns + nd nodes form a tree
-        order = self._hang(0, -1)
-        self.flow = self._flows(order) if len(order) == ns + nd == len(cells) + 1 else {}
-        self.feasible = bool(self.flow) and min(self.flow.values()) >= -_FLOW_TOL
+        self.flow = self._flows(self._hang(0, -1))
 
     def _cell(self, v: int) -> int:
         """The plan cell of the tree edge from node v up to its parent."""
@@ -469,9 +439,6 @@ class _Basis:
         reduced = self.cost - pot[:ns, None]
         reduced += pot[None, ns:]
         return reduced
-
-    def cells(self) -> np.ndarray:
-        return np.sort(np.fromiter(self.flow, dtype=np.intp, count=len(self.flow)))
 
     def solve(self) -> float:
         """Pivot to an optimal tree and return its cost, certified by LP duality.

@@ -495,6 +495,18 @@ def test_other_kind_hamiltonian_key_exit2_names_key(tmp_path, caplog, hamiltonia
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value", [("model.m0.center", [0.5, 0.9]), ("mc.x0", [0.3, 0.3]), ("mc.x0", [])]
+)
+def test_point_key_of_wrong_length_exit2_names_key(tmp_path, caplog, key, value):
+    # a 1D model: extra coordinates are refused, not dropped
+    path = _minimal_doc(tmp_path, **{key: value})
+    assert main(["solve-hjb", "--config", str(path), "--quiet"]) == 2
+    errors = [rec.getMessage() for rec in caplog.records if rec.levelname == "ERROR"]
+    assert any(f"{key} has {len(value)} coordinates" in msg for msg in errors), errors
+    assert not (tmp_path / "out").exists()
+
+
 def test_string_key_may_read_nan(tmp_path):
     path = _minimal_doc(tmp_path, **{"output.directory": "nan"})
     assert load_config(path).output.directory == "nan"

@@ -131,6 +131,14 @@ def test_2d_coarsening():
     assert d1(m, m) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_2d_coarsening_below_minimum_grid_rejected():
+    # 37 is prime: the only block factor is 37 itself, which leaves one node per axis
+    grid = GridSpec(dim=2, box_length=1.0, nx=37, nt=8, horizon=1e-4, a_max=0.5, theta_lf=0.0)
+    m = GridMeasure(grid, np.full(grid.shape, 1.0 / grid.n_nodes))
+    with pytest.raises(ConfigError, match="coarsening 37 per axis lands below the minimum grid"):
+        d1(m, m)
+
+
 def test_mass_and_grid_mismatch_rejected():
     grid = _grid1(nx=16)
     w = np.full(grid.shape, 1.0 / grid.nx)
@@ -233,8 +241,8 @@ def test_path_sup_2d_matches_oracle(rng):
 
 @pytest.fixture
 def cold_starts(monkeypatch):
-    """Counts the simplex solves behind `transport_lp_cost` that start from
-    `_least_cost_start` rather than from a stored tree."""
+    """Counts the simplex solves behind `transport_lp_cost`, each started by
+    `_least_cost_start`."""
     count = [0]
     start = wasserstein._least_cost_start
 
@@ -246,26 +254,6 @@ def cold_starts(monkeypatch):
     return count
 
 
-def test_path_sup_2d_reuses_optimal_trees(cold_starts):
-    # two successive damped Picard iterates of 2D model A, as in the stopping rule
-    model = model_a(horizon=0.0625, dim=2)
-    grid = grid_for(model, nx=8, nt=64)
-    paths = [DensityPath.constant_in_time(grid, model.m0.discretize(grid))]
-    for _ in range(2):
-        image = phi_map(paths[-1], model, grid)[1]
-        paths.append(DensityPath.from_values(grid, 0.5 * paths[-1].values + 0.5 * image.values))
-    pts, cell = grid.coords().reshape(-1, 2), grid.dx**grid.dim
-    fresh = max(
-        transport_lp_cost(pts, paths[2].values[n].ravel() * cell, paths[1].values[n].ravel() * cell)
-        for n in range(grid.nt + 1)
-    )
-    cold_starts[0] = 0
-    sup = d1_path_sup(paths[2], paths[1])
-    assert sup == pytest.approx(fresh, abs=1e-15)
-    assert sup > 1e-3
-    assert cold_starts[0] < (grid.nt + 1) / 2
-
-
 def _moved_pair(grid, sources, sinks, a, b):
     """Weights sharing half their mass uniformly; the other half moves from `a` on
     the nodes `sources` to `b` on the nodes `sinks`."""
@@ -274,29 +262,6 @@ def _moved_pair(grid, sources, sinks, a, b):
     w1[sources] += 0.5 * np.asarray(a)
     w2[sinks] += 0.5 * np.asarray(b)
     return w1, w2
-
-
-def test_stored_tree_rejected_when_primal_infeasible(cold_starts):
-    grid = _grid2(nx=8)
-    pts = grid.coords().reshape(-1, 2)
-    sources, sinks = [9, 14], [17, 22]  # nodes (1, 1), (1, 6) onto (2, 1), (2, 6)
-    bases = {}
-    first = _moved_pair(grid, sources, sinks, [0.6, 0.4], [0.5, 0.5])
-    # optimal tree: (1,1)->(2,1) 0.5, (1,1)->(2,6) 0.1, (1,6)->(2,6) 0.4
-    value = transport_lp_cost(pts, *first, bases)
-    assert cold_starts[0] == 1 and len(bases) == 1
-    (tree,) = bases.values()
-    assert sorted(tree.tolist()) == [0, 1, 3]
-    assert transport_lp_cost(pts, *first, bases) == pytest.approx(value, abs=1e-15)
-    assert cold_starts[0] == 1  # certified from the stored tree
-    # same node sets; on that tree (1,1)->(2,6) would carry -0.1, so the solve starts cold
-    second = _moved_pair(grid, sources, sinks, [0.4, 0.6], [0.5, 0.5])
-    assert transport_lp_cost(pts, *second, bases) == pytest.approx(
-        _full_lp_oracle(pts, *second), abs=1e-12
-    )
-    assert cold_starts[0] == 2
-    (tree,) = bases.values()
-    assert sorted(tree.tolist()) == [0, 2, 3]
 
 
 def _north_west_corner(ns, nd, a, b):
@@ -316,36 +281,40 @@ def _north_west_corner(ns, nd, a, b):
     return np.asarray(cells)
 
 
-def _assert_pivots_to_optimum(pts, w1, w2, tree, cold_starts):
-    """`tree`, feasible but not optimal for the node sets of (w1, w2), starts the
-    simplex, whose pivots reach the true optimum without a cold start."""
-    bases = {}
-    transport_lp_cost(pts, w1, w2, bases)
-    (key,) = bases
-    bases[key] = np.asarray(tree)
-    starts = cold_starts[0]
-    assert transport_lp_cost(pts, w1, w2, bases) == pytest.approx(
-        _full_lp_oracle(pts, w1, w2), abs=1e-12
-    )
-    assert cold_starts[0] == starts
-    assert sorted(bases[key].tolist()) != sorted(tree)
+def _moved_lp(pts, w1, w2):
+    """The costs, unit marginals and moved mass of the LP `transport_lp_cost` poses."""
+    diff = w1 - w2
+    src, dst = np.flatnonzero(diff > 0.0), np.flatnonzero(diff < 0.0)
+    a, b = diff[src], -diff[dst]
+    cost = np.linalg.norm(pts[src][:, None, :] - pts[dst][None, :, :], axis=-1)
+    return cost, a / a.sum(), b / b.sum(), 0.5 * (a.sum() + b.sum())
 
 
-def test_north_west_corner_tree_pivots_to_optimum(rng, cold_starts):
+def _assert_pivots_to_optimum(pts, w1, w2, tree):
+    """`tree`, feasible but not optimal for the LP of (w1, w2), starts the simplex,
+    whose pivots reach the true optimum."""
+    cost, a, b, moved = _moved_lp(pts, w1, w2)
+    basis = wasserstein._Basis(cost, a, b, np.asarray(tree))
+    assert len(basis.flow) == len(tree) and min(basis.flow.values()) >= -1e-14
+    assert basis.solve() * moved == pytest.approx(_full_lp_oracle(pts, w1, w2), abs=1e-12)
+    assert sorted(basis.flow) != sorted(tree)
+
+
+def test_north_west_corner_tree_pivots_to_optimum(rng):
     grid = _grid2(nx=8)
     w1, w2 = (w.ravel() for w in _LP_PAIRS["overlapping"](rng, grid))
     diff = w1 - w2
     a, b = diff[diff > 0], -diff[diff < 0]
     tree = _north_west_corner(a.size, b.size, a / a.sum(), b / b.sum())
-    _assert_pivots_to_optimum(grid.coords().reshape(-1, 2), w1, w2, tree.tolist(), cold_starts)
+    _assert_pivots_to_optimum(grid.coords().reshape(-1, 2), w1, w2, tree.tolist())
 
 
-def test_crossed_tree_pivots_to_optimum(cold_starts):
+def test_crossed_tree_pivots_to_optimum():
     grid = _grid2(nx=8)
     w1, w2 = _moved_pair(grid, [9, 14], [17, 22], [0.6, 0.4], [0.5, 0.5])
     # feasible (0.1 straight, 0.5 and 0.4 crossed) but the straight edge (1,6)->(2,6)
     # has reduced cost 2 dx - 2 sqrt(26) dx < 0
-    _assert_pivots_to_optimum(grid.coords().reshape(-1, 2), w1, w2, [0, 1, 2], cold_starts)
+    _assert_pivots_to_optimum(grid.coords().reshape(-1, 2), w1, w2, [0, 1, 2])
 
 
 def _corners_to_centre(rng, grid):
@@ -383,13 +352,14 @@ def test_degenerate_lp_matches_full_oracle(rng, monkeypatch, case, bland):
     grid = _grid2(nx=8)
     pts = grid.coords().reshape(-1, 2)
     w1, w2 = (w.ravel() for w in _DEGENERATE_PAIRS[case](rng, grid))
-    bases = {}
-    value = transport_lp_cost(pts, w1, w2, bases)
+    value = transport_lp_cost(pts, w1, w2)
     assert value == pytest.approx(_full_lp_oracle(pts, w1, w2), abs=1e-12)
-    (tree,) = bases.values()
-    ns, nd = np.count_nonzero(w1 > w2), np.count_nonzero(w1 < w2)
-    assert len(np.unique(tree)) == ns + nd - 1
-    # the stored optimal tree is certified again with no pivot
+    cost, a, b, moved = _moved_lp(pts, w1, w2)
+    basis = wasserstein._Basis(cost, a, b, wasserstein._least_cost_start(cost, a, b))
+    assert basis.solve() * moved == value
+    tree = np.fromiter(basis.flow, dtype=np.intp)
+    assert len(np.unique(tree)) == a.size + b.size - 1
+    # the optimal tree is certified again with no pivot
     pivots = [0]
     pivot = wasserstein._Basis._pivot
 
@@ -398,7 +368,7 @@ def test_degenerate_lp_matches_full_oracle(rng, monkeypatch, case, bland):
         return pivot(self, cell)
 
     monkeypatch.setattr(wasserstein._Basis, "_pivot", counting)
-    assert transport_lp_cost(pts, w1, w2, bases) == value
+    assert wasserstein._Basis(cost, a, b, tree).solve() * moved == value
     assert pivots[0] == 0
 
 
@@ -428,7 +398,9 @@ def test_small_node_masses_on_a_row_exact():
     assert value == pytest.approx(exact, rel=1e-15, abs=0.0)
 
 
-@pytest.mark.parametrize("bad, message", [("negative", "nonnegative"), ("mass", "masses differ")])
+@pytest.mark.parametrize(
+    "bad, message", [("negative", "nonnegative"), ("mass", "masses differ"), ("nan", "nonnegative")]
+)
 def test_transport_lp_rejects_bad_weights(bad, message):
     grid = _grid2(nx=8)
     pts = grid.coords().reshape(-1, 2)
@@ -437,6 +409,8 @@ def test_transport_lp_rejects_bad_weights(bad, message):
     if bad == "negative":
         w2[1] += w2[0] + 1e-9
         w2[0] = -1e-9
+    elif bad == "nan":
+        w2[5] = np.nan
     else:
         w2[0] += 1e-9
     with pytest.raises(ValueError, match=message):
@@ -798,8 +772,9 @@ def test_picard_2d_lp_calls(monkeypatch):
     assert calls[0] <= 75
 
 
-def test_picard_2d_lp_calls_one_holder_check(monkeypatch):
-    # the path sups of the 7 iterations, then one Hoelder check of the returned density
+def test_picard_2d_lp_calls_one_holder_check(monkeypatch, cold_starts):
+    # the path sups of the 7 iterations, then one Hoelder check of the returned density;
+    # every LP starts from the least-cost tree
     model, grid = _model_a_2d()
     calls = {"path_sup": 0, "holder": 0}
     phase = ["path_sup"]
@@ -818,6 +793,7 @@ def test_picard_2d_lp_calls_one_holder_check(monkeypatch):
     result = picard_solve(model, grid, theta=0.5, tol=1e-3, max_iter=50)
     assert result.report.iterations == 7 and not result.report.holder.degenerate
     assert calls["path_sup"] + calls["holder"] <= 40
+    assert cold_starts[0] == calls["path_sup"] + calls["holder"]
     assert 1 <= calls["holder"] <= 10
 
 
