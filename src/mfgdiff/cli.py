@@ -173,10 +173,14 @@ def _load_prior(prior: Path):
     u_dir, m_dir = prior / "u", prior / "m"
     if not (u_dir.is_dir() and m_dir.is_dir()):
         raise ConfigError(f"prior output directory {prior} has no u/ and m/ fields")
-    if read_manifest(u_dir)["kind"] != "timefield" or read_manifest(m_dir)["kind"] != "density":
-        raise ConfigError(f"prior output directory {prior} holds unexpected field kinds")
+    kinds = (read_manifest(u_dir).get("kind"), read_manifest(m_dir).get("kind"))
+    if kinds != ("timefield", "density"):
+        raise ConfigError(f"prior output directory {prior} holds u/ kind={kinds[0]!r} and m/ "
+                          f"kind={kinds[1]!r}, expected 'timefield' and 'density'")
     u = read_field(u_dir)
     m = read_field(m_dir)
+    if not u.grid.same_lattice(m.grid):
+        raise ConfigError(f"prior output directory {prior} holds u/ and m/ on different lattices")
     return u, m
 
 

@@ -1,8 +1,10 @@
 """Configuration loading, field serialization, and the command-line surface."""
 
+import dataclasses
 import hashlib
 import importlib.util
 import re
+import struct
 import sys
 from pathlib import Path
 
@@ -171,7 +173,7 @@ def test_write_read_roundtrip_bit_exact(tmp_path, rng, dim, kind):
     values /= values.sum(axis=tuple(range(1, dim + 1)), keepdims=True) * grid.dx**dim
     field = DensityPath.from_values(grid, values) if kind is DensityPath else TimeField(grid, values)
     write_field(field, tmp_path / "f")
-    assert sorted(p.name for p in (tmp_path / "f").iterdir()) == ["manifest.txt", "values.csv"]
+    assert sorted(p.name for p in (tmp_path / "f").iterdir()) == ["manifest.txt", "values.f64"]
     back = read_field(tmp_path / "f")
     assert type(back) is kind
     assert np.array_equal(back.values, field.values)
@@ -184,32 +186,30 @@ def test_density_roundtrip_and_mass_column(small_grid, tmp_path):
     write_field(m, tmp_path / "m")
     back = read_field(tmp_path / "m")
     assert isinstance(back, DensityPath)
-    # value column sums to 1/dx per level
-    data = np.loadtxt(tmp_path / "m" / "values.csv", delimiter=",", skiprows=1)
-    assert np.array_equal(np.unique(data[:, 0]), np.arange(small_grid.nt + 1))
-    for n in range(small_grid.nt + 1):
-        level = data[data[:, 0] == n]
-        assert len(level) == small_grid.nx
-        assert level[:, 2].sum() == pytest.approx(1.0 / small_grid.dx, abs=1e-12)
+    # the values of each level, as stored, sum to 1/dx
+    data = np.fromfile(tmp_path / "m" / "values.f64", dtype="<f8").reshape(small_grid.nt + 1, small_grid.nx)
+    assert data.sum(axis=1) == pytest.approx(1.0 / small_grid.dx, abs=1e-12)
 
 
-def _level_lines(path, n):
-    """The lines of `values.csv`, and the indices among them of level n's rows."""
-    lines = (path / "values.csv").read_text().splitlines()
-    return lines, [i for i, line in enumerate(lines[1:], 1) if line.startswith(f"{n},")]
+def _level_span(grid, n):
+    """The byte offsets of level n in `values.f64`."""
+    width = grid.n_nodes * 8
+    return n * width, (n + 1) * width
 
 
 def test_read_rejects_corrupted_level(small_grid, tmp_path, rng):
     vals = rng.standard_normal((small_grid.nt + 1, small_grid.nx))
     write_field(TimeField(small_grid, vals), tmp_path / "f")
-    lines, rows = _level_lines(tmp_path / "f", 3)
-    lines[rows[1]] = lines[rows[1]].rsplit(",", 1)[0] + ",999.0"
-    (tmp_path / "f" / "values.csv").write_text("\n".join(lines) + "\n")
-    with pytest.raises(ConfigError, match=r"level 3 of .*values\.csv"):
+    raw = tmp_path / "f" / "values.f64"
+    blob = bytearray(raw.read_bytes())
+    lo, hi = _level_span(small_grid, 3)
+    blob[lo + 8 : lo + 16] = np.float64(999.0).tobytes()
+    raw.write_bytes(bytes(blob))
+    with pytest.raises(ConfigError, match=r"level 3 of .*values\.f64"):
         read_field(tmp_path / "f")
     # a digest line rewritten to match the corrupted level still breaks the combined checksum
     man = tmp_path / "f" / "manifest.txt"
-    digest = hashlib.sha256("".join(lines[i] + "\n" for i in rows).encode()).hexdigest()
+    digest = hashlib.sha256(bytes(blob[lo:hi])).hexdigest()
     entries = [
         f"level 3 sha256={digest}" if line.startswith("level 3 ") else line
         for line in man.read_text().splitlines()
@@ -219,75 +219,31 @@ def test_read_rejects_corrupted_level(small_grid, tmp_path, rng):
         read_field(tmp_path / "f")
 
 
-def _rewrite_level(path, lines, n, rows):
-    """Write `lines` as `values.csv` and make the manifest vouch for them: the digest of
-    level n over the lines at `rows`, and the combined checksum, recomputed."""
-    (path / "values.csv").write_text("\n".join(lines) + "\n")
-    digest = hashlib.sha256("".join(lines[i] + "\n" for i in rows).encode()).hexdigest()
-    man = path / "manifest.txt"
-    entries = [
-        f"level {n} sha256={digest}" if line.startswith(f"level {n} ") else line
-        for line in man.read_text().splitlines()
-    ]
-    levels = "".join(line.partition("=")[2] for line in entries if line.startswith("level "))
-    entries[-1] = "checksum=" + hashlib.sha256(levels.encode()).hexdigest()
-    man.write_text("\n".join(entries) + "\n")
-
-
-def test_read_rejects_misaligned_rows(tmp_path):
-    grid = GridSpec(dim=1, box_length=1.0, nx=8, nt=4, horizon=1e-4, a_max=0.5, theta_lf=0.0)
-    vals = np.arange(grid.nt + 1)[:, None] * grid.nx + np.arange(grid.nx, dtype=float)
-    write_field(TimeField(grid, vals), tmp_path / "f")
-    lines, rows = _level_lines(tmp_path / "f", 2)
-    # one row of level 2 loses its value field and the next row gains it
-    moved = list(lines)
-    head, value = moved[rows[0]].rsplit(",", 1)
-    moved[rows[0]] = head
-    moved[rows[1]] += "," + value
-    _rewrite_level(tmp_path / "f", moved, 2, rows)
-    with pytest.raises(ConfigError, match=r"level 2 of .*values\.csv"):
+def test_read_rejects_wrong_size(small_grid, tmp_path, rng):
+    vals = rng.standard_normal((small_grid.nt + 1, small_grid.nx))
+    write_field(TimeField(small_grid, vals), tmp_path / "f")
+    raw = tmp_path / "f" / "values.f64"
+    blob = raw.read_bytes()
+    expected = (small_grid.nt + 1) * small_grid.nx * 8
+    # the last value cut off
+    raw.write_bytes(blob[:-8])
+    with pytest.raises(ConfigError, match=f"values\\.f64 holds {expected - 8} bytes, expected {expected}"):
         read_field(tmp_path / "f")
-    # two rows of level 2 swapped: the values would land on the wrong nodes
-    swapped = list(lines)
-    swapped[rows[0]], swapped[rows[1]] = lines[rows[1]], lines[rows[0]]
-    _rewrite_level(tmp_path / "f", swapped, 2, rows)
-    with pytest.raises(ConfigError, match=r"level 2 of .*values\.csv"):
+    # one byte past the last level
+    raw.write_bytes(blob + b"\0")
+    with pytest.raises(ConfigError, match=f"values\\.f64 holds {expected + 1} bytes, expected {expected}"):
         read_field(tmp_path / "f")
-    # a row of level 2 that lost its value field, with nothing to make up for it
-    short = list(lines)
-    short[rows[3]] = short[rows[3]].rsplit(",", 1)[0]
-    _rewrite_level(tmp_path / "f", short, 2, rows)
-    with pytest.raises(ConfigError, match=r"level 2 of .*values\.csv"):
-        read_field(tmp_path / "f")
-    # a value of level 2 that is not a number names the run of levels it sits in
-    garbled = list(lines)
-    garbled[rows[3]] = garbled[rows[3]].rsplit(",", 1)[0] + ",abc"
-    _rewrite_level(tmp_path / "f", garbled, 2, rows)
-    with pytest.raises(ConfigError, match=r"levels 0-4 of .*values\.csv do not parse"):
-        read_field(tmp_path / "f")
-    # the untouched rows, under the rewritten manifest, read back exactly
-    _rewrite_level(tmp_path / "f", lines, 2, rows)
+    # the file restored reads back exactly
+    raw.write_bytes(blob)
     assert np.array_equal(read_field(tmp_path / "f").values, vals)
 
 
-def test_read_rejects_wrong_row_count(small_grid, tmp_path, rng):
+def test_read_rejects_missing_digest(small_grid, tmp_path, rng):
     vals = rng.standard_normal((small_grid.nt + 1, small_grid.nx))
     write_field(TimeField(small_grid, vals), tmp_path / "f")
-    csv = tmp_path / "f" / "values.csv"
-    lines = csv.read_text().splitlines()
-    last = small_grid.nt
-    # the last level's rows removed
-    csv.write_text("\n".join(lines[: -small_grid.nx]) + "\n")
-    with pytest.raises(ConfigError, match=f"level {last} of .*values\\.csv has 0 rows, expected {small_grid.nx}"):
-        read_field(tmp_path / "f")
-    # one extra row after the last level
-    csv.write_text("\n".join(lines + [lines[-1]]) + "\n")
-    with pytest.raises(ConfigError, match=f"values\\.csv has 1 rows after its last level {last}"):
-        read_field(tmp_path / "f")
-    # one extra row inside level 3: level 3 is the first that does not match
-    _, rows = _level_lines(tmp_path / "f", 3)
-    csv.write_text("\n".join(lines[: rows[0]] + [lines[rows[0]]] + lines[rows[0] :]) + "\n")
-    with pytest.raises(ConfigError, match=r"level 3 of .*values\.csv"):
+    man = tmp_path / "f" / "manifest.txt"
+    man.write_text("".join(line for line in man.read_text().splitlines(True) if not line.startswith("level 5 ")))
+    with pytest.raises(ConfigError, match="lists no digest for level 5"):
         read_field(tmp_path / "f")
 
 
@@ -295,25 +251,36 @@ def test_read_rejects_per_level_layout(small_grid, tmp_path, rng):
     # output directories of earlier versions held one level_NNNNNN.csv per level
     vals = rng.standard_normal((small_grid.nt + 1, small_grid.nx))
     write_field(TimeField(small_grid, vals), tmp_path / "f")
-    (tmp_path / "f" / "values.csv").rename(tmp_path / "f" / "level_000000.csv")
+    (tmp_path / "f" / "values.f64").rename(tmp_path / "f" / "level_000000.csv")
     man = tmp_path / "f" / "manifest.txt"
     man.write_text(re.sub(r"^level (\d+) ", lambda g: f"file level_{int(g[1]):06d}.csv ", man.read_text(), flags=re.M))
-    with pytest.raises(ConfigError, match=r"missing .*values\.csv"):
+    with pytest.raises(ConfigError, match=r"missing .*values\.f64"):
+        read_field(tmp_path / "f")
+
+
+def test_read_rejects_csv_layout(small_grid, tmp_path, rng):
+    # output directories of earlier versions held the levels as text in one values.csv
+    vals = rng.standard_normal((small_grid.nt + 1, small_grid.nx))
+    write_field(TimeField(small_grid, vals), tmp_path / "f")
+    (tmp_path / "f" / "values.f64").unlink()
+    rows = [f"{n},{x!r},{v!r}" for n in range(small_grid.nt + 1) for x, v in zip(small_grid.axis_coords(), vals[n])]
+    (tmp_path / "f" / "values.csv").write_text("level,x,value\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ConfigError, match=r"missing .*values\.f64"):
         read_field(tmp_path / "f")
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_level_bytes_match_row_reference(tmp_path, rng, dim):
+def test_level_bytes_match_f8_reference(tmp_path, rng, dim):
     grid = GridSpec(dim=dim, box_length=1.0, nx=8, nt=3, horizon=1e-3, a_max=0.5)
     values = rng.standard_normal((grid.nt + 1, *grid.shape))
     values.reshape(-1)[:5] = [0.0, -0.0, 1e-300, 1.0 / 3.0, -2.5e17]
     write_field(TimeField(grid, values), tmp_path / "f")
-    coords = grid.coords().reshape(-1, dim)
-    rows = [",".join(["level", "x", "y"][: dim + 1] + ["value"])]
-    for n in range(grid.nt + 1):
-        rows += [",".join(["%d" % n] + ["%.17g" % v for v in (*c, val)]) for c, val in zip(coords, values[n].reshape(-1))]
-    expected = ("\n".join(rows) + "\n").encode()
-    assert (tmp_path / "f" / "values.csv").read_bytes() == expected
+    # each value packed on its own, levels ascending and nodes in C order
+    expected = b"".join(struct.pack("<d", v) for n in range(grid.nt + 1) for v in values[n].reshape(-1).tolist())
+    assert (tmp_path / "f" / "values.f64").read_bytes() == expected
+    back = read_field(tmp_path / "f").values.reshape(-1)
+    assert back[:5].tolist() == [0.0, -0.0, 1e-300, 1.0 / 3.0, -2.5e17]
+    assert np.signbit(back[1]) and back[2] == 1e-300
 
 
 def test_checksum_changes_iff_values_change(small_grid, tmp_path, rng):
@@ -385,22 +352,71 @@ def test_verify_sde_missing_prior_exit2(tmp_path):
     assert rc == 2
 
 
-def test_corrupt_prior_exit2_names_level(tmp_path, caplog):
-    path = _minimal_doc(tmp_path, **{"fixed_point.tol": 1e-2})
-    assert main(["solve-mfg", "--config", str(path), "--quiet"]) == 0
-    prior = tmp_path / "out"
-    lines, rows = _level_lines(prior / "m", 3)
-    lines[rows[2]] = lines[rows[2]].rsplit(",", 1)[0] + ",0.5"
-    (prior / "m" / "values.csv").write_text("\n".join(lines) + "\n")
-    for command in ("verify-sde", "wasserstein"):
+def _prior_errors(path, prior, tmp_path, caplog, commands=("verify-sde", "wasserstein")):
+    """Exit code and ERROR log lines of each command run on `prior`."""
+    results = {}
+    for command in commands:
         caplog.clear()
         rc = main([
             command, "--config", str(path), "--quiet",
             "--prior", str(prior), "--out", str(tmp_path / command),
         ])
+        results[command] = rc, [rec.getMessage() for rec in caplog.records if rec.levelname == "ERROR"]
+    return results
+
+
+def test_corrupt_prior_exit2_names_level(tmp_path, caplog):
+    path = _minimal_doc(tmp_path, **{"fixed_point.tol": 1e-2})
+    assert main(["solve-mfg", "--config", str(path), "--quiet"]) == 0
+    prior = tmp_path / "out"
+    raw = prior / "m" / "values.f64"
+    blob = bytearray(raw.read_bytes())
+    lo, _ = _level_span(load_config(path).grid, 3)
+    blob[lo + 16 : lo + 24] = np.float64(0.5).tobytes()
+    raw.write_bytes(bytes(blob))
+    for rc, errors in _prior_errors(path, prior, tmp_path, caplog).values():
         assert rc == 2
-        errors = [rec.getMessage() for rec in caplog.records if rec.levelname == "ERROR"]
-        assert any("level 3 of" in msg and "values.csv" in msg for msg in errors), errors
+        assert any("level 3 of" in msg and "values.f64" in msg for msg in errors), errors
+
+
+def _written_prior(path, prior, m_nt=None):
+    """u/ and m/ fields on the config grid, m/ on `m_nt` levels if given."""
+    grid = load_config(path).grid
+    m_grid = grid if m_nt is None else dataclasses.replace(grid, nt=m_nt)
+    write_field(TimeField(grid, np.zeros((grid.nt + 1, *grid.shape))), prior / "u")
+    uniform = np.full((m_grid.nt + 1, *m_grid.shape), 1.0 / m_grid.box_length**m_grid.dim)
+    write_field(DensityPath.from_values(m_grid, uniform), prior / "m")
+
+
+def test_prior_on_two_lattices_exit2(tmp_path, caplog):
+    path = _minimal_doc(tmp_path)
+    _written_prior(path, tmp_path / "prior", m_nt=160)
+    rc, errors = _prior_errors(path, tmp_path / "prior", tmp_path, caplog, ("verify-sde",))["verify-sde"]
+    assert rc == 2
+    assert any("different lattices" in msg for msg in errors), errors
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda text: re.sub(r"^kind=.*\n", "", text, flags=re.M), "kind="),
+        (lambda text: re.sub(r"^horizon=.*\n", "", text, flags=re.M), "horizon="),
+        (lambda text: re.sub(r"^nx=.*$", "nx=sixteen", text, flags=re.M), "nx="),
+        (lambda text: re.sub(r"^kind=.*$", "kind=velocity", text, flags=re.M), "kind="),
+    ],
+    ids=["no-kind", "no-horizon", "nx-not-int", "unknown-kind"],
+)
+def test_malformed_prior_manifest_exit2_names_key(tmp_path, caplog, edit, named):
+    path = _minimal_doc(tmp_path)
+    prior = tmp_path / "prior"
+    _written_prior(path, prior)
+    man = prior / "m" / "manifest.txt"
+    man.write_text(edit(man.read_text()))
+    with pytest.raises(ConfigError, match=named):
+        read_field(prior / "m")
+    for rc, errors in _prior_errors(path, prior, tmp_path, caplog).values():
+        assert rc == 2
+        assert any(named in msg for msg in errors), errors
 
 
 def test_negative_density_hook_exit1(tmp_path):
