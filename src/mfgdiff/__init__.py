@@ -15,8 +15,6 @@ from .control import (
     ControlBounds,
     HamiltonianSpec,
     ModelSpec,
-    eval_h1,
-    eval_h2,
     l3_from_l2,
     model_a,
     mollify_hamiltonian,
@@ -81,8 +79,6 @@ __all__ = [
     "coupling_fields",
     "d1",
     "dpp_check",
-    "eval_h1",
-    "eval_h2",
     "grid_for",
     "hjb_residual",
     "holder_half_diagnostic",

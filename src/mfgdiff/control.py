@@ -25,17 +25,19 @@ Two concrete representations are supported:
 
 A mollified variant replaces every evaluation by a discrete convolution of
 the original over (t, x, last-variable) offsets inside a radius delta, using
-a tensor-product quadratic bump (1 - (r/delta)^2)_+ on nine offsets per axis.
-Convex combinations preserve concavity and keep the derivative inside the
-control interval, so the mollified Hamiltonians satisfy the same structural
-bounds as the originals.
+a tensor-product quadratic bump (1 - (r/delta)^2)_+ on nine offsets per axis,
+of which the seven interior ones carry weight.  Convex combinations preserve
+concavity and keep the derivative inside the control interval, so the
+mollified Hamiltonians satisfy the same structural bounds as the originals.
 
-No other module branches on the representation.  This one also writes the
-running costs L1, L3 at an explicit control (`running_costs`; a mollified
-spec has none and raises a ConfigError), and the segment means of H2_q and
-H1_p along [0, q] and [0, p] (`h2_segment_mean`, `h1_segment_mean`): exact
-for the closed form, whose derivatives are clamped linear in the segment
-parameter, and Gauss-Legendre quadrature otherwise.
+Every caller evaluates the Hamiltonians through `h1_terms` and `h2_terms`,
+vectorized over nodes; there is no scalar API.  No other module branches on
+the representation.  This one also writes the running costs L1, L3 at an
+explicit control (`running_costs`; a mollified spec has none and raises a
+ConfigError), and the segment means of H2_q and H1_p along [0, q] and
+[0, p] (`h2_segment_mean`, `h1_segment_mean`): exact for the closed form,
+whose derivatives are clamped linear in the segment parameter, and
+Gauss-Legendre quadrature otherwise.
 
 `validate_hypotheses` audits those structural bounds on a sample cloud:
 ellipticity of H2_q, boundedness of values and derivatives at zero, the
@@ -50,7 +52,8 @@ derivative without a closed form.
 
 from __future__ import annotations
 
-import itertools
+import functools
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -80,7 +83,7 @@ class ControlBounds:
             raise ConfigError(
                 f"need 0 < lambda1 < lambda2, got ({self.lambda1}, {self.lambda2})"
             )
-        if self.drift_bound < 0:
+        if not self.drift_bound >= 0:
             raise ConfigError(f"drift bound must be nonnegative, got {self.drift_bound}")
 
     @property
@@ -108,10 +111,13 @@ class ClosedFormCoefficients:
     l3_weight: float = 1.0
 
     def __post_init__(self):
-        if self.drift_ctrl_max < 0:
+        # written so that a NaN fails them too
+        if not self.drift_ctrl_max >= 0:
             raise ConfigError("drift_ctrl_max must be nonnegative")
-        if self.l1_weight <= 0 or self.l3_weight <= 0:
+        if not (self.l1_weight > 0 and self.l3_weight > 0):
             raise ConfigError("running-cost weights must be positive")
+        if not math.isfinite(self.l3_vertex):
+            raise ConfigError(f"l3_vertex must be finite, got {self.l3_vertex}")
 
 
 @dataclass(frozen=True)
@@ -163,7 +169,7 @@ class HamiltonianSpec:
         elif self.kind == "mollified":
             if self.base is None or self.delta is None:
                 raise ConfigError("mollified spec needs a base spec and a radius")
-            if self.delta <= 0:
+            if not self.delta > 0:
                 raise ConfigError(f"mollification radius must be positive, got {self.delta}")
         else:
             raise ConfigError(f"unknown hamiltonian kind {self.kind!r}")
@@ -182,9 +188,9 @@ class ModelSpec:
     discount: float = 0.0
 
     def __post_init__(self):
-        if self.horizon <= 0:
+        if not self.horizon > 0:
             raise ConfigError(f"horizon must be positive, got {self.horizon}")
-        if self.discount < 0:
+        if not self.discount >= 0:
             raise ConfigError(f"discount must be nonnegative, got {self.discount}")
         ham = self.hamiltonians
         if ham.kind == "tabulated":
@@ -201,35 +207,19 @@ class ModelSpec:
         return self.hamiltonians.dim
 
 
-@dataclass(frozen=True)
-class HamiltonianEval:
-    """Value, minimizing control, and envelope derivative at one point."""
-
-    value: float
-    argmin: float | np.ndarray
-    derivative: float | np.ndarray
-
-
 # --------------------------------------------------------------------------
 # vectorized evaluation cores
 # --------------------------------------------------------------------------
 
 
 def _mollifier_terms(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets (n, dim + 2) over (t, x_1..x_d, last-variable) and weights."""
-    delta = spec.delta
-    steps = np.arange(-4, 5) / 4.0
-    w1 = np.clip(1.0 - steps**2, 0.0, None)
+    """Offsets (n, dim + 2) over (t, x_1..x_d, last-variable) and weights, in C order."""
+    steps = np.arange(-3, 4) / 4.0
+    w1 = 1.0 - steps**2
     n_axes = spec.dim + 2
-    offs, wts = [], []
-    for combo in itertools.product(range(9), repeat=n_axes):
-        w = float(np.prod([w1[c] for c in combo]))
-        if w == 0.0:
-            continue
-        offs.append([steps[c] * delta for c in combo])
-        wts.append(w)
-    offsets = np.asarray(offs)
-    weights = np.asarray(wts)
+    axes = np.meshgrid(*[steps * spec.delta] * n_axes, indexing="ij")
+    offsets = np.stack([a.ravel() for a in axes], axis=1)
+    weights = functools.reduce(np.multiply.outer, [w1] * n_axes).ravel()
     weights /= weights.sum()
     return offsets, weights
 
@@ -433,51 +423,19 @@ def h2_segment_mean(model: ModelSpec, t, x, q, order: int = 16) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# scalar API
+# spec transforms and reference models
 # --------------------------------------------------------------------------
-
-
-def _check_finite(name, value):
-    arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"non-finite input: {name}={value!r}")
-    return arr
-
-
-def eval_h1(model: ModelSpec, t: float, x, p) -> HamiltonianEval:
-    """Evaluate the drift Hamiltonian at one point.
-
-    x and p may be scalars in 1D or length-d sequences; returns the minimum
-    value, the minimizing drift control, and the envelope derivative H1_p.
-    """
-    t = float(_check_finite("t", t))
-    x = np.atleast_1d(_check_finite("x", x))
-    p = np.atleast_1d(_check_finite("p", p))
-    if p.shape != (model.dim,):
-        raise ValueError(f"p must have {model.dim} components, got shape {p.shape}")
-    value, deriv = h1_terms(model, t, x, p)
-    if model.dim == 1:
-        return HamiltonianEval(float(value), float(deriv[..., 0]), float(deriv[..., 0]))
-    return HamiltonianEval(float(value), np.asarray(deriv), np.asarray(deriv))
-
-
-def eval_h2(model: ModelSpec, t: float, x, q: float) -> HamiltonianEval:
-    """Evaluate the diffusion Hamiltonian at one point (q scalar)."""
-    t = float(_check_finite("t", t))
-    x = np.atleast_1d(_check_finite("x", x))
-    q = float(_check_finite("q", q))
-    value, deriv = h2_terms(model, t, x, q)
-    return HamiltonianEval(float(value), float(deriv), float(deriv))
 
 
 def mollify_hamiltonian(spec: HamiltonianSpec, delta: float) -> HamiltonianSpec:
     """Smooth a Hamiltonian spec by discrete convolution of radius delta.
 
-    The reported argmin of a mollified spec is the averaged derivative: after
-    smoothing there is no single minimizing control, but the average stays in
-    the convex control set, so the ellipticity and drift bounds survive.
+    The derivative that `h1_terms` and `h2_terms` return for a mollified spec
+    is the averaged derivative: after smoothing there is no single minimizing
+    control, but the average stays in the convex control set, so the
+    ellipticity and drift bounds survive.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ConfigError(f"mollification radius must be positive, got {delta}")
     return HamiltonianSpec(kind="mollified", dim=spec.dim, base=spec, delta=delta)
 
@@ -497,11 +455,6 @@ def l3_from_l2(l2: Callable) -> Callable:
         return l2(t, x, np.sqrt(2.0 * np.asarray(eta, dtype=float)))
 
     return l3
-
-
-# --------------------------------------------------------------------------
-# reference models
-# --------------------------------------------------------------------------
 
 
 def model_a(

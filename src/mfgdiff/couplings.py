@@ -22,6 +22,7 @@ mass density with the unit mass kernel again has unit mass up to round-off.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,7 +45,7 @@ def _wrapped_gaussian(offsets: np.ndarray, box: float, width: float) -> np.ndarr
 @lru_cache(maxsize=64)
 def _axis_kernel(nx: int, dx: float, eps: float) -> np.ndarray:
     """Wrapped-Gaussian kernel samples along one axis, unit mass (sum * dx = 1)."""
-    if eps <= 0:
+    if not eps > 0:
         raise ConfigError(f"kernel width must be positive, got {eps}")
     acc = _wrapped_gaussian(np.arange(nx) * dx, nx * dx, eps)
     acc /= acc.sum() * dx
@@ -98,8 +99,11 @@ class KernelCoupling:
     gain: float
 
     def __post_init__(self):
-        if self.eps <= 0:
+        # written so that a NaN fails them too
+        if not self.eps > 0:
             raise ConfigError(f"coupling kernel width must be positive, got {self.eps}")
+        if not math.isfinite(self.gain):
+            raise ConfigError(f"coupling gain must be finite, got {self.gain}")
 
     def field(self, grid: GridSpec, density_values: np.ndarray) -> np.ndarray:
         if self.gain == 0.0:
@@ -124,6 +128,8 @@ class TerminalBase:
     def __post_init__(self):
         if self.kind not in ("zero", "constant", "cosine"):
             raise ConfigError(f"unknown terminal base kind {self.kind!r}")
+        if not (math.isfinite(self.value) and math.isfinite(self.amplitude)):
+            raise ConfigError("terminal base value and amplitude must be finite")
 
     def values(self, grid: GridSpec) -> np.ndarray:
         if self.kind == "zero":
@@ -161,7 +167,7 @@ class DensityInit:
     def __post_init__(self):
         if self.kind not in ("uniform", "gaussian", "dirac"):
             raise ConfigError(f"unknown density kind {self.kind!r}")
-        if self.kind == "gaussian" and self.width <= 0:
+        if self.kind == "gaussian" and not self.width > 0:
             raise ConfigError("gaussian density needs a positive width")
 
     def discretize(self, grid: GridSpec) -> np.ndarray:

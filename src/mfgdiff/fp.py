@@ -76,7 +76,8 @@ class TransportOperator:
     """Per-level generator coefficients on a grid.
 
     a has shape (nt+1,) + grid.shape, b has an extra trailing axis of length
-    grid.dim.  Instances are immutable once built.
+    grid.dim.  Instances are immutable once built.  The marches read them only
+    through `weights`; there is no per-level apply and no dense form.
     """
 
     grid: GridSpec
@@ -129,26 +130,6 @@ class TransportOperator:
             return 1.0 + dt * diag, dt * up, dt * dn
         return diag, up, dn
 
-    def apply_generator(self, level: int, v: np.ndarray) -> np.ndarray:
-        """(L v) at one time level."""
-        diag, up, dn = self.weights(slice(level, level + 1))
-        return _generator_step(diag[0], up[0], dn[0], v)
-
-    def apply_adjoint(self, level: int, m: np.ndarray) -> np.ndarray:
-        """(L^T m) at one time level: Lap_h(a m) minus the upwind divergence of b m."""
-        diag, up, dn = self.weights(slice(level, level + 1))
-        return _adjoint_step(diag[0], up[0], dn[0], m)
-
-    def to_dense(self, level: int) -> np.ndarray:
-        """Dense generator matrix at one level (small grids, inspection only)."""
-        n = self.grid.n_nodes
-        mat = np.empty((n, n))
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = 1.0
-            mat[:, j] = self.apply_generator(level, e.reshape(self.grid.shape)).ravel()
-        return mat
-
     def step_positivity_margin(self) -> float:
         """Min over nodes/levels of the diagonal entry of I + dt * L, reduced chunk by chunk."""
         return float(np.min([self.weights(c, step=True)[0].min() for c in self.grid.level_chunks()]))
@@ -189,26 +170,15 @@ class DensityPath:
 
     @classmethod
     def from_values(cls, grid: GridSpec, values: np.ndarray) -> "DensityPath":
-        values = np.asarray(values, dtype=float)
-        cell = grid.dx**grid.dim
-        mass = values.reshape(grid.nt + 1, -1).sum(axis=1) * cell
-        path = cls(grid, values, mass)
-        path.validate()
+        """A path with its level masses, checked level by level as `solve_fp` checks its march."""
+        path = cls(grid, values, np.empty(grid.nt + 1))
+        _check_levels(path.values, path.mass, slice(0, grid.nt + 1), grid.dx**grid.dim)
         return path
 
     @classmethod
     def constant_in_time(cls, grid: GridSpec, slice_values: np.ndarray) -> "DensityPath":
         vals = np.broadcast_to(slice_values, (grid.nt + 1, *grid.shape)).copy()
         return cls.from_values(grid, vals)
-
-    def validate(self) -> None:
-        if not (self.values.min() >= -_NEG_TOL):
-            raise ContractError(
-                f"density undershoot {self.values.min():.3e} below -{_NEG_TOL:.0e}"
-            )
-        drift = np.max(np.abs(self.mass - 1.0))
-        if not (drift <= _MASS_TOL):
-            raise ContractError(f"mass drift {drift:.3e} exceeds {_MASS_TOL:.0e}")
 
     def lp_norm(self, p: int, level: int | None = None) -> float:
         """Grid-level L^p norm, sup over levels unless one is given."""
@@ -283,7 +253,7 @@ def solve_fp(op: TransportOperator, m0: np.ndarray) -> DensityPath:
 
 
 def _check_levels(vals: np.ndarray, mass: np.ndarray, new: slice, cell: float) -> None:
-    """Fill the mass of the freshly marched levels and abort at the first bad one.
+    """Fill the mass of the levels `new` and abort at the first bad one.
 
     A level is bad when it undershoots below -_NEG_TOL or drifts in mass
     beyond _MASS_TOL; the undershoot is reported first, as a level-by-level

@@ -20,13 +20,14 @@ of level pairs, each level checked as `GridMeasure` checks one measure:
 `holder_half_diagnostic` a path against its own shift in time.
 
 In one dimension the value is exact and cheap: d1 = sum |CDF1 - CDF2| * dx.
-The maximizing dual potential is explicit (slopes -sign(CDF1 - CDF2)), and a
-transportation linear program over the same support reproduces the value,
-which the tests use as an independent oracle.  In two dimensions the
-distance is solved exactly as a transportation LP with Euclidean costs on
-the mass that moves only: for a metric cost W1(m1, m2) equals the cost of
-carrying (m1 - m2)+ onto (m1 - m2)- (Kantorovich-Rubinstein), so shared
-mass cancels before the solve and the LP is posed at unit moved mass.
+The maximizing dual potential is explicit (slopes -sign(CDF1 - CDF2)); the
+tests build it as the dual certificate of that value, and check it against
+a transportation linear program over the same support, an independent
+oracle.  In two dimensions the distance is solved exactly as a
+transportation LP with Euclidean costs on the mass that moves only: for a
+metric cost W1(m1, m2) equals the cost of carrying (m1 - m2)+ onto
+(m1 - m2)- (Kantorovich-Rubinstein), so shared mass cancels before the
+solve and the LP is posed at unit moved mass.
 Measures wider than 32 nodes per axis are block-coarsened first
 (diagnostic-grade accuracy, error O(dx * factor)).
 
@@ -270,16 +271,6 @@ def _monotone_coupling(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     plan = np.minimum(fa[..., 1:, :], fb[..., 1:])
     plan -= np.maximum(fa[..., :-1, :], fb[..., :-1])
     return np.maximum(plan, 0.0, out=plan)
-
-
-def dual_potential_1d(m1: GridMeasure, m2: GridMeasure) -> np.ndarray:
-    """A maximizing 1-Lipschitz potential for the 1D dual problem."""
-    if m1.grid.dim != 1:
-        raise ValueError("dual potential construction is one-dimensional")
-    diff = np.cumsum(m1.weights - m2.weights)
-    slopes = np.sign(diff[:-1])
-    phi = np.concatenate([[0.0], np.cumsum(-slopes * m1.grid.dx)])
-    return phi
 
 
 def _coarsen(grid: GridSpec, weights: np.ndarray) -> tuple[GridSpec, np.ndarray]:

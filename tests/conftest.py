@@ -56,6 +56,12 @@ def brute_force_h2(q, step=1e-4, lo=0.5, hi=2.0, vertex=1.0, weight=1.0):
     return float(vals[idx]), float(etas[idx])
 
 
+def at_point(terms, model, t, x, z):
+    """(value, derivative) of `h1_terms` or `h2_terms` at one point; the derivative a float in 1D."""
+    value, deriv = terms(model, t, np.atleast_1d(x), np.atleast_1d(z))
+    return value.item(), (deriv.item() if deriv.size == 1 else deriv)
+
+
 def heat_solution(nu, box, horizon, t, x):
     """Separation-of-variables solution of the backward heat flow with
     terminal slice cos(2 pi x / L)."""

@@ -4,21 +4,22 @@ import numpy as np
 import pytest
 
 from mfgdiff import (
+    ClosedFormCoefficients,
     ConfigError,
     ControlBounds,
     HamiltonianSpec,
-    eval_h1,
-    eval_h2,
     l3_from_l2,
     model_a,
     mollify_hamiltonian,
     mollify_model,
     validate_hypotheses,
 )
-from mfgdiff.control import ModelSpec
-from mfgdiff.couplings import DensityInit, KernelCoupling, TerminalBase, TerminalSpec
+from mfgdiff.control import ModelSpec, h1_terms, h2_terms
+from mfgdiff.couplings import DensityInit, KernelCoupling, TerminalBase, TerminalSpec, validate_kernel
+from mfgdiff.grid import GridSpec
+from mfgdiff.sde import McConfig
 
-from conftest import brute_force_h1, brute_force_h2
+from conftest import at_point, brute_force_h1, brute_force_h2
 
 
 @pytest.fixture(scope="module")
@@ -32,9 +33,9 @@ def ma():
 
 
 def test_h1_zero_momentum(ma):
-    ev = eval_h1(ma, 0.0, 0.5, 0.0)
-    assert ev.value == 0.0
-    assert ev.argmin == 0.0
+    value, alpha = at_point(h1_terms, ma, 0.0, 0.5, 0.0)
+    assert value == 0.0
+    assert alpha == 0.0
 
 
 @pytest.mark.parametrize(
@@ -42,12 +43,12 @@ def test_h1_zero_momentum(ma):
     [(2.0, -1.5, -1.0), (0.5, -0.125, -0.5)],
 )
 def test_h1_frozen_examples(ma, p, value, argmin):
-    ev = eval_h1(ma, 0.0, 0.5, p)
-    assert ev.value == pytest.approx(value, abs=1e-12)
-    assert ev.argmin == pytest.approx(argmin, abs=1e-12)
+    h, alpha = at_point(h1_terms, ma, 0.0, 0.5, p)
+    assert h == pytest.approx(value, abs=1e-12)
+    assert alpha == pytest.approx(argmin, abs=1e-12)
     bf_val, bf_arg = brute_force_h1(p)
-    assert ev.value == pytest.approx(bf_val, abs=1e-6)
-    assert ev.argmin == pytest.approx(bf_arg, abs=1e-3)
+    assert h == pytest.approx(bf_val, abs=1e-6)
+    assert alpha == pytest.approx(bf_arg, abs=1e-3)
 
 
 @pytest.mark.parametrize(
@@ -55,22 +56,20 @@ def test_h1_frozen_examples(ma, p, value, argmin):
     [(0.0, 0.0, 1.0), (2.0, 1.25, 0.5), (-4.0, -7.0, 2.0)],
 )
 def test_h2_frozen_examples(ma, q, value, argmin):
-    ev = eval_h2(ma, 0.0, 0.5, q)
-    assert ev.value == pytest.approx(value, abs=1e-12)
-    assert ev.argmin == pytest.approx(argmin, abs=1e-12)
+    h, eta = at_point(h2_terms, ma, 0.0, 0.5, q)
+    assert h == pytest.approx(value, abs=1e-12)
+    assert eta == pytest.approx(argmin, abs=1e-12)
     bf_val, bf_arg = brute_force_h2(q)
-    assert ev.value == pytest.approx(bf_val, abs=1e-6)
-    assert ev.argmin == pytest.approx(bf_arg, abs=1e-3)
+    assert h == pytest.approx(bf_val, abs=1e-6)
+    assert eta == pytest.approx(bf_arg, abs=1e-3)
 
 
 def test_brute_force_sweep(ma, rng):
     for _ in range(100):
         p = rng.uniform(-6, 6)
         q = rng.uniform(-10, 10)
-        e1 = eval_h1(ma, 0.0, 0.5, p)
-        e2 = eval_h2(ma, 0.0, 0.5, q)
-        assert e1.value == pytest.approx(brute_force_h1(p)[0], abs=1e-6)
-        assert e2.value == pytest.approx(brute_force_h2(q)[0], abs=1e-6)
+        assert at_point(h1_terms, ma, 0.0, 0.5, p)[0] == pytest.approx(brute_force_h1(p)[0], abs=1e-6)
+        assert at_point(h2_terms, ma, 0.0, 0.5, q)[0] == pytest.approx(brute_force_h2(q)[0], abs=1e-6)
 
 
 def test_tabulated_matches_closed_form(ma, rng):
@@ -88,11 +87,11 @@ def test_tabulated_matches_closed_form(ma, rng):
     tab_model = replace(ma, hamiltonians=tab)
     for _ in range(25):
         p, q = rng.uniform(-4, 4), rng.uniform(-8, 8)
-        assert eval_h1(tab_model, 0.1, 0.3, p).value == pytest.approx(
-            eval_h1(ma, 0.1, 0.3, p).value, abs=1e-5
+        assert at_point(h1_terms, tab_model, 0.1, 0.3, p)[0] == pytest.approx(
+            at_point(h1_terms, ma, 0.1, 0.3, p)[0], abs=1e-5
         )
-        assert eval_h2(tab_model, 0.1, 0.3, q).value == pytest.approx(
-            eval_h2(ma, 0.1, 0.3, q).value, abs=1e-5
+        assert at_point(h2_terms, tab_model, 0.1, 0.3, q)[0] == pytest.approx(
+            at_point(h2_terms, ma, 0.1, 0.3, q)[0], abs=1e-5
         )
 
 
@@ -106,6 +105,42 @@ def test_bounds_reject_equal_lambdas():
         ControlBounds(lambda1=1.0, lambda2=1.0)
     with pytest.raises(ConfigError):
         ControlBounds(lambda1=2.0, lambda2=1.0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: ControlBounds(lambda1=1.0, lambda2=2.0, drift_bound=NAN), id="drift_bound"),
+        pytest.param(lambda: ClosedFormCoefficients(drift_ctrl_max=NAN), id="drift_ctrl_max"),
+        pytest.param(lambda: ClosedFormCoefficients(l1_weight=NAN), id="l1_weight"),
+        pytest.param(lambda: ClosedFormCoefficients(l3_vertex=NAN), id="l3_vertex"),
+        pytest.param(lambda: ClosedFormCoefficients(l3_weight=NAN), id="l3_weight"),
+        pytest.param(lambda: mollify_hamiltonian(model_a().hamiltonians, NAN), id="mollify_delta"),
+        pytest.param(
+            lambda: HamiltonianSpec(kind="mollified", base=model_a().hamiltonians, delta=NAN), id="spec_delta"
+        ),
+        pytest.param(lambda: ModelSpec(**{**vars(model_a()), "horizon": NAN}), id="horizon"),
+        pytest.param(lambda: ModelSpec(**{**vars(model_a()), "discount": NAN}), id="discount"),
+        pytest.param(lambda: KernelCoupling(eps=NAN, gain=0.5), id="kernel_eps"),
+        pytest.param(lambda: KernelCoupling(eps=0.1, gain=NAN), id="kernel_gain"),
+        pytest.param(lambda: KernelCoupling(eps=0.1, gain=float("inf")), id="kernel_gain_inf"),
+        pytest.param(lambda: DensityInit(kind="gaussian", width=NAN), id="density_width"),
+        pytest.param(lambda: TerminalBase(kind="cosine", amplitude=NAN), id="terminal_amplitude"),
+        pytest.param(lambda: TerminalBase(kind="constant", value=NAN), id="terminal_value"),
+        pytest.param(lambda: McConfig(num_paths=100, dt_mc=NAN, seed=0, x0=(0.5,)), id="dt_mc"),
+        pytest.param(
+            lambda: validate_kernel(GridSpec(dim=1, box_length=1.0, nx=32, nt=64, horizon=0.01, a_max=0.5), NAN),
+            id="validate_kernel_eps",
+        ),
+    ],
+)
+def test_nonfinite_parameters_rejected(build):
+    # each check is written so that a NaN fails it, as a value out of range does
+    with pytest.raises(ConfigError):
+        build()
 
 
 def test_empty_control_grid_rejected():
@@ -135,60 +170,45 @@ def test_eta_grid_outside_bounds_rejected(ma):
         replace(ma, hamiltonians=bad)
 
 
-def test_nonfinite_inputs_rejected(ma):
-    with pytest.raises(ValueError, match="non-finite"):
-        eval_h1(ma, 0.0, 0.5, float("nan"))
-    with pytest.raises(ValueError, match="non-finite"):
-        eval_h2(ma, 0.0, float("inf"), 1.0)
-
-
 def test_concavity_along_lines(ma, rng):
     # infimum of affine functions: H(theta q1 + (1-theta) q2) >= mix of values
     for _ in range(200):
         q1, q2 = rng.uniform(-10, 10, size=2)
         th = rng.uniform()
-        mix = eval_h2(ma, 0.0, 0.5, th * q1 + (1 - th) * q2).value
-        assert mix >= th * eval_h2(ma, 0.0, 0.5, q1).value + (1 - th) * eval_h2(
-            ma, 0.0, 0.5, q2
-        ).value - 1e-12
-        p1, p2 = rng.uniform(-6, 6, size=2)
-        mix1 = eval_h1(ma, 0.0, 0.5, th * p1 + (1 - th) * p2).value
-        assert mix1 >= th * eval_h1(ma, 0.0, 0.5, p1).value + (1 - th) * eval_h1(
-            ma, 0.0, 0.5, p2
-        ).value - 1e-12
+        for terms, (z1, z2) in ((h2_terms, (q1, q2)), (h1_terms, rng.uniform(-6, 6, size=2))):
+            mix = at_point(terms, ma, 0.0, 0.5, th * z1 + (1 - th) * z2)[0]
+            values = th * at_point(terms, ma, 0.0, 0.5, z1)[0] + (1 - th) * at_point(terms, ma, 0.0, 0.5, z2)[0]
+            assert mix >= values - 1e-12
 
 
 def test_ellipticity_range(ma, rng):
     for q in rng.uniform(-20, 20, size=200):
-        ev = eval_h2(ma, 0.0, 0.5, q)
-        assert 0.5 - 1e-14 <= ev.derivative <= 2.0 + 1e-14
-        assert 0.5 <= ev.argmin <= 2.0
+        # the derivative is the minimizing eta, so it lies in [1/2, 2] exactly
+        assert 0.5 <= at_point(h2_terms, ma, 0.0, 0.5, q)[1] <= 2.0
 
 
 def test_envelope_consistency_interior(ma):
     # centered difference of the value matches the derivative where the
     # argmin is interior and unique
     h = 1e-5
-    for q in (-1.5, -0.2, 0.3, 0.9):  # eta* = 1 - q/2 interior for |q| < 1 .. 2
-        ev = eval_h2(ma, 0.0, 0.5, q)
-        fd = (eval_h2(ma, 0.0, 0.5, q + h).value - eval_h2(ma, 0.0, 0.5, q - h).value) / (2 * h)
-        assert abs(fd - ev.derivative) <= 1e-3 * (1 + abs(ev.derivative))
-    for p in (-0.8, -0.3, 0.4, 0.9):
-        ev = eval_h1(ma, 0.0, 0.5, p)
-        fd = (eval_h1(ma, 0.0, 0.5, p + h).value - eval_h1(ma, 0.0, 0.5, p - h).value) / (2 * h)
-        assert abs(fd - ev.derivative) <= 1e-3 * (1 + abs(ev.derivative))
+    # eta* = 1 - q/2 interior for |q| < 1 .. 2
+    for terms, points in ((h2_terms, (-1.5, -0.2, 0.3, 0.9)), (h1_terms, (-0.8, -0.3, 0.4, 0.9))):
+        for z in points:
+            deriv = at_point(terms, ma, 0.0, 0.5, z)[1]
+            fd = (at_point(terms, ma, 0.0, 0.5, z + h)[0] - at_point(terms, ma, 0.0, 0.5, z - h)[0]) / (2 * h)
+            assert abs(fd - deriv) <= 1e-3 * (1 + abs(deriv))
 
 
 def test_monotone_argmin(ma, rng):
     qs = np.sort(rng.uniform(-10, 10, size=100))
-    args = [eval_h2(ma, 0.0, 0.5, q).argmin for q in qs]
+    args = [at_point(h2_terms, ma, 0.0, 0.5, q)[1] for q in qs]
     assert np.all(np.diff(args) <= 1e-14)
 
 
 def test_h2_lipschitz_in_q(ma, rng):
     for _ in range(200):
         q1, q2 = rng.uniform(-10, 10, size=2)
-        dv = abs(eval_h2(ma, 0.0, 0.5, q1).value - eval_h2(ma, 0.0, 0.5, q2).value)
+        dv = abs(at_point(h2_terms, ma, 0.0, 0.5, q1)[0] - at_point(h2_terms, ma, 0.0, 0.5, q2)[0])
         assert dv <= 2.0 * abs(q1 - q2) + 1e-12
 
 
@@ -210,13 +230,35 @@ def test_l3_from_l2_convexity():
 def test_mollify_small_delta_close(ma):
     mm = mollify_model(ma, delta=1e-3)
     for q in (-3.0, -0.5, 0.4, 2.5):
-        assert eval_h2(mm, 0.1, 0.4, q).value == pytest.approx(
-            eval_h2(ma, 0.1, 0.4, q).value, abs=1e-6
+        assert at_point(h2_terms, mm, 0.1, 0.4, q)[0] == pytest.approx(
+            at_point(h2_terms, ma, 0.1, 0.4, q)[0], abs=1e-6
         )
     for p in (-2.0, 0.3, 1.5):
-        assert eval_h1(mm, 0.1, 0.4, p).value == pytest.approx(
-            eval_h1(ma, 0.1, 0.4, p).value, abs=1e-6
+        assert at_point(h1_terms, mm, 0.1, 0.4, p)[0] == pytest.approx(
+            at_point(h1_terms, ma, 0.1, 0.4, p)[0], abs=1e-6
         )
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_mollifier_terms_match_loop_reference(dim):
+    # the per-combination loop over all nine steps per axis, skipping zero weights
+    from itertools import product
+
+    from mfgdiff.control import _mollifier_terms
+
+    delta = 0.15
+    steps = np.arange(-4, 5) / 4.0
+    w1 = np.clip(1.0 - steps**2, 0.0, None)
+    offs, wts = [], []
+    for combo in product(range(9), repeat=dim + 2):
+        w = float(np.prod([w1[c] for c in combo]))
+        if w != 0.0:
+            offs.append([steps[c] * delta for c in combo])
+            wts.append(w)
+    weights = np.asarray(wts)
+    offsets, got = _mollifier_terms(mollify_hamiltonian(model_a(dim=dim).hamiltonians, delta))
+    assert np.array_equal(offsets, np.asarray(offs))
+    assert np.array_equal(got, weights / weights.sum())
 
 
 def _kinked_model():
@@ -245,7 +287,7 @@ def test_mollify_smooths_kink():
     delta = 0.2
     mm = mollify_model(model, delta)
     qs = np.linspace(1 - 2 * delta, 1 + 2 * delta, 81)
-    derivs = np.array([eval_h2(mm, 0.0, 0.5, q).derivative for q in qs])
+    derivs = np.array([at_point(h2_terms, mm, 0.0, 0.5, q)[1] for q in qs])
     # sandwiched between the one-sided slopes, strictly inside near the kink
     assert np.all(derivs >= 0.5 - 1e-12) and np.all(derivs <= 2.0 + 1e-12)
     mid = derivs[np.abs(qs - 1.0) < delta / 4]
@@ -269,10 +311,10 @@ def test_mollify_kink_value_oracle():
     w = w / w.sum()
     for q0 in (1 - delta, 1 + delta):
         expected = sum(
-            wi * eval_h2(model, 0.0, 0.5, q0 - si * delta).value
+            wi * at_point(h2_terms, model, 0.0, 0.5, q0 - si * delta)[0]
             for wi, si in zip(w, steps)
         )
-        assert eval_h2(mm, 0.0, 0.5, q0).value == pytest.approx(expected, abs=1e-12)
+        assert at_point(h2_terms, mm, 0.0, 0.5, q0)[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_mollify_constant_unchanged():
@@ -295,9 +337,9 @@ def test_mollify_constant_unchanged():
     )
     mm = mollify_model(model, 0.3)
     # H1 is constant (= 2); H2(q) = q + const is affine, also preserved
-    assert eval_h1(mm, 0.2, 0.7, 0.0).value == pytest.approx(2.0, abs=1e-12)
-    assert eval_h2(mm, 0.2, 0.7, 3.0).value == pytest.approx(
-        eval_h2(model, 0.2, 0.7, 3.0).value, abs=1e-12
+    assert at_point(h1_terms, mm, 0.2, 0.7, 0.0)[0] == pytest.approx(2.0, abs=1e-12)
+    assert at_point(h2_terms, mm, 0.2, 0.7, 3.0)[0] == pytest.approx(
+        at_point(h2_terms, model, 0.2, 0.7, 3.0)[0], abs=1e-12
     )
 
 
@@ -314,12 +356,12 @@ def test_mollify_preserves_concavity_and_bounds(ma, rng):
         q1, q2 = rng.uniform(-8, 8, size=2)
         th = rng.uniform()
         assert (
-            eval_h2(mm, 0.0, 0.5, th * q1 + (1 - th) * q2).value
-            >= th * eval_h2(mm, 0.0, 0.5, q1).value
-            + (1 - th) * eval_h2(mm, 0.0, 0.5, q2).value
+            at_point(h2_terms, mm, 0.0, 0.5, th * q1 + (1 - th) * q2)[0]
+            >= th * at_point(h2_terms, mm, 0.0, 0.5, q1)[0]
+            + (1 - th) * at_point(h2_terms, mm, 0.0, 0.5, q2)[0]
             - 1e-12
         )
-        assert 0.5 - 1e-12 <= eval_h2(mm, 0.0, 0.5, q1).derivative <= 2.0 + 1e-12
+        assert 0.5 - 1e-12 <= at_point(h2_terms, mm, 0.0, 0.5, q1)[1] <= 2.0 + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +391,8 @@ def test_hypotheses_model_a(ma, rng):
 def test_hypothesis_coercivity_equals_running_cost(ma, rng):
     # |H2_q q - H2| is the running cost at the minimizer
     for q in rng.uniform(-10, 10, size=50):
-        ev = eval_h2(ma, 0.0, 0.5, q)
-        assert abs(ev.derivative * q - ev.value) == pytest.approx(
-            (ev.argmin - 1.0) ** 2, abs=1e-12
-        )
+        value, eta = at_point(h2_terms, ma, 0.0, 0.5, q)
+        assert abs(eta * q - value) == pytest.approx((eta - 1.0) ** 2, abs=1e-12)
 
 
 def test_hypotheses_record_nonfinite(ma, rng):

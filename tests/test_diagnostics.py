@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mfgdiff import ConfigError, model_a, single_control_model
+from mfgdiff.control import h1_terms, h2_terms
 from mfgdiff.diagnostics import (
     KrylovSample,
     class_m_check,
@@ -20,6 +21,8 @@ from mfgdiff.fixed_point import coupling_fields
 from mfgdiff.fp import DensityPath
 from mfgdiff.grid import GridSpec, TimeField
 from mfgdiff.hjb import grid_for, solve_hjb
+
+from conftest import at_point
 
 
 def _grid(nx, nt=8, horizon=1e-4):
@@ -223,11 +226,9 @@ def _samples(rng, n=1000, d=1):
 def test_class_m_assembly_value(rng):
     # beta * H2(tr B / beta) + beta * H1(p / beta) at beta = 1 reduces to H2 + H1
     ma = model_a()
-    from mfgdiff import eval_h1, eval_h2
-
     val = krylov_m(ma, np.array([0.1]), np.array([[0.5]]), np.array([1.0]),
                    np.array([[[2.0]]]), np.array([[0.3]]))
-    expected = eval_h2(ma, 0.1, 0.5, 2.0).value + eval_h1(ma, 0.1, 0.5, 0.3).value
+    expected = at_point(h2_terms, ma, 0.1, 0.5, 2.0)[0] + at_point(h1_terms, ma, 0.1, 0.5, 0.3)[0]
     assert float(val[0]) == pytest.approx(expected, abs=1e-14)
 
 
@@ -246,13 +247,11 @@ def test_class_m_model_a_full_audit(rng):
 def test_class_m_ellipticity_matches_h2_derivative(rng):
     ma = model_a()
     samples = _samples(rng, n=50)
-    from mfgdiff import eval_h2
-
     report = class_m_check(ma, samples)
     # the diagonal derivative equals H2_q at tr(B)/beta, inside [1/2, 2]
     for s in samples[:10]:
         q = float(np.trace(s.big_b)) / s.beta
-        deriv = eval_h2(ma, s.t, s.x, q).derivative
+        deriv = at_point(h2_terms, ma, s.t, s.x, q)[1]
         assert 0.5 <= deriv <= 2.0
     assert report.by_name("ellipticity").passed
 

@@ -7,11 +7,19 @@ from mfgdiff import ContractError, StabilityError, model_a, single_control_model
 from mfgdiff.control import h1_terms, h2_terms
 from mfgdiff.couplings import DensityInit
 from mfgdiff.fixed_point import picard_solve
-from mfgdiff.fp import DensityPath, TransportOperator, build_transport_operator, check_duality, solve_fp
+from mfgdiff.fp import (
+    DensityPath,
+    TransportOperator,
+    _adjoint_step,
+    _generator_step,
+    build_transport_operator,
+    check_duality,
+    solve_fp,
+)
 from mfgdiff.grid import GridSpec, TimeField, grad_central, laplacian
 from mfgdiff.hjb import grid_for, solve_hjb
 
-from conftest import random_smooth_slice
+from conftest import at_point, random_smooth_slice
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +34,17 @@ def grid32(ma):
 
 def _diffusion_grid(nx=64, nt=512, horizon=0.02, a=0.5, theta=0.0):
     return GridSpec(dim=1, box_length=1.0, nx=nx, nt=nt, horizon=horizon, a_max=a, theta_lf=theta)
+
+
+def _level_weights(op, n, step=False):
+    """The stencil weights (diag, up, dn) of L_n, or of I + dt * L_n, at one level."""
+    return tuple(w[0] for w in op.weights(slice(n, n + 1), step=step))
+
+
+def _stencil_matrix(kernel, weights, shape):
+    """The matrix of `_generator_step` or `_adjoint_step` with one level's weights, column by column."""
+    unit = np.eye(int(np.prod(shape)))
+    return np.stack([kernel(*weights, e.reshape(shape)).ravel() for e in unit], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -49,9 +68,6 @@ def test_operator_single_control(grid32, rng):
 
 
 def test_operator_matches_pointwise_eval(ma, grid32):
-    from mfgdiff import eval_h2
-    from mfgdiff.grid import laplacian
-
     x = grid32.axis_coords()
     u = TimeField(
         grid32,
@@ -60,11 +76,11 @@ def test_operator_matches_pointwise_eval(ma, grid32):
     op = build_transport_operator(u, ma)
     lap = laplacian(u.values[0], grid32.dx)
     i_star = int(np.argmax(lap))
-    expected = eval_h2(ma, 0.0, x[i_star], lap[i_star]).argmin
+    expected = at_point(h2_terms, ma, 0.0, x[i_star], lap[i_star])[1]
     assert op.a[0, i_star] == pytest.approx(expected, abs=1e-14)
     # and pointwise over the whole slice
     for i in range(grid32.nx):
-        assert op.a[0, i] == pytest.approx(eval_h2(ma, 0.0, x[i], lap[i]).argmin, abs=1e-14)
+        assert op.a[0, i] == pytest.approx(at_point(h2_terms, ma, 0.0, x[i], lap[i])[1], abs=1e-14)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -137,8 +153,9 @@ def test_adjoint_is_exact_transpose(rng):
     )
     v = rng.standard_normal(grid.shape)
     m = rng.standard_normal(grid.shape)
-    lhs = float(np.sum(op.apply_generator(0, v) * m))
-    rhs = float(np.sum(v * op.apply_adjoint(0, m)))
+    weights = _level_weights(op, 0)
+    lhs = float(np.sum(_generator_step(*weights, v) * m))
+    rhs = float(np.sum(v * _adjoint_step(*weights, m)))
     assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -161,7 +178,7 @@ def test_adjoint_matches_direct_product_discretization(rng):
     bp, bm = np.maximum(b, 0) * m, np.minimum(b, 0) * m
     div_part = (bp - np.roll(bp, 1)) / dx + (np.roll(bm, -1) - bm) / dx
     expected = diff_part - div_part
-    assert np.max(np.abs(op.apply_adjoint(0, m) - expected)) <= 1e-12
+    assert np.max(np.abs(_adjoint_step(*_level_weights(op, 0), m) - expected)) <= 1e-12
 
 
 def test_generator_annihilates_constants(rng):
@@ -171,7 +188,7 @@ def test_generator_annihilates_constants(rng):
         0.5 + 0.4 * rng.random((grid.nt + 1, grid.nx)),
         0.5 * rng.standard_normal((grid.nt + 1, grid.nx, 1)),
     )
-    out = op.apply_generator(0, np.full(grid.shape, 7.0))
+    out = _generator_step(*_level_weights(op, 0), np.full(grid.shape, 7.0))
     assert np.max(np.abs(out)) <= 1e-10
 
 
@@ -183,7 +200,8 @@ def test_step_matrix_nonnegative_unit_rowsums():
         np.broadcast_to(0.6 + 0.3 * np.sin(2 * np.pi * x), (grid.nt + 1, grid.nx)).copy(),
         np.broadcast_to(0.4 * np.cos(2 * np.pi * x)[:, None], (grid.nt + 1, grid.nx, 1)).copy(),
     )
-    dense = np.eye(grid.nx) + grid.dt * op.to_dense(0)
+    # I + dt L as the march applies it, from the step weights
+    dense = _stencil_matrix(_generator_step, _level_weights(op, 0, step=True), grid.shape)
     assert dense.min() >= -1e-14
     # unit row sums of I + dt L (constants preserved); the transposed step
     # then conserves mass because its column sums are these row sums
@@ -229,7 +247,11 @@ def test_march_matches_dense_oracle(dim, rng):
     for n in range(grid.nt):
         dense = _dense_generator(grid, op.a[n], op.b[n])
         if n in (0, grid.nt // 2, grid.nt - 1):
-            assert np.max(np.abs(op.to_dense(n) - dense)) <= 1e-13 * np.max(np.abs(dense))
+            # the weights of L_n, applied by each kernel, against L_n and its transpose
+            weights = _level_weights(op, n)
+            bound = 1e-13 * np.max(np.abs(dense))
+            assert np.max(np.abs(_stencil_matrix(_generator_step, weights, grid.shape) - dense)) <= bound
+            assert np.max(np.abs(_stencil_matrix(_adjoint_step, weights, grid.shape) - dense.T)) <= bound
         ref = (np.eye(grid.n_nodes) + grid.dt * dense).T @ ref
         worst = max(worst, float(np.max(np.abs(m.values[n + 1].ravel() - ref)) / np.max(ref)))
     assert worst <= 1e-13
@@ -457,6 +479,17 @@ def test_density_path_validators():
     vals2[3, 4] = -1e-6
     with pytest.raises(ContractError):
         DensityPath.from_values(grid, vals2)
+
+
+def test_density_path_names_first_bad_level():
+    grid = _diffusion_grid(nx=32, nt=32, a=0.7)
+    vals = np.ones((grid.nt + 1, grid.nx))
+    vals[9, 4] = -1e-6
+    vals[9, 5] += 1e-6  # mass unchanged: the undershoot alone is bad
+    vals[20, 7] = -1e-3
+    vals[20, 8] += 1e-3
+    with pytest.raises(ContractError, match=r"density undershoot -1\.000e-06 at level 9;"):
+        DensityPath.from_values(grid, vals)
 
 
 # ---------------------------------------------------------------------------

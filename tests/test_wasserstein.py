@@ -19,7 +19,6 @@ from mfgdiff.wasserstein import (
     GridMeasure,
     d1,
     d1_path_sup,
-    dual_potential_1d,
     holder_half_diagnostic,
     transport_lp_cost,
 )
@@ -70,6 +69,13 @@ def test_shifted_uniform_vs_lp_oracle():
     pts = grid.coords().reshape(-1, 1)
     lp_value = transport_lp_cost(pts, w1, w2)
     assert cdf_value == pytest.approx(lp_value, abs=1e-9)
+
+
+def dual_potential_1d(m1: GridMeasure, m2: GridMeasure) -> np.ndarray:
+    """A maximizing 1-Lipschitz potential for the 1D dual problem: slopes -sign(CDF1 - CDF2)."""
+    diff = np.cumsum(m1.weights - m2.weights)
+    slopes = np.sign(diff[:-1])
+    return np.concatenate([[0.0], np.cumsum(-slopes * m1.grid.dx)])
 
 
 def test_dual_certificate_matches_primal(rng):
