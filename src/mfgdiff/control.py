@@ -85,6 +85,8 @@ class ControlBounds:
             )
         if not self.drift_bound >= 0:
             raise ConfigError(f"drift bound must be nonnegative, got {self.drift_bound}")
+        if not math.isfinite(self.drift_bound):
+            raise ConfigError(f"drift bound must be finite, got {self.drift_bound}")
 
     @property
     def a_min(self) -> float:
@@ -190,6 +192,8 @@ class ModelSpec:
     def __post_init__(self):
         if not self.horizon > 0:
             raise ConfigError(f"horizon must be positive, got {self.horizon}")
+        if not math.isfinite(self.horizon):
+            raise ConfigError(f"horizon must be finite, got {self.horizon}")
         if not self.discount >= 0:
             raise ConfigError(f"discount must be nonnegative, got {self.discount}")
         ham = self.hamiltonians

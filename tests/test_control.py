@@ -114,6 +114,7 @@ NAN = float("nan")
     "build",
     [
         pytest.param(lambda: ControlBounds(lambda1=1.0, lambda2=2.0, drift_bound=NAN), id="drift_bound"),
+        pytest.param(lambda: ControlBounds(lambda1=1.0, lambda2=2.0, drift_bound=float("inf")), id="drift_bound_inf"),
         pytest.param(lambda: ClosedFormCoefficients(drift_ctrl_max=NAN), id="drift_ctrl_max"),
         pytest.param(lambda: ClosedFormCoefficients(l1_weight=NAN), id="l1_weight"),
         pytest.param(lambda: ClosedFormCoefficients(l3_vertex=NAN), id="l3_vertex"),
@@ -123,6 +124,7 @@ NAN = float("nan")
             lambda: HamiltonianSpec(kind="mollified", base=model_a().hamiltonians, delta=NAN), id="spec_delta"
         ),
         pytest.param(lambda: ModelSpec(**{**vars(model_a()), "horizon": NAN}), id="horizon"),
+        pytest.param(lambda: ModelSpec(**{**vars(model_a()), "horizon": float("inf")}), id="horizon_inf"),
         pytest.param(lambda: ModelSpec(**{**vars(model_a()), "discount": NAN}), id="discount"),
         pytest.param(lambda: KernelCoupling(eps=NAN, gain=0.5), id="kernel_eps"),
         pytest.param(lambda: KernelCoupling(eps=0.1, gain=NAN), id="kernel_gain"),

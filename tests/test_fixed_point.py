@@ -93,6 +93,21 @@ def test_picard_damping_invariance(ma, grid32):
     assert d1_path_sup(res1.m, res2.m) <= 1e-3
 
 
+def test_picard_1d_gap_is_exact(ma, grid32, monkeypatch):
+    # in 1D the stopping gap is the exact path sup, bit for bit
+    exact = []
+    bound = fixed_point.d1_path_sup_bound
+
+    def recording(current, previous):
+        exact.append(d1_path_sup(current, previous))
+        return bound(current, previous)
+
+    monkeypatch.setattr(fixed_point, "d1_path_sup_bound", recording)
+    res = picard_solve(ma, grid32, theta=0.5, tol=1e-4, max_iter=50)
+    assert res.report.iterations > 1
+    assert res.report.gap_history.tolist() == exact
+
+
 def test_picard_nonconvergence_reported(ma, grid32):
     res = picard_solve(ma, grid32, theta=0.5, tol=1e-12, max_iter=2)
     assert not res.report.converged

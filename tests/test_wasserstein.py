@@ -746,20 +746,66 @@ def _model_a_2d():
     return model, grid_for(model, nx=8, nt=64)
 
 
-def test_path_sup_2d_exact_on_picard_iterates(monkeypatch):
-    # every gap the first three Picard steps of 2D model A take, against brute force
-    model, grid = _model_a_2d()
-    gaps = []
+def _recording_gaps(monkeypatch):
+    """Records each pair `picard_solve` measures its gap on, with the gap it took."""
+    pairs = []
+    bound = fixed_point.d1_path_sup_bound
 
     def recording(current, previous):
-        gaps.append((d1_path_sup(current, previous), max(_per_level_d1(current, previous))))
-        return gaps[-1][0]
+        pairs.append((current, previous, bound(current, previous)))
+        return pairs[-1][2]
 
-    monkeypatch.setattr(fixed_point, "d1_path_sup", recording)
+    monkeypatch.setattr(fixed_point, "d1_path_sup_bound", recording)
+    return pairs
+
+
+def test_path_sup_2d_exact_on_picard_iterates(monkeypatch):
+    # the pairs of the first three Picard steps of 2D model A: the exact sup against
+    # brute force, and the stopping gap between it and 1.1 times it
+    model, grid = _model_a_2d()
+    pairs = _recording_gaps(monkeypatch)
     picard_solve(model, grid, theta=0.5, tol=1e-3, max_iter=3)
-    assert len(gaps) == 3
-    for sup, brute in gaps:
-        assert sup == pytest.approx(brute, abs=1e-15)
+    assert len(pairs) == 3
+    for current, previous, bound in pairs:
+        brute = max(_per_level_d1(current, previous))
+        assert d1_path_sup(current, previous) == pytest.approx(brute, abs=1e-15)
+        assert brute <= bound <= 1.10 * brute
+
+
+def test_picard_2d_stops_without_lp(monkeypatch):
+    # the stopping rule solves no transport LP; the Hoelder check of the returned pair does
+    model, grid = _model_a_2d()
+    calls = {"path_sup": 0, "holder": 0}
+    phase = ["path_sup"]
+    solve, check = wasserstein.transport_lp_cost, fixed_point.holder_half_diagnostic
+
+    def counting(*args, **kwargs):
+        calls[phase[0]] += 1
+        return solve(*args, **kwargs)
+
+    def holder(m):
+        phase[0] = "holder"
+        return check(m)
+
+    monkeypatch.setattr(wasserstein, "transport_lp_cost", counting)
+    monkeypatch.setattr(fixed_point, "holder_half_diagnostic", holder)
+    result = picard_solve(model, grid, theta=0.5, tol=1e-3, max_iter=50)
+    assert result.report.iterations == 7
+    assert calls["path_sup"] == 0 and calls["holder"] >= 1
+
+
+def test_picard_2d_bound_stop_iterates_longer(monkeypatch):
+    # tol between the last exact gap (9.19e-4) and the last bound (9.72e-4) of the
+    # tol = 1e-3 solve: the exact rule stops after 7 iterations, the bound after 8
+    model, grid = _model_a_2d()
+    pairs = _recording_gaps(monkeypatch)
+    result = picard_solve(model, grid, theta=0.5, tol=9.5e-4, max_iter=50)
+    exact = np.array([d1_path_sup(current, previous) for current, previous, _ in pairs])
+    gaps = result.report.gap_history
+    assert result.report.converged and result.report.iterations == 8
+    assert int(np.argmax(exact < 9.5e-4)) + 1 == 7
+    assert np.array_equal(gaps, [bound for _, _, bound in pairs])
+    assert np.all(gaps >= exact)
 
 
 def test_picard_2d_lp_calls(monkeypatch):
