@@ -226,7 +226,7 @@ def _cmd_diagnose(cfg: RunConfig, out: Path) -> int:
     semi = semiconcavity_constant(u)
     rng = np.random.default_rng(cfg.mc.seed)
     worst3 = three_point_check(u, random_triples(cfg.grid, 1000, rng), delta=cfg.grid.dx)
-    lin = linearize(u, cfg.model, order=cfg.quadrature_order)
+    lin = linearize(u, cfg.model)
     lin_gap = linearization_identity_gap(u, cfg.model, lin)
     lam_ratio = float("nan")
     if cfg.model.discount > 0:

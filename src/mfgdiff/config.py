@@ -48,7 +48,7 @@ class FixedPointConfig:
     def __post_init__(self):
         if not (0.0 < self.theta <= 1.0):
             raise ConfigError(f"fixed_point.theta must lie in (0, 1], got {self.theta}")
-        if self.tol <= 0:
+        if not self.tol > 0:  # a NaN fails it too
             raise ConfigError(f"fixed_point.tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ConfigError(f"fixed_point.max_iter must be >= 1, got {self.max_iter}")
@@ -67,7 +67,6 @@ class RunConfig:
     mc: McConfig
     fixed_point: FixedPointConfig
     output: OutputConfig
-    quadrature_order: int = 16
     debug_hooks: tuple[str, ...] = ()
 
 
@@ -267,8 +266,7 @@ def load_config(path) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a mapping")
     _reject_nonfinite(doc, "")
-    doc = _take(doc, "<root>", {"model", "grid", "mc", "fixed_point", "output",
-                                "quadrature_order", "debug"},
+    doc = _take(doc, "<root>", {"model", "grid", "mc", "fixed_point", "output", "debug"},
                 required={"model", "grid"})
 
     model = _parse_model(doc["model"])
@@ -315,15 +313,8 @@ def load_config(path) -> RunConfig:
         write_fields=_opt(out_sec, "output.write_fields", OutputConfig.write_fields, _boolean),
     )
 
-    order = _opt(doc, "quadrature_order", RunConfig.quadrature_order, _integer)
-    if order < 2:
-        raise ConfigError(f"quadrature_order must be >= 2, got {order}")
-
     hooks = doc.get("debug", {})
     hooks = _take(hooks, "debug", {"inject_negative_density"})
     debug = tuple(k for k, v in hooks.items() if _boolean(v, f"debug.{k}"))
 
-    return RunConfig(
-        model=model, grid=grid, mc=mc, fixed_point=fixed_point, output=output,
-        quadrature_order=order, debug_hooks=debug,
-    )
+    return RunConfig(model=model, grid=grid, mc=mc, fixed_point=fixed_point, output=output, debug_hooks=debug)

@@ -133,7 +133,7 @@ def picard_solve(
     """
     if not (0.0 < theta <= 1.0):
         raise ConfigError(f"damping must lie in (0, 1], got {theta}")
-    if tol <= 0:
+    if not tol > 0:  # a NaN fails it too
         raise ConfigError(f"tolerance must be positive, got {tol}")
     validate_kernel(grid, model.coupling_f.eps)
     validate_kernel(grid, model.terminal.coupling.eps)

@@ -9,23 +9,22 @@ with a = H2_q(t, x, Lap_h u) (diffusion coefficient, pinned to
 [lambda1^2/2, lambda2^2/2] by ellipticity) and b = H1_p(t, x, Dc u)
 (drift).  Upwinding picks the forward difference where b_k > 0 and the
 backward difference where b_k < 0, so every off-diagonal entry of L is
-nonnegative and L annihilates constants exactly.
+nonnegative and L annihilates constants exactly.  It is the local
+Lax-Friedrichs form b_k Dc_k + (|b_k| dx / 2) D2_k, dissipation sized to the
+drift at each node, so the weights of I + dt * L_n are the monotone stencil
+kernel `grid.stencil_weights` at theta = |b| (`TransportOperator.weights`):
 
-Per level, L is a stencil with nonnegative neighbor weights
-(`TransportOperator.weights`):
+    ((I + dt L) v)_i = diag_i v_i + sum_k (up_{k,i} v_{i+e_k} + dn_{k,i} v_{i-e_k}),
 
-    (L v)_i = diag_i v_i + sum_k (up_{k,i} v_{i+e_k} + dn_{k,i} v_{i-e_k}),
-
-    up_k = a / dx^2 + b_k^+ / dx,   dn_k = a / dx^2 - b_k^- / dx,
-    diag = -(2 d a / dx^2 + sum_k |b_k| / dx),
+    up_k = dt (a / dx^2 + b_k^+ / dx),   dn_k = dt (a / dx^2 - b_k^- / dx),
+    diag = 1 - dt (2 d a / dx^2 + sum_k |b_k| / dx),
 
 and its transpose sends each node's weighted value to the neighbor that
 reads it:
 
-    (L^T m)_i = diag_i m_i + sum_k (up_{k,i-e_k} m_{i-e_k} + dn_{k,i+e_k} m_{i+e_k}).
+    ((I + dt L)^T m)_i = diag_i m_i + sum_k (up_{k,i-e_k} m_{i-e_k} + dn_{k,i+e_k} m_{i+e_k}).
 
-The marches below take the weights of I + dt * L_n, that is 1 + dt * diag,
-dt * up and dt * dn, for a chunk of levels at a time
+The marches below take these weights for a chunk of levels at a time
 (`GridSpec.level_chunks`), computed from a and b when the march reaches the
 chunk, so each step is diag * v plus two neighbour products per axis.  Each
 neighbour is one `take` through the grid's neighbour table
@@ -65,7 +64,7 @@ import numpy as np
 
 from .control import ModelSpec, h1_terms, h2_terms
 from .errors import ContractError, StabilityError
-from .grid import GridSpec, TimeField, grad_central, laplacian, neighbour_table
+from .grid import GridSpec, TimeField, grad_central, laplacian, neighbour_table, stencil_weights
 
 _NEG_TOL = 1e-14
 _MASS_TOL = 1e-12
@@ -105,34 +104,18 @@ class TransportOperator:
         b_arr = np.broadcast_to(b_vec, (grid.nt + 1, *grid.shape, grid.dim)).copy()
         return cls(grid, a_arr, b_arr)
 
-    def weights(self, levels: slice, step: bool = False) -> tuple:
-        """Stencil weights (diag, up, dn) of L_n, or of I + dt * L_n, on a run of levels.
+    def weights(self, levels: slice) -> tuple:
+        """Weights (diag, up, dn) of I + dt * L_n on the c levels of a run, at call time.
 
-        diag has shape (c,) + grid.shape for the c levels of `levels`; up and
-        dn have shape (c, d) + grid.shape, and up[:, k] and dn[:, k] weigh the
-        neighbor one node ahead and one node behind along spatial axis k:
-
-            (L v)_i = diag_i v_i + sum_k up_k,i v_{i+e_k} + dn_k,i v_{i-e_k},
-
-        with up_k = a / dx^2 + b_k^+ / dx, dn_k = a / dx^2 - b_k^- / dx and
-        diag = -(2 d a / dx^2 + sum_k |b_k| / dx).  Computed from a and b at
-        call time, vectorized over the run.
+        `grid.stencil_weights` at theta = |b|: diag has shape (c,) +
+        grid.shape, up and dn (c, d) + grid.shape.
         """
-        dx, dim = self.grid.dx, self.grid.dim
-        a, b = self.a[levels], self.b[levels]
-        diag = -(2.0 * dim * a / dx**2 + np.sum(np.abs(b), axis=-1) / dx)
-        a_dx2 = a / dx**2
-        up = np.stack([a_dx2 + np.maximum(b[..., k], 0.0) / dx for k in range(dim)], axis=1)
-        dn = np.stack([a_dx2 - np.minimum(b[..., k], 0.0) / dx for k in range(dim)], axis=1)
-        if step:
-            dt = self.grid.dt
-            # 1 + dt * (-x) is 1 - dt * x to the last bit
-            return 1.0 + dt * diag, dt * up, dt * dn
-        return diag, up, dn
+        b = self.b[levels]
+        return stencil_weights(self.a[levels], b, np.abs(b), self.grid.dx, self.grid.dt)
 
     def step_positivity_margin(self) -> float:
         """Min over nodes/levels of the diagonal entry of I + dt * L, reduced chunk by chunk."""
-        return float(np.min([self.weights(c, step=True)[0].min() for c in self.grid.level_chunks()]))
+        return float(np.min([self.weights(c)[0].min() for c in self.grid.level_chunks()]))
 
 
 def _generator_step(diag: np.ndarray, up: np.ndarray, dn: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -180,11 +163,10 @@ class DensityPath:
         vals = np.broadcast_to(slice_values, (grid.nt + 1, *grid.shape)).copy()
         return cls.from_values(grid, vals)
 
-    def lp_norm(self, p: int, level: int | None = None) -> float:
-        """Grid-level L^p norm, sup over levels unless one is given."""
+    def lp_norm(self, p: int) -> float:
+        """Grid-level L^p norm, sup over levels."""
         cell = self.grid.dx**self.grid.dim
-        vals = self.values if level is None else self.values[level : level + 1]
-        norms = (np.abs(vals.reshape(vals.shape[0], -1)) ** p).sum(axis=1) * cell
+        norms = (np.abs(self.values.reshape(self.grid.nt + 1, -1)) ** p).sum(axis=1) * cell
         return float(np.max(norms) ** (1.0 / p))
 
 
@@ -245,7 +227,7 @@ def solve_fp(op: TransportOperator, m0: np.ndarray) -> DensityPath:
     vals[0] = m0
     mass[0] = m0.sum() * cell
     for steps in grid.level_chunks(stop=grid.nt):
-        diag, up, dn = op.weights(steps, step=True)
+        diag, up, dn = op.weights(steps)
         for j, n in enumerate(range(steps.start, steps.stop)):
             vals[n + 1] = _adjoint_step(diag[j], up[j], dn[j], vals[n])
         _check_levels(vals, mass, slice(steps.start + 1, steps.stop + 1), cell)
@@ -286,7 +268,7 @@ def check_duality(m: DensityPath, op: TransportOperator, phi_terminal: np.ndarra
     phi_t = np.asarray(phi_terminal, dtype=float)
     phi = phi_t
     for steps in reversed(grid.level_chunks(stop=grid.nt)):
-        diag, up, dn = op.weights(steps, step=True)
+        diag, up, dn = op.weights(steps)
         source = grid.dt * psi.values[steps.start + 1 : steps.stop + 1]
         for j in range(steps.stop - steps.start - 1, -1, -1):
             phi = _generator_step(diag[j], up[j], dn[j], phi)

@@ -18,7 +18,10 @@ differences, forward/backward one-sided differences, and the 3-point
 Laplacian per axis.  They act on the trailing spatial axes, so one call
 takes either a single time slice or a whole (nt + 1)-level stack.
 `laplacian_gradient` returns the Laplacian and the centered gradient from
-one pair of neighbours per axis, for the value march.
+one pair of neighbours per axis, for the value march.  The one-step
+weights of both marches come from one monotone kernel, `stencil_weights`,
+at the dissipation theta_k = |b_k| (upwinding, the density march) or
+theta_k = theta_lf (the value march).
 
 Every periodic neighbour in the package is read from one neighbour table
 (`neighbour_table`): per spatial shape, cached, the flat index of the node
@@ -77,13 +80,12 @@ class GridSpec:
             raise StabilityError(f"nx must be >= 8, got {self.nx}")
         if self.nt < 1:
             raise StabilityError(f"nt must be >= 1, got {self.nt}")
-        if not (self.box_length > 0 and self.horizon > 0):
-            raise StabilityError("box_length and horizon must be positive")
-        # written so that a NaN fails them too
-        if not self.a_max > 0:
-            raise StabilityError(f"a_max must be positive, got {self.a_max}")
-        if not self.theta_lf >= 0:
-            raise StabilityError(f"theta_lf must be nonnegative, got {self.theta_lf}")
+        # written so that a NaN or an infinity fails them too
+        for name in ("box_length", "horizon", "a_max"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise StabilityError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not 0 <= self.theta_lf < math.inf:
+            raise StabilityError(f"theta_lf must be nonnegative and finite, got {self.theta_lf}")
         # Allow a hair of slack so dt == bound passes despite rounding.
         if self.dt > self.cfl_bound() * (1.0 + 1e-12):
             raise StabilityError(
@@ -252,6 +254,35 @@ def laplacian_gradient(values: np.ndarray, dx: float, dim: int | None = None) ->
         comps.append(a)
     lap /= dx * dx
     return lap, (np.stack(comps, axis=-1) if dim > 1 else comps[0][..., None])
+
+
+def stencil_weights(a: np.ndarray, b: np.ndarray, theta, dx: float, dt: float) -> tuple:
+    """Weights (diag, up, dn) of I + dt * sum_k [a D2_k + b_k Dc_k + (theta_k dx / 2) D2_k]:
+
+        up_k = dt * (a / dx^2 + (theta_k + b_k) / (2 dx)),
+        dn_k = dt * (a / dx^2 + (theta_k - b_k) / (2 dx)),
+        diag = 1 - dt * (2 d a / dx^2 + sum_k theta_k / dx),
+
+    with D2_k and Dc_k the 3-point second and centered differences along
+    axis k.  a holds a slice or a run of levels; b (and theta, unless a
+    scalar) adds a trailing axis of length d.  up and dn put the axis k
+    before the spatial axes and weigh the neighbours ahead and behind along
+    it.  The step is monotone where theta_k >= |b_k| under the grid's
+    time-step bound.  theta_k = |b_k| (local Lax-Friedrichs) turns the drift
+    part into the upwind difference of the density march; theta_k = theta_lf
+    is the value march's step frozen at its minimizing controls.
+    """
+    dim = b.shape[-1]
+    theta = np.broadcast_to(theta, b.shape)
+    a_dx2 = a / dx**2
+    axis = a.ndim - dim
+    up = np.stack([a_dx2 + (theta[..., k] + b[..., k]) / (2.0 * dx) for k in range(dim)], axis=axis)
+    dn = np.stack([a_dx2 + (theta[..., k] - b[..., k]) / (2.0 * dx) for k in range(dim)], axis=axis)
+    # 2 d is a power of two, so 2 d * (a / dx^2) rounds as 2 d a / dx^2 does
+    diag = 1.0 - dt * (2.0 * dim * a_dx2 + np.sum(theta, axis=-1) / dx)
+    up *= dt
+    dn *= dt
+    return diag, up, dn
 
 
 def diff_forward(values: np.ndarray, dx: float, axis: int) -> np.ndarray:

@@ -16,15 +16,18 @@ gradient.  The third term is the Lax-Friedrichs dissipation: writing the
 one-sided differences p^+ (backward) and p^- (forward) per axis, it equals
 theta_lf * sum_axes (p^+ - p^-) / 2 with the orientation that makes the
 backward march monotone.  Under the grid's time-step bound every node of u^n
-is nondecreasing in every node of u^{n+1}: the off-diagonal stencil weights
-are
+is nondecreasing in every node of u^{n+1}: with the minimizing controls
+frozen, the step weights are those of the package's one monotone stencil
+kernel, `grid.stencil_weights`, with a = H2_q, b = H1_p and theta_k =
+theta_lf.  Its neighbour weights
 
-    dt * (H2_q / dx^2 + theta_lf / (2 dx) +- H1_{p_k} / (2 dx))  >=  0
+    dt * (H2_q / dx^2 + (theta_lf +- H1_{p_k}) / (2 dx))  >=  0
 
-because H2_q >= lambda1^2/2 > 0 and |H1_p| <= theta_lf, and the diagonal
-weight 1 - dt * (2 d H2_q / dx^2 + d theta_lf / dx) stays in [0, 1].
-Monotonicity gives the discrete comparison principle and the sup-norm
-barrier bound for free.
+because H2_q >= lambda1^2/2 > 0 and |H1_p| <= theta_lf, and its diagonal
+weight 1 - dt * (2 d H2_q / dx^2 + d theta_lf / dx) stays in [0, 1]
+(`monotonicity_certificate`).  The density march takes the same kernel at
+theta_k = |b_k|.  Monotonicity gives the discrete comparison principle and
+the sup-norm barrier bound for free.
 
 Each step makes one stencil call (`grid.laplacian_gradient`: Lap_h and Dc
 from one pair of neighbours per axis) and sums the bracket in place, in the
@@ -82,7 +85,7 @@ from .control import (
     h2_value,
 )
 from .errors import ContractError, StabilityError
-from .grid import GridSpec, TimeField, grad_central, laplacian, laplacian_gradient
+from .grid import GridSpec, TimeField, grad_central, laplacian, laplacian_gradient, stencil_weights
 
 _A_TOL = 1e-9
 # largest lam * T for which the discount factor exp(-lam (T - t)) stays a
@@ -293,35 +296,24 @@ def _check_discount(lam: float, grid: GridSpec) -> None:
 # --------------------------------------------------------------------------
 
 
-def monotonicity_certificate(model: ModelSpec, grid: GridSpec, u_slice: np.ndarray, t: float) -> dict:
-    """Stencil weights of one backward step with argmins frozen at u_slice.
+def _frozen_step_weights(model: ModelSpec, grid: GridSpec, u_slice: np.ndarray, t: float) -> tuple:
+    """Weights (diag, up, dn) of one backward step from u_slice at time t, controls frozen there.
 
-    Freezing the minimizing controls makes the step affine in the previous
-    slice; the returned bounds certify the monotone structure: all neighbor
-    weights nonnegative, diagonal weight in [0, 1].
+    The frozen step is affine: these weights applied to the slice, plus
+    dt * (H2 - a Lap_h u + H1 - b . Dc u + F) with a = H2_q and b = H1_p.
     """
-    _check_model_grid(model, grid)
-    dx, dt = grid.dx, grid.dt
     x = grid.coords()
-    lap = laplacian(np.asarray(u_slice, dtype=float), dx)
-    grad = grad_central(np.asarray(u_slice, dtype=float), dx)
-    _, a_coef = h2_terms(model, t, x, lap)
-    _, b_coef = h1_terms(model, t, x, grad)
-    theta = grid.theta_lf
-    diffusive = a_coef / dx**2 + theta / (2.0 * dx)
-    off_min = np.inf
-    for k in range(grid.dim):
-        off_min = min(
-            off_min,
-            float(np.min(dt * (diffusive + b_coef[..., k] / (2.0 * dx)))),
-            float(np.min(dt * (diffusive - b_coef[..., k] / (2.0 * dx)))),
-        )
-    diag = 1.0 - dt * (2.0 * grid.dim * a_coef / dx**2 + grid.dim * theta / dx)
-    return {
-        "off_diagonal_min": off_min,
-        "diagonal_min": float(np.min(diag)),
-        "diagonal_max": float(np.max(diag)),
-    }
+    a = h2_terms(model, t, x, laplacian(u_slice, grid.dx))[1]
+    b = h1_terms(model, t, x, grad_central(u_slice, grid.dx))[1]
+    return stencil_weights(a, b, grid.theta_lf, grid.dx, grid.dt)
+
+
+def monotonicity_certificate(model: ModelSpec, grid: GridSpec, u_slice: np.ndarray, t: float) -> dict:
+    """Bounds on `_frozen_step_weights`; monotone when neighbor weights are >= 0 and diag in [0, 1]."""
+    _check_model_grid(model, grid)
+    diag, up, dn = _frozen_step_weights(model, grid, np.asarray(u_slice, dtype=float), t)
+    return {"off_diagonal_min": float(min(up.min(), dn.min())),
+            "diagonal_min": float(diag.min()), "diagonal_max": float(diag.max())}
 
 
 # --------------------------------------------------------------------------

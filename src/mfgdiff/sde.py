@@ -91,6 +91,8 @@ class McConfig:
         if self.antithetic and self.num_paths % 2:
             raise ConfigError("antithetic sampling needs an even path count")
         object.__setattr__(self, "x0", tuple(float(c) for c in self.x0))
+        if not np.all(np.isfinite(self.x0)):
+            raise ConfigError(f"x0 must be finite, got {self.x0}")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import yaml
 from mfgdiff import ContractError
 from mfgdiff.cli import main
 from mfgdiff.config import load_config
-from mfgdiff.errors import ConfigError
+from mfgdiff.errors import ConfigError, StabilityError
 from mfgdiff.fieldio import read_field, read_manifest, write_field
 from mfgdiff.fp import DensityPath
 from mfgdiff.grid import GridSpec, TimeField
@@ -61,10 +61,8 @@ def test_minimal_config_defaults(tmp_path, caplog):
         cfg = load_config(_minimal_doc(tmp_path))
     assert cfg.fixed_point.theta == 0.5
     assert cfg.fixed_point.tol == 1e-4
-    assert cfg.quadrature_order == 16
     echoed = [rec.message for rec in caplog.records if "default applied" in rec.message]
     assert any("fixed_point.theta" in m for m in echoed)
-    assert any("quadrature_order" in m for m in echoed)
     assert any("model.hamiltonians.dim" in m for m in echoed)
     assert any("output.write_fields" in m for m in echoed)
 
@@ -97,6 +95,15 @@ def test_unknown_key_rejected(tmp_path):
     path2 = _minimal_doc(tmp_path, **{"grid.spacing": 0.1})
     with pytest.raises(ConfigError, match="spacing"):
         load_config(path2)
+
+
+def test_quadrature_order_key_is_unknown_exit2(tmp_path, caplog):
+    # linearize keeps its own quadrature order; a run document cannot set it
+    path = _minimal_doc(tmp_path, quadrature_order=16)
+    assert main(["solve-hjb", "--config", str(path), "--quiet"]) == 2
+    errors = [rec.getMessage() for rec in caplog.records if rec.levelname == "ERROR"]
+    assert any("unknown keys" in msg and "quadrature_order" in msg for msg in errors), errors
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_file_rejected(tmp_path):
@@ -419,6 +426,19 @@ def test_malformed_prior_manifest_exit2_names_key(tmp_path, caplog, edit, named)
         assert any(named in msg for msg in errors), errors
 
 
+def test_infinite_horizon_prior_exit2_names_horizon(tmp_path, caplog):
+    path = _minimal_doc(tmp_path)
+    prior = tmp_path / "prior"
+    _written_prior(path, prior)
+    man = prior / "m" / "manifest.txt"
+    man.write_text(re.sub(r"^horizon=.*$", "horizon=inf", man.read_text(), flags=re.M))
+    with pytest.raises(StabilityError, match="horizon must be positive and finite"):
+        read_field(prior / "m")
+    rc, errors = _prior_errors(path, prior, tmp_path, caplog, ("wasserstein",))["wasserstein"]
+    assert rc == 2
+    assert any("horizon" in msg for msg in errors), errors
+
+
 def test_negative_density_hook_exit1(tmp_path):
     path = _minimal_doc(
         tmp_path, **{"debug.inject_negative_density": True, "fixed_point.tol": 1e-2}
@@ -548,7 +568,6 @@ def test_seed_override(tmp_path):
         ("mc.num_paths", "nan"),
         ("mc.seed", 1.5),
         ("fixed_point.max_iter", "8"),
-        ("quadrature_order", 8.7),
         ("model.hamiltonians.dim", "1"),
         ("grid.dim", True),
         ("mc.antithetic", "false"),

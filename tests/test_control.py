@@ -14,8 +14,10 @@ from mfgdiff import (
     mollify_model,
     validate_hypotheses,
 )
+from mfgdiff.config import FixedPointConfig
 from mfgdiff.control import ModelSpec, h1_terms, h2_terms
 from mfgdiff.couplings import DensityInit, KernelCoupling, TerminalBase, TerminalSpec, validate_kernel
+from mfgdiff.fixed_point import picard_solve
 from mfgdiff.grid import GridSpec
 from mfgdiff.sde import McConfig
 
@@ -133,6 +135,14 @@ NAN = float("nan")
         pytest.param(lambda: TerminalBase(kind="cosine", amplitude=NAN), id="terminal_amplitude"),
         pytest.param(lambda: TerminalBase(kind="constant", value=NAN), id="terminal_value"),
         pytest.param(lambda: McConfig(num_paths=100, dt_mc=NAN, seed=0, x0=(0.5,)), id="dt_mc"),
+        pytest.param(lambda: McConfig(num_paths=100, dt_mc=1e-3, seed=0, x0=(NAN,)), id="x0"),
+        pytest.param(lambda: McConfig(num_paths=100, dt_mc=1e-3, seed=0, x0=(0.5, float("inf"))), id="x0_inf"),
+        pytest.param(lambda: FixedPointConfig(tol=NAN), id="fixed_point_tol"),
+        pytest.param(
+            lambda: picard_solve(model_a(), GridSpec(dim=1, box_length=1.0, nx=8, nt=4, horizon=1e-3, a_max=2.0),
+                                 tol=NAN),
+            id="picard_tol",
+        ),
         pytest.param(
             lambda: validate_kernel(GridSpec(dim=1, box_length=1.0, nx=32, nt=64, horizon=0.01, a_max=0.5), NAN),
             id="validate_kernel_eps",

@@ -36,9 +36,9 @@ def _diffusion_grid(nx=64, nt=512, horizon=0.02, a=0.5, theta=0.0):
     return GridSpec(dim=1, box_length=1.0, nx=nx, nt=nt, horizon=horizon, a_max=a, theta_lf=theta)
 
 
-def _level_weights(op, n, step=False):
-    """The stencil weights (diag, up, dn) of L_n, or of I + dt * L_n, at one level."""
-    return tuple(w[0] for w in op.weights(slice(n, n + 1), step=step))
+def _level_weights(op, n):
+    """The stencil weights (diag, up, dn) of I + dt * L_n at one level."""
+    return tuple(w[0] for w in op.weights(slice(n, n + 1)))
 
 
 def _stencil_matrix(kernel, weights, shape):
@@ -177,8 +177,9 @@ def test_adjoint_matches_direct_product_discretization(rng):
     diff_part = (np.roll(am, -1) + np.roll(am, 1) - 2 * am) / dx**2
     bp, bm = np.maximum(b, 0) * m, np.minimum(b, 0) * m
     div_part = (bp - np.roll(bp, 1)) / dx + (np.roll(bm, -1) - bm) / dx
-    expected = diff_part - div_part
-    assert np.max(np.abs(_adjoint_step(*_level_weights(op, 0), m) - expected)) <= 1e-12
+    expected = m + grid.dt * (diff_part - div_part)
+    # relative to the step's size, as 1e-12 was to L^T m's (about 120 here)
+    assert np.max(np.abs(_adjoint_step(*_level_weights(op, 0), m) - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 def test_generator_annihilates_constants(rng):
@@ -189,7 +190,8 @@ def test_generator_annihilates_constants(rng):
         0.5 * rng.standard_normal((grid.nt + 1, grid.nx, 1)),
     )
     out = _generator_step(*_level_weights(op, 0), np.full(grid.shape, 7.0))
-    assert np.max(np.abs(out)) <= 1e-10
+    # I + dt * L keeps constants: L annihilates them to 1e-10, as read off the step
+    assert np.max(np.abs(out - 7.0)) <= 1e-10 * grid.dt
 
 
 def test_step_matrix_nonnegative_unit_rowsums():
@@ -201,7 +203,7 @@ def test_step_matrix_nonnegative_unit_rowsums():
         np.broadcast_to(0.4 * np.cos(2 * np.pi * x)[:, None], (grid.nt + 1, grid.nx, 1)).copy(),
     )
     # I + dt L as the march applies it, from the step weights
-    dense = _stencil_matrix(_generator_step, _level_weights(op, 0, step=True), grid.shape)
+    dense = _stencil_matrix(_generator_step, _level_weights(op, 0), grid.shape)
     assert dense.min() >= -1e-14
     # unit row sums of I + dt L (constants preserved); the transposed step
     # then conserves mass because its column sums are these row sums
@@ -216,6 +218,40 @@ def _random_operator(dim, rng):
     a = rng.uniform(0.1, 0.5, (nt + 1, *grid.shape))
     b = rng.uniform(-1.0, 1.0, (nt + 1, *grid.shape, dim))
     return TransportOperator(grid, a, b)
+
+
+def _upwind_step_weights(a, b, dx, dt):
+    """Weights of I + dt * L on a run of levels, from the upwind formula written out per axis.
+
+    up_k = a / dx^2 + b_k^+ / dx, dn_k = a / dx^2 - b_k^- / dx and
+    diag = -(2 d a / dx^2 + sum_k |b_k| / dx), then scaled to the step.
+    """
+    dim = b.shape[-1]
+    diag = -(2.0 * dim * a / dx**2 + np.sum(np.abs(b), axis=-1) / dx)
+    up = np.stack([a / dx**2 + np.maximum(b[..., k], 0.0) / dx for k in range(dim)], axis=1)
+    dn = np.stack([a / dx**2 - np.minimum(b[..., k], 0.0) / dx for k in range(dim)], axis=1)
+    return 1.0 + dt * diag, dt * up, dt * dn
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_weights_equal_upwind_formula(dim, rng):
+    # the shared kernel with theta = |b| is the upwind generator to the last bit,
+    # on drifts that are exactly zero, negative zero and at the bound theta_lf = 1;
+    # nx = 12 makes dx non-dyadic, so a reordered formula would round differently
+    nt, horizon = (1100, 2.0) if dim == 1 else (320, 1.0)
+    grid = GridSpec(dim=dim, box_length=1.0, nx=12, nt=nt, horizon=horizon, a_max=0.5, theta_lf=1.0)
+    assert len(grid.level_chunks()) >= 3
+    a = rng.uniform(0.1, 0.5, (nt + 1, *grid.shape))
+    b = rng.uniform(-1.0, 1.0, (nt + 1, *grid.shape, dim))
+    for j, value in enumerate((0.0, -0.0, 1.0, -1.0)):
+        b.reshape(-1)[j::7] = value
+    op = TransportOperator(grid, a, b)
+    for levels in grid.level_chunks():
+        got = op.weights(levels)
+        ref = _upwind_step_weights(op.a[levels], op.b[levels], grid.dx, grid.dt)
+        for g, r in zip(got, ref, strict=True):
+            assert g.shape == r.shape
+            assert np.array_equal(g, r)
 
 
 def _dense_generator(grid, a, b):
@@ -245,14 +281,14 @@ def test_march_matches_dense_oracle(dim, rng):
     ref = m0.ravel()
     worst = 0.0
     for n in range(grid.nt):
-        dense = _dense_generator(grid, op.a[n], op.b[n])
+        step = np.eye(grid.n_nodes) + grid.dt * _dense_generator(grid, op.a[n], op.b[n])
         if n in (0, grid.nt // 2, grid.nt - 1):
-            # the weights of L_n, applied by each kernel, against L_n and its transpose
+            # the weights of I + dt * L_n, applied by each kernel, against the step and its transpose
             weights = _level_weights(op, n)
-            bound = 1e-13 * np.max(np.abs(dense))
-            assert np.max(np.abs(_stencil_matrix(_generator_step, weights, grid.shape) - dense)) <= bound
-            assert np.max(np.abs(_stencil_matrix(_adjoint_step, weights, grid.shape) - dense.T)) <= bound
-        ref = (np.eye(grid.n_nodes) + grid.dt * dense).T @ ref
+            bound = 1e-13 * np.max(np.abs(step))
+            assert np.max(np.abs(_stencil_matrix(_generator_step, weights, grid.shape) - step)) <= bound
+            assert np.max(np.abs(_stencil_matrix(_adjoint_step, weights, grid.shape) - step.T)) <= bound
+        ref = step.T @ ref
         worst = max(worst, float(np.max(np.abs(m.values[n + 1].ravel() - ref)) / np.max(ref)))
     assert worst <= 1e-13
     assert np.max(np.abs(m.mass - 1.0)) <= 1e-12

@@ -82,6 +82,15 @@ def test_gridspec_rejects_nan_stability_data(field):
         GridSpec(**spec)
 
 
+@pytest.mark.parametrize("field", ["box_length", "horizon", "a_max", "theta_lf"])
+def test_gridspec_rejects_infinite_inputs(field):
+    # refused by name before the stability check, whose min_admissible_nt overflows on them
+    spec = dict(dim=1, box_length=1.0, nx=8, nt=4, horizon=1e-3, a_max=0.5, theta_lf=1.0)
+    spec[field] = float("inf")
+    with pytest.raises(StabilityError, match=f"{field} must be .* and finite"):
+        GridSpec(**spec)
+
+
 def test_wrap_periodic_matches_np_mod(rng):
     for length in _BOX_LENGTHS:
         x = np.concatenate([rng.uniform(-5 * length, 5 * length, 10_000), _seam_points(length)])

@@ -8,9 +8,11 @@ import pytest
 
 from mfgdiff import ContractError, StabilityError, model_a, mollify_model, single_control_model
 from mfgdiff import grid as grid_module
-from mfgdiff.control import h1_segment_mean, h1_value, h2_segment_mean, h2_value
+from mfgdiff.control import h1_segment_mean, h1_terms, h1_value, h2_segment_mean, h2_terms, h2_value
+from mfgdiff.fp import _generator_step
 from mfgdiff.grid import GridSpec, TimeField, grad_central, laplacian
 from mfgdiff.hjb import (
+    _frozen_step_weights,
     _step_bracket,
     grid_for,
     hjb_lambda_residual,
@@ -91,6 +93,29 @@ def test_monotonicity_certificate(ma, grid16, rng):
     cert = monotonicity_certificate(ma, grid16, slice_u, t=0.02)
     assert cert["off_diagonal_min"] >= 0.0
     assert 0.0 <= cert["diagonal_min"] <= cert["diagonal_max"] <= 1.0
+
+
+@pytest.mark.parametrize("dim, nx, nt", [(1, 16, 128), (2, 8, 64)])
+def test_frozen_step_weights_reproduce_march_step(dim, nx, nt, rng):
+    # with the controls frozen at the slice, the step is the certificate's weights
+    # applied to the slice plus a remainder that does not depend on it
+    model = model_a(horizon=0.05, dim=dim)
+    grid = grid_for(model, nx=nx, nt=nt)
+    x = grid.coords()
+    u = random_smooth_slice(grid, rng, amplitude=2.0)
+    f = random_smooth_slice(grid, rng)
+    n = grid.nt // 2
+    t = n * grid.dt
+    diag, up, dn = _frozen_step_weights(model, grid, u, t)
+    lap, grad = laplacian(u, grid.dx), grad_central(u, grid.dx)
+    h2, a = h2_terms(model, t, x, lap)
+    h1, b = h1_terms(model, t, x, grad)
+    frozen = _generator_step(diag, up, dn, u) + grid.dt * (h2 - a * lap + h1 - np.sum(b * grad, axis=-1) + f)
+    march = u + grid.dt * _step_bracket(model, grid, x, n, u, f, 0.0)
+    assert np.max(np.abs(frozen - march)) <= 1e-14
+    cert = monotonicity_certificate(model, grid, u, t)
+    assert cert["off_diagonal_min"] == min(up.min(), dn.min())
+    assert (cert["diagonal_min"], cert["diagonal_max"]) == (diag.min(), diag.max())
 
 
 def test_cfl_rejection_reports_min_nt(ma):
