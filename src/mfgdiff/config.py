@@ -1,7 +1,8 @@
 """Strict YAML configuration for runnable experiments.
 
 A run document has five sections: model, grid, mc, fixed_point and output.
-Unknown keys are rejected by name, and so is, by its dotted key, any number
+Unknown keys are rejected by name, a key that one mapping repeats by name and
+line (a plain YAML load keeps the last), and, by its dotted key, any number
 that is not finite (YAML .nan or .inf, or a quoted "nan" on a real-valued
 key), an integer key that is not a YAML integer, or a flag that is not a
 YAML boolean; every component invariant is re-validated at load time, and
@@ -68,6 +69,25 @@ class RunConfig:
     fixed_point: FixedPointConfig
     output: OutputConfig
     debug_hooks: tuple[str, ...] = ()
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """The safe loader, refusing a key that one mapping repeats (`yaml.safe_load` keeps the last)."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":  # a << merge may be overridden
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            try:
+                repeated = key in seen
+            except TypeError:  # unhashable: the base constructor names it
+                continue
+            if repeated:
+                raise ConfigError(f"key {key!r} is repeated at line {key_node.start_mark.line + 1}")
+            seen.add(key)
+        return super().construct_mapping(node, deep)
 
 
 def _take(section: dict, name: str, keys: set[str], required: set[str] | None = None) -> dict:
@@ -260,7 +280,7 @@ def load_config(path) -> RunConfig:
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     try:
-        doc = yaml.safe_load(p.read_text())
+        doc = yaml.load(p.read_text(), Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config parse error in {p}: {exc}") from exc
     if not isinstance(doc, dict):

@@ -15,8 +15,9 @@ unique the envelope relation gives the derivative for free:
 
 Two concrete representations are supported:
 
-  * closed-form: quadratic running costs w1 * |alpha|^2 on a per-axis box and
-    w3 * (eta - vertex)^2, whose argmins are clamped linear functions of p, q.
+  * closed-form: quadratic running costs w1 * |alpha|^2 on the per-axis box
+    [-drift_bound, drift_bound] and w3 * (eta - vertex)^2, whose argmins are
+    clamped linear functions of p, q.
     The package's reference configuration ("model A": d = 1, U = [-1, 1],
     L1 = alpha^2/2, S' = [1/2, 2], L3 = (eta - 1)^2) is the default record.
   * tabulated: finite control grids with user-supplied running-cost
@@ -72,7 +73,12 @@ _FD_STEP = 1e-4  # finite-difference step scale for derivative audits
 
 @dataclass(frozen=True)
 class ControlBounds:
-    """Diffusion bounds 0 < lambda1 < lambda2 and the drift bound |b| <= M."""
+    """Diffusion bounds 0 < lambda1 < lambda2 and the drift bound |b| <= M.
+
+    The one statement of the control sets: the closed-form drift box is
+    [-drift_bound, drift_bound] per axis, a tabulated drift grid must lie in
+    it, and the diffusion levels lie in [a_min, a_max].
+    """
 
     lambda1: float
     lambda2: float
@@ -101,23 +107,22 @@ class ControlBounds:
 class ClosedFormCoefficients:
     """Coefficient record for the quadratic-cost closed forms.
 
-    Drift controls live in [-drift_ctrl_max, drift_ctrl_max] per axis with
-    running cost l1_weight * |alpha|^2; the diffusion running cost is
+    Drift controls live in [-drift_bound, drift_bound] per axis, with
+    drift_bound from the model's `ControlBounds`, and running cost
+    l1_weight * |alpha|^2; the diffusion running cost is
     l3_weight * (eta - l3_vertex)^2 on [lambda1^2/2, lambda2^2/2].
     The defaults are the model-A values.
     """
 
-    drift_ctrl_max: float = 1.0
     l1_weight: float = 0.5
     l3_vertex: float = 1.0
     l3_weight: float = 1.0
 
     def __post_init__(self):
-        # written so that a NaN fails them too
-        if not self.drift_ctrl_max >= 0:
-            raise ConfigError("drift_ctrl_max must be nonnegative")
-        if not (self.l1_weight > 0 and self.l3_weight > 0):
-            raise ConfigError("running-cost weights must be positive")
+        for name in ("l1_weight", "l3_weight"):
+            weight = getattr(self, name)
+            if not 0 < weight < math.inf:  # a NaN fails it too
+                raise ConfigError(f"{name} must be positive and finite, got {weight}")
         if not math.isfinite(self.l3_vertex):
             raise ConfigError(f"l3_vertex must be finite, got {self.l3_vertex}")
 
@@ -171,8 +176,10 @@ class HamiltonianSpec:
         elif self.kind == "mollified":
             if self.base is None or self.delta is None:
                 raise ConfigError("mollified spec needs a base spec and a radius")
-            if not self.delta > 0:
-                raise ConfigError(f"mollification radius must be positive, got {self.delta}")
+            if not 0 < self.delta < math.inf:  # a NaN fails it too
+                raise ConfigError(
+                    f"mollification radius delta must be positive and finite, got {self.delta}"
+                )
         else:
             raise ConfigError(f"unknown hamiltonian kind {self.kind!r}")
 
@@ -197,13 +204,23 @@ class ModelSpec:
         if not self.discount >= 0:
             raise ConfigError(f"discount must be nonnegative, got {self.discount}")
         ham = self.hamiltonians
+        while ham.kind == "mollified":
+            ham = ham.base
         if ham.kind == "tabulated":
             lo, hi = self.bounds.a_min, self.bounds.a_max
             ge = ham.control_grid_eta
-            if np.any(ge < lo - 1e-12) or np.any(ge > hi + 1e-12):
+            if not (np.all(ge >= lo - 1e-12) and np.all(ge <= hi + 1e-12)):  # a NaN fails it too
                 raise ConfigError(
-                    f"diffusion control grid must lie in [{lo}, {hi}], got "
+                    f"control_grid_eta must lie in [a_min, a_max] = [{lo}, {hi}], got "
                     f"range [{ge.min()}, {ge.max()}]"
+                )
+            # theta_lf and the time-step bound dominate the drift only up to drift_bound
+            bound = self.bounds.drift_bound
+            reach = np.max(np.abs(ham.control_grid_u))
+            if not reach <= bound + 1e-12:
+                raise ConfigError(
+                    f"control_grid_u components must satisfy |alpha_k| <= drift_bound = "
+                    f"{bound}, got {reach}"
                 )
 
     @property
@@ -279,12 +296,12 @@ def _h1_terms(spec: HamiltonianSpec, bounds: ControlBounds, t, x, p):
     """
     p = np.asarray(p, dtype=float)
     if spec.kind == "closed-form":
-        # min(max(-p / (2 w), -c), c) and p alpha + w alpha^2, in place on fresh
+        # min(max(-p / (2 w), -M), M) and p alpha + w alpha^2, in place on fresh
         # temporaries; p / (-2 w) rounds to -p / (2 w) exactly
         cf = spec.closed_form
         alpha = p / (-2.0 * cf.l1_weight)
-        np.maximum(alpha, -cf.drift_ctrl_max, out=alpha)
-        np.minimum(alpha, cf.drift_ctrl_max, out=alpha)
+        np.maximum(alpha, -bounds.drift_bound, out=alpha)
+        np.minimum(alpha, bounds.drift_bound, out=alpha)
         value = p * alpha
         cost = alpha * alpha
         cost *= cf.l1_weight
@@ -410,7 +427,7 @@ def h1_segment_mean(model: ModelSpec, t, x, p, order: int = 16) -> np.ndarray:
     if spec.kind == "closed-form":
         cf = spec.closed_form
         p = np.asarray(p, dtype=float)
-        hi = cf.drift_ctrl_max
+        hi = model.bounds.drift_bound
         return _mean_clamped_linear(0.0, p / (2.0 * cf.l1_weight), -hi, hi)
     return _quadrature_mean(h1_terms, model, t, x, p, order)
 
@@ -439,8 +456,6 @@ def mollify_hamiltonian(spec: HamiltonianSpec, delta: float) -> HamiltonianSpec:
     control, but the average stays in the convex control set, so the
     ellipticity and drift bounds survive.
     """
-    if not delta > 0:
-        raise ConfigError(f"mollification radius must be positive, got {delta}")
     return HamiltonianSpec(kind="mollified", dim=spec.dim, base=spec, delta=delta)
 
 

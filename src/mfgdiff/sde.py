@@ -86,6 +86,8 @@ class McConfig:
     def __post_init__(self):
         if self.num_paths < 100:
             raise ConfigError(f"need at least 100 paths, got {self.num_paths}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if not self.dt_mc > 0:
             raise ConfigError(f"dt_mc must be positive, got {self.dt_mc}")
         if self.antithetic and self.num_paths % 2:

@@ -97,12 +97,47 @@ def test_unknown_key_rejected(tmp_path):
         load_config(path2)
 
 
-def test_quadrature_order_key_is_unknown_exit2(tmp_path, caplog):
-    # linearize keeps its own quadrature order; a run document cannot set it
-    path = _minimal_doc(tmp_path, quadrature_order=16)
+# linearize keeps its own quadrature order, and the closed-form drift box is
+# model.bounds.drift_bound: a run document can set neither
+@pytest.mark.parametrize(
+    "key, value", [("quadrature_order", 16), ("model.hamiltonians.drift_ctrl_max", 4.0)]
+)
+def test_deleted_key_is_unknown_exit2(tmp_path, caplog, key, value):
+    path = _minimal_doc(tmp_path, **{key: value})
     assert main(["solve-hjb", "--config", str(path), "--quiet"]) == 2
     errors = [rec.getMessage() for rec in caplog.records if rec.levelname == "ERROR"]
-    assert any("unknown keys" in msg and "quadrature_order" in msg for msg in errors), errors
+    assert any("unknown keys" in msg and key.rpartition(".")[2] in msg for msg in errors), errors
+    assert not (tmp_path / "out").exists()
+
+
+def test_drift_grid_beyond_drift_bound_exit2(tmp_path, caplog):
+    # a drift of 2 with drift_bound 0 (so theta_lf 0) would march a non-monotone scheme
+    hamiltonians = {"kind": "tabulated", "control_grid_u": [[0.0], [2.0]], "control_grid_eta": [1.0]}
+    path = _minimal_doc(tmp_path, **{"model.bounds.drift_bound": 0.0, "model.hamiltonians": hamiltonians})
+    assert main(["solve-hjb", "--config", str(path), "--quiet"]) == 2
+    errors = [rec.getMessage() for rec in caplog.records if rec.levelname == "ERROR"]
+    assert any("control_grid_u" in msg and "drift_bound" in msg for msg in errors), errors
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "after, repeat, named",
+    [
+        ("  nx: 16\n", "  nx: 32\n", "'nx'"),
+        ("  nx: 16\n", "grid: {nx: 32, nt: 128}\n", "'grid'"),
+        ("    lambda2: 2.0\n", "    lambda1: 0.5\n", "'lambda1'"),
+    ],
+    ids=["grid.nx", "grid", "model.bounds.lambda1"],
+)
+def test_repeated_key_exit2_names_key_and_line(tmp_path, caplog, after, repeat, named):
+    # a plain YAML load would keep the last of the two, silently
+    path = _minimal_doc(tmp_path)
+    head, tail = path.read_text().split(after)
+    path.write_text(head + after + repeat + tail)
+    line = (head + after).count("\n") + 1
+    assert main(["solve-hjb", "--config", str(path), "--quiet"]) == 2
+    errors = [rec.getMessage() for rec in caplog.records if rec.levelname == "ERROR"]
+    assert any(f"key {named} is repeated at line {line}" in msg for msg in errors), errors
     assert not (tmp_path / "out").exists()
 
 
@@ -557,6 +592,17 @@ def test_seed_override(tmp_path):
 
     rc = cli_main(["solve-hjb", "--config", str(path), "--seed", "123", "--quiet"])
     assert rc == 0
+
+
+@pytest.mark.parametrize("route", ["document", "flag"])
+def test_negative_seed_exit2_before_field_work(tmp_path, caplog, route):
+    # np.random.default_rng would refuse it only after the HJB solve
+    path = _minimal_doc(tmp_path, **({"mc.seed": -1} if route == "document" else {}))
+    flag = ["--seed", "-1"] if route == "flag" else []
+    assert main(["diagnose", "--config", str(path), *flag, "--quiet"]) == 2
+    errors = [rec.getMessage() for rec in caplog.records if rec.levelname == "ERROR"]
+    assert any("seed must be nonnegative" in msg for msg in errors), errors
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

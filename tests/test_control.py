@@ -112,19 +112,41 @@ def test_bounds_reject_equal_lambdas():
 NAN = float("nan")
 
 
+def _one_point_spec(u=0.0, eta=1.0):
+    """A tabulated spec with the one-point control grids {u} and {eta} at zero running cost."""
+    return HamiltonianSpec(
+        kind="tabulated",
+        dim=1,
+        control_grid_u=np.array([[u]]),
+        control_grid_eta=np.array([eta]),
+        lagrangian_l1=lambda t, x, a: 0.0,
+        lagrangian_l3=lambda t, x, e: 0.0,
+    )
+
+
 @pytest.mark.parametrize(
     "build",
     [
         pytest.param(lambda: ControlBounds(lambda1=1.0, lambda2=2.0, drift_bound=NAN), id="drift_bound"),
         pytest.param(lambda: ControlBounds(lambda1=1.0, lambda2=2.0, drift_bound=float("inf")), id="drift_bound_inf"),
-        pytest.param(lambda: ClosedFormCoefficients(drift_ctrl_max=NAN), id="drift_ctrl_max"),
         pytest.param(lambda: ClosedFormCoefficients(l1_weight=NAN), id="l1_weight"),
+        pytest.param(lambda: ClosedFormCoefficients(l1_weight=float("inf")), id="l1_weight_inf"),
         pytest.param(lambda: ClosedFormCoefficients(l3_vertex=NAN), id="l3_vertex"),
         pytest.param(lambda: ClosedFormCoefficients(l3_weight=NAN), id="l3_weight"),
+        pytest.param(lambda: ClosedFormCoefficients(l3_weight=float("inf")), id="l3_weight_inf"),
         pytest.param(lambda: mollify_hamiltonian(model_a().hamiltonians, NAN), id="mollify_delta"),
+        pytest.param(lambda: mollify_hamiltonian(model_a().hamiltonians, float("inf")), id="mollify_delta_inf"),
         pytest.param(
             lambda: HamiltonianSpec(kind="mollified", base=model_a().hamiltonians, delta=NAN), id="spec_delta"
         ),
+        pytest.param(
+            lambda: HamiltonianSpec(kind="mollified", base=model_a().hamiltonians, delta=float("inf")),
+            id="spec_delta_inf",
+        ),
+        pytest.param(lambda: ModelSpec(**{**vars(model_a()), "hamiltonians": _one_point_spec(u=NAN)}),
+                     id="control_grid_u"),
+        pytest.param(lambda: ModelSpec(**{**vars(model_a()), "hamiltonians": _one_point_spec(eta=NAN)}),
+                     id="control_grid_eta"),
         pytest.param(lambda: ModelSpec(**{**vars(model_a()), "horizon": NAN}), id="horizon"),
         pytest.param(lambda: ModelSpec(**{**vars(model_a()), "horizon": float("inf")}), id="horizon_inf"),
         pytest.param(lambda: ModelSpec(**{**vars(model_a()), "discount": NAN}), id="discount"),
@@ -167,6 +189,35 @@ def test_empty_control_grid_rejected():
         )
 
 
+def test_closed_form_drift_box_is_drift_bound(ma, rng):
+    # the closed form minimizes over [-drift_bound, drift_bound], here 0.4, not model A's 1
+    from dataclasses import replace
+
+    from mfgdiff.control import h1_segment_mean
+
+    model = replace(ma, bounds=ControlBounds(lambda1=1.0, lambda2=2.0, drift_bound=0.4))
+    box = np.linspace(-0.4, 0.4, 8001)
+    s = (np.arange(20000) + 0.5) / 20000
+    for p in (*rng.uniform(-3, 3, 20), 0.8, -0.8, 5.0):
+        value, alpha = at_point(h1_terms, model, 0.1, 0.3, p)
+        assert value == pytest.approx(np.min(p * box + 0.5 * box**2), abs=1e-8)
+        assert alpha == pytest.approx(np.clip(-p, -0.4, 0.4), abs=1e-15)
+        # the exact segment mean against a midpoint rule for the mean of H1_p on [0, p]
+        mean = h1_segment_mean(model, 0.1, np.array([[0.3]]), np.array([[p]]))[0, 0]
+        assert mean == pytest.approx(np.mean(np.clip(-s * p, -0.4, 0.4)), abs=1e-8)
+
+
+def test_drift_grid_beyond_drift_bound_rejected(ma):
+    # theta_lf and the time-step bound dominate only drifts up to drift_bound = 1
+    from dataclasses import replace
+
+    bad = _one_point_spec(u=-1.5)
+    for spec in (bad, mollify_hamiltonian(bad, 0.01)):
+        with pytest.raises(ConfigError, match="control_grid_u"):
+            replace(ma, hamiltonians=spec)
+    replace(ma, hamiltonians=_one_point_spec(u=-1.0))
+
+
 def test_eta_grid_outside_bounds_rejected(ma):
     from dataclasses import replace
 
@@ -178,7 +229,7 @@ def test_eta_grid_outside_bounds_rejected(ma):
         lagrangian_l1=lambda t, x, a: 0.0,
         lagrangian_l3=lambda t, x, e: 0.0,
     )
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="control_grid_eta"):
         replace(ma, hamiltonians=bad)
 
 
