@@ -32,13 +32,18 @@ concavity and keep the derivative inside the control interval, so the
 mollified Hamiltonians satisfy the same structural bounds as the originals.
 
 Every caller evaluates the Hamiltonians through `h1_terms` and `h2_terms`,
-vectorized over nodes; there is no scalar API.  No other module branches on
-the representation.  This one also writes the running costs L1, L3 at an
-explicit control (`running_costs`; a mollified spec has none and raises a
-ConfigError), and the segment means of H2_q and H1_p along [0, q] and
-[0, p] (`h2_segment_mean`, `h1_segment_mean`): exact for the closed form,
-whose derivatives are clamped linear in the segment parameter, and
-Gauss-Legendre quadrature otherwise.
+vectorized over nodes; there is no scalar API.  The value march's step
+needs only the two values, on the rows of one derivative stack
+[q; p_1; ...; p_d], and takes them from one call (`hamiltonian_values`).
+The two closed forms share one shape, a clamped linear minimizer and a
+quadratic value, so in a march that call evaluates them as one clamp and
+one quadratic over the whole stack, with per-row constants.  No other
+module branches on the representation.  This one also writes the running
+costs L1, L3 at an explicit control (`running_costs`; a mollified spec has
+none and raises a ConfigError), and the segment means of H2_q and H1_p
+along [0, q] and [0, p] (`h2_segment_mean`, `h1_segment_mean`): exact for
+the closed form, whose derivatives are clamped linear in the segment
+parameter, and Gauss-Legendre quadrature otherwise.
 
 `validate_hypotheses` audits those structural bounds on a sample cloud:
 ellipticity of H2_q, boundedness of values and derivatives at zero, the
@@ -367,6 +372,58 @@ def h1_value(model: ModelSpec, t, x, p) -> np.ndarray:
 
 def h2_value(model: ModelSpec, t, x, q) -> np.ndarray:
     return h2_terms(model, t, x, q)[0]
+
+
+def hamiltonian_values(model: ModelSpec, t, x, stack: np.ndarray, work: dict | None = None) -> tuple:
+    """(H2(t, x, stack[0]), H1(t, x, stack[1:])) of a derivative stack (`grid.derivative_stack`).
+
+    stack has shape (1 + d,) + nodes: row 0 holds H2's last variable q and
+    rows 1..d the components of H1's p.  The values equal `h2_value` and
+    `h1_value` of the split stack bit for bit: that is how they are taken,
+    except in a march of a closed-form model.  There the two closed forms,
+    which share one shape, are one clamp and one quadratic over the whole
+    stack, in the operations and order of `_h2_terms`:
+
+        eta = clamp(vertex + s / divisor, lo, hi),  value = eta s + weight (eta - vertex)^2,
+
+    with per-row constants (-2 w3, v3, a_min, a_max, w3) on row 0 and
+    (-2 w1, -0, -drift_bound, drift_bound, w1) on the drift rows, at full
+    shape.  On a drift row the vertex changes no bit: adding -0 leaves
+    p / (-2 w1) as it is, and subtracting it only the sign of a zero that
+    is then squared.  The drift rows are summed after, as `_h1_terms` sums
+    them.
+
+    work is the march's dict of buffers: the first call fills it with the
+    constants and two scratch stacks, and each call overwrites the values
+    the previous one returned.
+    """
+    spec = model.hamiltonians
+    if work is None or spec.kind != "closed-form":
+        return (_h2_terms(spec, model.bounds, t, x, stack[0])[0],
+                _h1_terms(spec, model.bounds, t, x, np.moveaxis(stack[1:], 0, -1))[0])
+    if "closed_form" not in work:
+        cf, bounds = spec.closed_form, model.bounds
+        h2 = (-2.0 * cf.l3_weight, cf.l3_vertex, bounds.a_min, bounds.a_max, cf.l3_weight)
+        h1 = (-2.0 * cf.l1_weight, -0.0, -bounds.drift_bound, bounds.drift_bound, cf.l1_weight)
+        constants = np.empty((5,) + stack.shape)
+        for row, h2_const, h1_const in zip(constants, h2, h1):
+            row[0] = h2_const
+            row[1:] = h1_const
+        value = np.empty(stack.shape)
+        work["closed_form"] = (*constants, np.empty(stack.shape), value, value[0], value[1])
+    divisor, vertex, lo, hi, weight, eta, value, h2, h1 = work["closed_form"]
+    np.divide(stack, divisor, out=eta)
+    np.add(eta, vertex, out=eta)
+    np.maximum(eta, lo, out=eta)
+    np.minimum(eta, hi, out=eta)
+    np.multiply(eta, stack, out=value)
+    np.subtract(eta, vertex, out=eta)
+    np.multiply(eta, eta, out=eta)
+    np.multiply(eta, weight, out=eta)
+    np.add(value, eta, out=value)
+    if len(stack) == 3:
+        np.add(h1, value[2], out=h1)
+    return h2, h1
 
 
 def running_costs(model: ModelSpec, t, x, alpha, eta) -> tuple[np.ndarray, np.ndarray]:

@@ -26,10 +26,13 @@ reads it:
 
 The marches below take these weights for a chunk of levels at a time
 (`GridSpec.level_chunks`), computed from a and b when the march reaches the
-chunk, so each step is diag * v plus two neighbour products per axis.  Each
-neighbour is one `take` through the grid's neighbour table
-(`grid.neighbour_table`): the generator gathers v at i + e_k and i - e_k,
-and the transpose gathers the weighted values it receives from them.
+chunk, and stack the 2 d neighbour weights of each node in one array for
+the whole chunk (`_neighbour_weights`).  For the transpose each weight is
+read there at the node whose outflow it weighs: up_k at i - e_k, dn_k at
+i + e_k.  So each step is diag * v plus 2 d neighbour products, formed by
+one gather through the grid's neighbour table (`grid.neighbour_table`; the
+generator reads v at i + e_k and i - e_k, the transpose at i - e_k and
+i + e_k) and one multiply, and added in the order up_0, dn_0, up_1, ...
 
 The density is marched with the transpose:
 
@@ -58,6 +61,8 @@ check needs only phi^0, so it marches one slice.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,21 +123,72 @@ class TransportOperator:
         return float(np.min([self.weights(c)[0].min() for c in self.grid.level_chunks()]))
 
 
-def _generator_step(diag: np.ndarray, up: np.ndarray, dn: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """One level's weights applied to the slice v: diag * v plus each neighbor value times its weight."""
+@functools.lru_cache(maxsize=32)
+def _neighbour_rows(shape: tuple[int, ...]) -> tuple:
+    """Flat indices of the 2 d neighbours of each node, shape (2 d,) + shape, cached by shape.
+
+    Rows ahead_0, behind_0, ahead_1, ... are the nodes the generator reads;
+    rows behind_0, ahead_0, behind_1, ... the nodes whose outflow (up_k at
+    i - e_k, dn_k at i + e_k) its transpose receives.
+    """
+    table = neighbour_table(shape)
+    rows = (2 * len(shape),) + shape
+    received = table[:, ::-1].reshape(rows)
+    received.setflags(write=False)
+    return table.reshape(rows), received
+
+
+def _neighbour_weights(up: np.ndarray, dn: np.ndarray, dim: int, transpose: bool = False) -> np.ndarray:
+    """The weights of each node's 2 d neighbours in the rows of `_neighbour_rows`.
+
+    up and dn hold one level or a chunk of levels, with the d axes before
+    the spatial ones.  The generator weighs its neighbours by [up_0; dn_0;
+    up_1; ...]; with transpose, each row is read at the node it weighs the
+    outflow of (up_k at i - e_k, dn_k at i + e_k), so that the transpose
+    step weighs its neighbours' values as the generator's does.
+    """
+    axis = up.ndim - dim
+    lead, space = up.shape[: axis - 1], up.shape[axis:]
+    weights = np.stack((up, dn), axis=axis).reshape(lead + (2 * dim,) + space)
+    if not transpose:
+        return weights
+    offsets = (math.prod(space) * np.arange(2 * dim)).reshape((-1,) + (1,) * dim)
+    return weights.reshape(lead + (-1,)).take(_neighbour_rows(space)[1] + offsets, axis=len(lead))
+
+
+def _generator_step(diag: np.ndarray, up: np.ndarray, dn: np.ndarray | None, v: np.ndarray) -> np.ndarray:
+    """One level's weights applied to the slice v: diag * v plus each neighbor value times its weight.
+
+    up and dn weigh the neighbours ahead and behind along each axis, shape
+    (d,) + v.shape each; or up holds `_neighbour_weights(up, dn, d)` and dn
+    is None, as the marches pass them after stacking a chunk's weights at
+    once.  One gather reads the 2 d neighbours and one multiply weighs them;
+    they are added in the order up_0, dn_0, up_1, ...
+    """
+    weights = up if dn is None else _neighbour_weights(up, dn, v.ndim)
+    terms = v.take(_neighbour_rows(v.shape)[0])
+    terms *= weights
     out = diag * v
-    for k, (ahead, behind) in enumerate(neighbour_table(v.shape)):
-        out += up[k] * v.take(ahead)
-        out += dn[k] * v.take(behind)
+    for k in range(len(terms)):  # indexing the rows costs less than iterating over them
+        out += terms[k]
     return out
 
 
-def _adjoint_step(diag: np.ndarray, up: np.ndarray, dn: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """The transpose of `_generator_step`: each node's outflow to a neighbor lands there."""
+def _adjoint_step(diag: np.ndarray, up: np.ndarray, dn: np.ndarray | None, m: np.ndarray) -> np.ndarray:
+    """The transpose of `_generator_step`: each node's outflow to a neighbor lands there.
+
+    The weights are passed as to `_generator_step`, with up holding
+    `_neighbour_weights(up, dn, d, transpose=True)` when dn is None.  One
+    gather reads the 2 d neighbours that send to each node and one multiply
+    forms their outflows, bit for bit the neighbour's weight times its
+    value; they are added in the order of `_generator_step`'s terms.
+    """
+    weights = up if dn is None else _neighbour_weights(up, dn, m.ndim, transpose=True)
+    terms = m.take(_neighbour_rows(m.shape)[1])
+    terms *= weights
     out = diag * m
-    for k, (ahead, behind) in enumerate(neighbour_table(m.shape)):
-        out += (up[k] * m).take(behind)
-        out += (dn[k] * m).take(ahead)
+    for k in range(len(terms)):
+        out += terms[k]
     return out
 
 
@@ -228,8 +284,10 @@ def solve_fp(op: TransportOperator, m0: np.ndarray) -> DensityPath:
     mass[0] = m0.sum() * cell
     for steps in grid.level_chunks(stop=grid.nt):
         diag, up, dn = op.weights(steps)
+        weights = _neighbour_weights(up, dn, grid.dim, transpose=True)
+        del up, dn  # one copy of the chunk's weights while it is marched
         for j, n in enumerate(range(steps.start, steps.stop)):
-            vals[n + 1] = _adjoint_step(diag[j], up[j], dn[j], vals[n])
+            vals[n + 1] = _adjoint_step(diag[j], weights[j], None, vals[n])
         _check_levels(vals, mass, slice(steps.start + 1, steps.stop + 1), cell)
     return DensityPath(grid, vals, mass)
 
@@ -269,9 +327,11 @@ def check_duality(m: DensityPath, op: TransportOperator, phi_terminal: np.ndarra
     phi = phi_t
     for steps in reversed(grid.level_chunks(stop=grid.nt)):
         diag, up, dn = op.weights(steps)
+        weights = _neighbour_weights(up, dn, grid.dim)
+        del up, dn  # one copy of the chunk's weights while it is marched
         source = grid.dt * psi.values[steps.start + 1 : steps.stop + 1]
         for j in range(steps.stop - steps.start - 1, -1, -1):
-            phi = _generator_step(diag[j], up[j], dn[j], phi)
+            phi = _generator_step(diag[j], weights[j], None, phi)
             phi += source[j]
     cell = grid.dx**grid.dim
     terminal = float(np.vdot(phi_t, m.values[grid.nt]))

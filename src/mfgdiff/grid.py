@@ -17,18 +17,20 @@ Spatial derivatives are the standard periodic stencils: centered first
 differences, forward/backward one-sided differences, and the 3-point
 Laplacian per axis.  They act on the trailing spatial axes, so one call
 takes either a single time slice or a whole (nt + 1)-level stack.
-`laplacian_gradient` returns the Laplacian and the centered gradient from
-one pair of neighbours per axis, for the value march.  The one-step
+`derivative_stack` writes the Laplacian and the d centered gradient
+components as the rows of one array, from one gather of the 2 d
+neighbours, for the value march; given a march's dict of buffers, it
+fills them on the first level and writes into them after.  The one-step
 weights of both marches come from one monotone kernel, `stencil_weights`,
 at the dissipation theta_k = |b_k| (upwinding, the density march) or
 theta_k = theta_lf (the value march).
 
 Every periodic neighbour in the package is read from one neighbour table
 (`neighbour_table`): per spatial shape, cached, the flat index of the node
-one step ahead and one step behind along each axis.  A neighbour is then
-one `ndarray.take` on the flattened spatial axes, which costs a fraction of
-numpy's roll, or of two slices and a concatenate, on the small slices the
-explicit marches step through.
+one step ahead and one step behind along each axis, as one array, so that
+one `ndarray.take` on the flattened spatial axes reads one neighbour or
+all 2 d of them.  That costs a fraction of numpy's roll, or of two slices
+and a concatenate, on the small slices the explicit marches step through.
 
 Passes over a level stack that are not a march (the scheme residual, the
 transport-operator build, the linearization) walk it in chunks of
@@ -196,18 +198,19 @@ class TimeField:
 
 
 @functools.lru_cache(maxsize=32)
-def neighbour_table(shape: tuple[int, ...]) -> tuple:
+def neighbour_table(shape: tuple[int, ...]) -> np.ndarray:
     """Flat node indices of the periodic neighbours on a spatial shape, cached by shape.
 
-    One (ahead, behind) pair per axis k, each an index array shaped like
-    `shape`: ahead[i] is the flat index of node i + e_k and behind[i] that of
-    node i - e_k, wrapped around the torus.
+    A read-only array of shape (d, 2) + shape: table[k, 0][i] is the flat
+    index of node i + e_k (ahead) and table[k, 1][i] that of node i - e_k
+    (behind), wrapped around the torus.  Iterating it gives one (ahead,
+    behind) pair per axis; reshaped to (2 d,) + shape its rows are ahead_0,
+    behind_0, ahead_1, ..., so one `take` gathers all 2 d neighbours.
     """
     nodes = np.arange(math.prod(shape)).reshape(shape)
-    table = tuple((np.roll(nodes, -1, axis=k), np.roll(nodes, 1, axis=k)) for k in range(len(shape)))
-    for pair in table:
-        for index in pair:
-            index.setflags(write=False)
+    table = np.stack([np.stack((np.roll(nodes, -1, axis=k), np.roll(nodes, 1, axis=k)))
+                      for k in range(len(shape))])
+    table.setflags(write=False)
     return table
 
 
@@ -241,19 +244,71 @@ def grad_central(values: np.ndarray, dx: float, dim: int | None = None) -> np.nd
     return np.stack(comps, axis=-1) if dim > 1 else comps[0][..., None]
 
 
-def laplacian_gradient(values: np.ndarray, dx: float, dim: int | None = None) -> tuple:
-    """(laplacian, grad_central) of values from one pair of neighbours per axis, bit for bit."""
+def _stack_buffers(shape: tuple[int, ...], dim: int, dx: float, march: bool) -> tuple:
+    """Gather index, buffers and views of `derivative_stack` for values of `shape`.
+
+    The neighbour rows ahead_0, behind_0, ahead_1, ... of every level are
+    gathered into one buffer of shape (2 d,) + shape; `ahead` and `behind`
+    view its rows.  A march divides the stack by its row divisors (dx^2,
+    2 dx, ..., 2 dx) at full shape, which pays off over its levels; a
+    single call divides row by row (scale None).  The last three entries
+    are views the stencil writes through: the gradient rows of the stack,
+    the behind row that takes 2 w, and the rows that take
+    ahead + behind - 2 w (in 1D, row 0 of the stack itself).
+    """
+    space = shape[len(shape) - dim :]
+    rows = neighbour_table(space).reshape((2 * dim,) + space)
+    gathered = np.empty((2 * dim,) + shape)
+    stack = np.empty((1 + dim,) + shape)
+    scale = None
+    if march:
+        scale = np.empty(stack.shape)
+        scale[0] = dx * dx
+        scale[1:] = 2.0 * dx
+    ahead, behind = gathered[0::2], gathered[1::2]
+    return rows, gathered, stack, scale, ahead, behind, stack[1:], behind[0], stack[:1] if dim == 1 else ahead
+
+
+def derivative_stack(values: np.ndarray, dx: float, dim: int | None = None, work: dict | None = None) -> np.ndarray:
+    """[Lap_h; Dc_1; ...; Dc_d] of values over its trailing `dim` axes, stacked on a new leading axis.
+
+    values holds a slice or a run of levels; the stack has shape (1 + d,) +
+    values.shape.  Row 0 equals `laplacian` and row 1 + k component k of
+    `grad_central` bit for bit, except that a Laplacian of zero may come
+    back with the other sign (the value march's bracket does not depend on
+    it).  One `take` gathers the 2 d neighbours of a slice (one per
+    neighbour row on a run of levels); every later operation writes into
+    the stack or into the gathered copy.
+
+    work, when given, is a dict that a march passes to every level of one
+    slice shape: the first call fills it with the buffers, and each call
+    overwrites the stack the previous one returned.
+    """
     dim = values.ndim if dim is None else dim
-    lap = 0.0
-    comps = []
-    for ahead, behind in neighbour_table(values.shape[values.ndim - dim :]):
-        a, b = _gather(values, ahead), _gather(values, behind)
-        lap = lap + (a + b - 2.0 * values)
-        a -= b  # the gathered copies are this call's own
-        a /= 2.0 * dx
-        comps.append(a)
-    lap /= dx * dx
-    return lap, (np.stack(comps, axis=-1) if dim > 1 else comps[0][..., None])
+    buffers = None if work is None else work.get("stack")
+    if buffers is None:
+        buffers = _stack_buffers(values.shape, dim, dx, work is not None)
+        if work is not None:
+            work["stack"] = buffers
+    rows, gathered, stack, scale, ahead, behind, grad, two_w, sums = buffers
+    if values.ndim == dim:
+        values.take(rows, out=gathered, mode="clip")
+    else:  # a run of levels: gather each neighbour row over the flattened nodes of every level
+        flat = values.reshape(values.shape[: values.ndim - dim] + (-1,))
+        for index, row in zip(rows, gathered):
+            flat.take(index.reshape(-1), axis=-1, out=row.reshape(flat.shape), mode="clip")
+    np.subtract(ahead, behind, out=grad)
+    np.add(ahead, behind, out=ahead)
+    np.multiply(values, 2.0, out=two_w)
+    np.subtract(ahead, two_w, out=sums)
+    if dim == 2:
+        np.add(sums[0], sums[1], out=stack[0])
+    if scale is None:
+        stack[0] /= dx * dx
+        stack[1:] /= 2.0 * dx
+    else:
+        np.divide(stack, scale, out=stack)
+    return stack
 
 
 def stencil_weights(a: np.ndarray, b: np.ndarray, theta, dx: float, dt: float) -> tuple:

@@ -29,12 +29,20 @@ weight 1 - dt * (2 d H2_q / dx^2 + d theta_lf / dx) stays in [0, 1]
 theta_k = |b_k|.  Monotonicity gives the discrete comparison principle and
 the sup-norm barrier bound for free.
 
-Each step makes one stencil call (`grid.laplacian_gradient`: Lap_h and Dc
-from one pair of neighbours per axis) and sums the bracket in place, in the
-order written above.  The march checks its levels for finiteness once per
-level chunk (`GridSpec.level_chunks`), as the density march does; a
-non-finite value raises `ContractError` naming the first bad level in march
-order and its node.
+Each step makes one stencil call and one Hamiltonian call.  The stencil
+call (`grid.derivative_stack`) writes Lap_h u and the d components of Dc u
+as the rows of one stack, from one gather of the 2 d neighbours.  The
+Hamiltonian call (`control.hamiltonian_values`) evaluates H2 on row 0 and
+H1 on the other rows; for the closed form that is one clamp and one
+quadratic over the whole stack.  The bracket is then summed in place, in
+the order written above, bit for bit the sum of separate `h2_value` and
+`h1_value` calls.  A march hands every level one dict of buffers, which its
+first level fills and which is dropped with the march, so a level of the
+undiscounted march of a closed-form model allocates no array.  The march
+checks its levels for finiteness once per level chunk
+(`GridSpec.level_chunks`), as the density march does; a non-finite value
+raises `ContractError` naming the first bad level in march order and its
+node.
 
 The module also provides:
 
@@ -52,7 +60,7 @@ The module also provides:
     is not a march, so it walks the level stack in chunks of consecutive
     levels (`GridSpec.level_chunks`) through the same step bracket, with t
     and mu broadcast over the chunk's leading axis: one stencil call and one
-    Hamiltonian call per chunk, with temporaries bounded by the chunk;
+    Hamiltonian call per chunk, with fresh temporaries bounded by the chunk;
   * the linearization of the solved equation: coefficient fields
 
         V(t,x) = mean of H2_q(t, x, s * lap u) over s in [0, 1],
@@ -83,9 +91,10 @@ from .control import (
     h2_segment_mean,
     h2_terms,
     h2_value,
+    hamiltonian_values,
 )
 from .errors import ContractError, StabilityError
-from .grid import GridSpec, TimeField, grad_central, laplacian, laplacian_gradient, stencil_weights
+from .grid import GridSpec, TimeField, derivative_stack, grad_central, laplacian, stencil_weights
 
 _A_TOL = 1e-9
 # largest lam * T for which the discount factor exp(-lam (T - t)) stays a
@@ -126,7 +135,7 @@ def grid_for(model: ModelSpec, nx: int, nt: int, box_length: float = 1.0, dim: i
 
 
 def _step_bracket(model: ModelSpec, grid: GridSpec, x: np.ndarray, n, w: np.ndarray,
-                  f: np.ndarray, lam: float) -> np.ndarray:
+                  f: np.ndarray, lam: float, work: dict | None = None) -> np.ndarray:
     """Bracket of the explicit step, read on level n from its slice w and running cost f.
 
         mu H2(t, x, Lap_h w / mu) + mu H1(t, x, Dc w / mu)
@@ -141,30 +150,32 @@ def _step_bracket(model: ModelSpec, grid: GridSpec, x: np.ndarray, n, w: np.ndar
 
         H2(t, x, Lap_h w) + H1(t, x, Dc w) + (theta_lf dx / 2) Lap_h w + F.
 
-    The terms are summed left to right, in place into the fresh H2 value.
+    The derivatives come as one stack (`grid.derivative_stack`), both
+    Hamiltonians from one call on it (`control.hamiltonian_values`), and the
+    terms are summed left to right, in place into the H2 value.  work is the
+    march's dict of buffers, which both calls fill and reuse; the returned
+    bracket is then one of them, overwritten by the next call.
     """
     t = n * grid.dt
-    dx = grid.dx
-    lap, grad = laplacian_gradient(w, dx, grid.dim)
+    stack = derivative_stack(w, grid.dx, grid.dim, work)
     if lam == 0.0:
-        out = h2_value(model, t, x, lap)
-        out += h1_value(model, t, x, grad)
-        lap *= 0.5 * grid.theta_lf * dx
-        out += lap
+        out, drift = hamiltonian_values(model, t, x, stack, work)
+    else:
+        # math.exp level by level: a chunk gets the march's discount factors bit for bit
+        if isinstance(n, int):
+            mu = np.float64(math.exp(-lam * (grid.horizon - t)))
+        else:
+            mu = np.array([math.exp(-lam * (grid.horizon - tn)) for tn in t.ravel().tolist()]).reshape(t.shape)
+        out, drift = hamiltonian_values(model, t, x, stack / mu, work)
+        out *= mu
+        drift *= mu
+    out += drift
+    lap = stack[0]
+    lap *= 0.5 * grid.theta_lf * grid.dx
+    out += lap
+    if lam == 0.0:
         out += f
         return out
-    # math.exp level by level: a chunk gets the march's discount factors bit for bit
-    if isinstance(n, int):
-        mu = np.float64(math.exp(-lam * (grid.horizon - t)))
-    else:
-        mu = np.array([math.exp(-lam * (grid.horizon - tn)) for tn in t.ravel().tolist()]).reshape(t.shape)
-    out = h2_value(model, t, x, lap / mu)
-    out *= mu
-    drift = h1_value(model, t, x, grad / mu[..., None])
-    drift *= mu
-    out += drift
-    lap *= 0.5 * grid.theta_lf * dx
-    out += lap
     out += mu * f
     out -= lam * w
     return out
@@ -190,11 +201,12 @@ def _march(model: ModelSpec, f_path: TimeField, g_slice: np.ndarray, grid: GridS
     dt, f = grid.dt, f_path.values
     w = np.empty((grid.nt + 1, *grid.shape))
     w[grid.nt] = g
+    work = {}  # this march's level buffers, filled by its first step
     for steps in reversed(grid.level_chunks(stop=grid.nt)):
         with np.errstate(over="ignore", invalid="ignore"):
             for n in range(steps.stop - 1, steps.start - 1, -1):
                 wn1 = w[n + 1]
-                step = _step_bracket(model, grid, x, n + 1, wn1, f[n + 1], lam)
+                step = _step_bracket(model, grid, x, n + 1, wn1, f[n + 1], lam, work)
                 step *= dt
                 np.add(wn1, step, out=w[n])
         bad = ~np.isfinite(w[steps])
@@ -334,8 +346,8 @@ def _chunk_derivatives(u: TimeField, levels: slice):
     """(t, Lap_h u, Dc u) on a run of levels; t has shape (c, 1, ..., 1)."""
     grid = u.grid
     t = grid.times()[levels].reshape((-1,) + (1,) * grid.dim)
-    lap, grad = laplacian_gradient(u.values[levels], grid.dx, grid.dim)
-    return t, lap, grad
+    stack = derivative_stack(u.values[levels], grid.dx, grid.dim)
+    return t, stack[0], np.moveaxis(stack[1:], 0, -1)
 
 
 def linearize(u: TimeField, model: ModelSpec, order: int = 16) -> LinearizedCoefficients:

@@ -15,7 +15,7 @@ from mfgdiff import (
     validate_hypotheses,
 )
 from mfgdiff.config import FixedPointConfig
-from mfgdiff.control import ModelSpec, h1_terms, h2_terms
+from mfgdiff.control import ModelSpec, h1_terms, h1_value, h2_terms, h2_value, hamiltonian_values, node_zeros
 from mfgdiff.couplings import DensityInit, KernelCoupling, TerminalBase, TerminalSpec, validate_kernel
 from mfgdiff.fixed_point import picard_solve
 from mfgdiff.grid import GridSpec
@@ -283,6 +283,94 @@ def test_l3_from_l2_convexity():
     vals = np.array([l3(0.0, np.zeros(1), e) for e in etas])
     second = vals[2:] + vals[:-2] - 2 * vals[1:-1]
     assert np.all(second > 0)
+
+
+# ---------------------------------------------------------------------------
+# one evaluation of both Hamiltonians on a derivative stack
+# ---------------------------------------------------------------------------
+
+
+def _tabulated_model(dim):
+    """Model A's quadratic costs on coarse control grids: several controls per node, t and x unused."""
+    from dataclasses import replace
+
+    axis = np.linspace(-1.0, 1.0, 5)
+    grid_u = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+    spec = HamiltonianSpec(
+        kind="tabulated",
+        dim=dim,
+        control_grid_u=grid_u,
+        control_grid_eta=np.linspace(0.5, 2.0, 7),
+        lagrangian_l1=lambda t, x, a: 0.5 * float(np.sum(a**2)) + node_zeros(t, x),
+        lagrangian_l3=lambda t, x, e: (float(e) - 1.0) ** 2 + node_zeros(t, x),
+    )
+    return replace(model_a(dim=dim), hamiltonians=spec)
+
+
+def _non_dyadic_model(dim):
+    """Closed-form costs and bounds whose products and quotients round, unlike model A's."""
+    from dataclasses import replace
+
+    model = model_a(dim=dim)
+    return replace(
+        model,
+        bounds=ControlBounds(lambda1=0.9, lambda2=1.7, drift_bound=0.8),
+        hamiltonians=replace(model.hamiltonians, closed_form=ClosedFormCoefficients(0.3, 1.1, 0.7)),
+    )
+
+
+_STACK_MODELS = {
+    "closed_1d": lambda: model_a(),
+    "closed_2d": lambda: model_a(dim=2),
+    "closed_1d_non_dyadic": lambda: _non_dyadic_model(1),
+    "closed_2d_non_dyadic": lambda: _non_dyadic_model(2),
+    "tabulated_1d": lambda: _tabulated_model(1),
+    "tabulated_2d": lambda: _tabulated_model(2),
+    "mollified_1d": lambda: mollify_model(model_a(), 0.05),
+}
+
+
+def _derivative_stack_with_edges(dim, levels, rng):
+    """A (1 + d, levels, 8, ..., 8) stack: random entries, then +-0, the clamp kinks, NaN and +-inf.
+
+    The kinks are model A's: eta = 1 - q / 2 is a_min = 1/2 at q = 1 and
+    a_max = 2 at q = -2, and alpha = -p is -1 at p = 1 and 1 at p = -1.
+    """
+    stack = 4.0 * rng.standard_normal((1 + dim, levels) + (8,) * dim)
+    edges = {0: [0.0, -0.0, 1.0, -2.0, np.nan, np.inf, -np.inf], 1: [0.0, -0.0, 1.0, -1.0, np.nan, -np.inf]}
+    for row in range(1 + dim):
+        values = edges[min(row, 1)]
+        flat = stack[row].reshape(-1)
+        # each edge value on its own node, and again shifted per row so that rows mix
+        flat[: len(values)] = values
+        flat[len(values) + row : 2 * len(values) + row] = values
+    return stack
+
+
+@pytest.mark.parametrize("case", list(_STACK_MODELS))
+def test_stacked_hamiltonians_match_split_evaluation(case, rng):
+    model = _STACK_MODELS[case]()
+    dim = model.dim
+    x = GridSpec(dim=dim, box_length=1.0, nx=8, nt=1, horizon=1e-3, a_max=2.0).coords()
+    t = np.linspace(0.0, model.horizon, 3).reshape((-1,) + (1,) * dim)
+    work = {}
+    for _ in range(2):  # the second call reuses the buffers the first one left in work
+        stack = _derivative_stack_with_edges(dim, 3, rng)
+        with np.errstate(invalid="ignore", over="ignore"):
+            ref2 = h2_value(model, t, x, stack[0])
+            ref1 = h1_value(model, t, x, np.moveaxis(stack[1:], 0, -1))
+            for got2, got1 in (hamiltonian_values(model, t, x, stack), hamiltonian_values(model, t, x, stack, work)):
+                # raw bytes: the sign of every zero and every NaN count
+                assert got2.tobytes() == ref2.tobytes()
+                assert got1.tobytes() == ref1.tobytes()
+                assert (got2 + got1).tobytes() == (ref2 + ref1).tobytes()
+        assert np.isnan(ref2).any() and np.isnan(ref1).any()  # a NaN propagates
+    if model.hamiltonians.kind == "closed-form":
+        assert "closed_form" in work
+    # the clamp is active at both bounds
+    eta = h2_terms(model, t, x, stack[0])[1]
+    if model.hamiltonians.kind != "mollified":
+        assert {model.bounds.a_min, model.bounds.a_max} <= set(eta.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------

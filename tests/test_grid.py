@@ -6,6 +6,7 @@ import pytest
 from mfgdiff.errors import StabilityError
 from mfgdiff.grid import (
     GridSpec,
+    derivative_stack,
     diff_backward,
     diff_forward,
     grad_central,
@@ -33,6 +34,24 @@ def test_stacked_stencils_match_per_level(dim, rng):
     # a slice needs no dim: every axis is spatial
     assert np.array_equal(laplacian(stack[0], dx), laplacian(stack[0], dx, dim))
     assert np.array_equal(grad_central(stack[0], dx), grad_central(stack[0], dx, dim))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_derivative_stack_matches_stencils(dim, rng):
+    # row 0 is the Laplacian and rows 1..d the gradient components, bit for bit,
+    # on a run of levels and on slices, and with buffers reused across slices
+    grid = GridSpec(dim=dim, box_length=0.7, nx=8, nt=4, horizon=1e-3, a_max=0.5)
+    dx = grid.dx
+    values = rng.standard_normal((grid.nt + 1, *grid.shape))
+    work = {}
+    for v in (values, values[0], values[3]):
+        for buffers in (None, work if v.ndim == dim else None):
+            stack = derivative_stack(v, dx, dim, buffers)
+            assert stack.shape == (1 + dim,) + v.shape
+            assert np.array_equal(stack[0], laplacian(v, dx, dim))
+            assert np.array_equal(np.moveaxis(stack[1:], 0, -1), grad_central(v, dx, dim))
+    # a march's buffers: each call overwrites the stack the previous one returned
+    assert derivative_stack(values[1], dx, dim, work) is derivative_stack(values[2], dx, dim, work)
 
 
 def _roll_stencils(values, dx, dim):
