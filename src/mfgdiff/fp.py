@@ -26,13 +26,14 @@ reads it:
 
 The marches below take these weights for a chunk of levels at a time
 (`GridSpec.level_chunks`), computed from a and b when the march reaches the
-chunk, and stack the 2 d neighbour weights of each node in one array for
-the whole chunk (`_neighbour_weights`).  For the transpose each weight is
-read there at the node whose outflow it weighs: up_k at i - e_k, dn_k at
-i + e_k.  So each step is diag * v plus 2 d neighbour products, formed by
-one gather through the grid's neighbour table (`grid.neighbour_table`; the
-generator reads v at i + e_k and i - e_k, the transpose at i - e_k and
-i + e_k) and one multiply, and added in the order up_0, dn_0, up_1, ...
+chunk, with the 2 d neighbour weights of each node as the rows up_0, dn_0,
+up_1, ... of one array.  For the transpose, `TransportOperator.weights`
+reads each row once per chunk at the node whose outflow it weighs: up_k at
+i - e_k, dn_k at i + e_k.  Both marches then take one step function,
+`_step`: diag * v plus 2 d neighbour products, formed by one gather
+through the grid's neighbour table (`grid.neighbour_table`; the generator
+reads v at i + e_k and i - e_k, the transpose at i - e_k and i + e_k) and
+one multiply, and added in the order up_0, dn_0, up_1, ...
 
 The density is marched with the transpose:
 
@@ -62,14 +63,13 @@ check needs only phi^0, so it marches one slice.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .control import ModelSpec, h1_terms, h2_terms
 from .errors import ContractError, StabilityError
-from .grid import GridSpec, TimeField, grad_central, laplacian, neighbour_table, stencil_weights
+from .grid import GridSpec, TimeField, grad_central, laplacian, neighbour_table, stencil_diagonal, stencil_weights
 
 _NEG_TOL = 1e-14
 _MASS_TOL = 1e-12
@@ -109,18 +109,28 @@ class TransportOperator:
         b_arr = np.broadcast_to(b_vec, (grid.nt + 1, *grid.shape, grid.dim)).copy()
         return cls(grid, a_arr, b_arr)
 
-    def weights(self, levels: slice) -> tuple:
-        """Weights (diag, up, dn) of I + dt * L_n on the c levels of a run, at call time.
+    def weights(self, levels: slice, transpose: bool = False) -> tuple:
+        """Weights (diag, nbr) of I + dt * L_n on the c levels of a run, at call time.
 
         `grid.stencil_weights` at theta = |b|: diag has shape (c,) +
-        grid.shape, up and dn (c, d) + grid.shape.
+        grid.shape, nbr (c, 2 d) + grid.shape with rows up_0, dn_0, up_1,
+        ....  With transpose, each row is read at the node whose outflow it
+        weighs (up_k at i - e_k, dn_k at i + e_k), the layout in which
+        `_step` applies the transpose.
         """
+        grid = self.grid
         b = self.b[levels]
-        return stencil_weights(self.a[levels], b, np.abs(b), self.grid.dx, self.grid.dt)
+        diag, nbr = stencil_weights(self.a[levels], b, np.abs(b), grid.dx, grid.dt)
+        if transpose:
+            offsets = (grid.n_nodes * np.arange(2 * grid.dim)).reshape((-1,) + (1,) * grid.dim)
+            nbr = nbr.reshape(len(nbr), -1).take(_neighbour_rows(grid.shape)[1] + offsets, axis=1)
+        return diag, nbr
 
     def step_positivity_margin(self) -> float:
         """Min over nodes/levels of the diagonal entry of I + dt * L, reduced chunk by chunk."""
-        return float(np.min([self.weights(c)[0].min() for c in self.grid.level_chunks()]))
+        dx, dt = self.grid.dx, self.grid.dt
+        return float(np.min([stencil_diagonal(self.a[c], np.abs(self.b[c]), dx, dt).min()
+                             for c in self.grid.level_chunks()]))
 
 
 @functools.lru_cache(maxsize=32)
@@ -138,56 +148,19 @@ def _neighbour_rows(shape: tuple[int, ...]) -> tuple:
     return table.reshape(rows), received
 
 
-def _neighbour_weights(up: np.ndarray, dn: np.ndarray, dim: int, transpose: bool = False) -> np.ndarray:
-    """The weights of each node's 2 d neighbours in the rows of `_neighbour_rows`.
+def _step(diag: np.ndarray, nbr: np.ndarray, v: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """I + dt * L_n applied to the slice v, or with transpose its transpose.
 
-    up and dn hold one level or a chunk of levels, with the d axes before
-    the spatial ones.  The generator weighs its neighbours by [up_0; dn_0;
-    up_1; ...]; with transpose, each row is read at the node it weighs the
-    outflow of (up_k at i - e_k, dn_k at i + e_k), so that the transpose
-    step weighs its neighbours' values as the generator's does.
+    diag and nbr are one level of `TransportOperator.weights` with the same
+    transpose.  One gather reads the neighbours the step weighs (the nodes
+    ahead and behind, or the nodes that send to each node) and one multiply
+    weighs them; the products are added to diag * v in the order up_0,
+    dn_0, up_1, ...
     """
-    axis = up.ndim - dim
-    lead, space = up.shape[: axis - 1], up.shape[axis:]
-    weights = np.stack((up, dn), axis=axis).reshape(lead + (2 * dim,) + space)
-    if not transpose:
-        return weights
-    offsets = (math.prod(space) * np.arange(2 * dim)).reshape((-1,) + (1,) * dim)
-    return weights.reshape(lead + (-1,)).take(_neighbour_rows(space)[1] + offsets, axis=len(lead))
-
-
-def _generator_step(diag: np.ndarray, up: np.ndarray, dn: np.ndarray | None, v: np.ndarray) -> np.ndarray:
-    """One level's weights applied to the slice v: diag * v plus each neighbor value times its weight.
-
-    up and dn weigh the neighbours ahead and behind along each axis, shape
-    (d,) + v.shape each; or up holds `_neighbour_weights(up, dn, d)` and dn
-    is None, as the marches pass them after stacking a chunk's weights at
-    once.  One gather reads the 2 d neighbours and one multiply weighs them;
-    they are added in the order up_0, dn_0, up_1, ...
-    """
-    weights = up if dn is None else _neighbour_weights(up, dn, v.ndim)
-    terms = v.take(_neighbour_rows(v.shape)[0])
-    terms *= weights
+    terms = v.take(_neighbour_rows(v.shape)[transpose])
+    terms *= nbr
     out = diag * v
     for k in range(len(terms)):  # indexing the rows costs less than iterating over them
-        out += terms[k]
-    return out
-
-
-def _adjoint_step(diag: np.ndarray, up: np.ndarray, dn: np.ndarray | None, m: np.ndarray) -> np.ndarray:
-    """The transpose of `_generator_step`: each node's outflow to a neighbor lands there.
-
-    The weights are passed as to `_generator_step`, with up holding
-    `_neighbour_weights(up, dn, d, transpose=True)` when dn is None.  One
-    gather reads the 2 d neighbours that send to each node and one multiply
-    forms their outflows, bit for bit the neighbour's weight times its
-    value; they are added in the order of `_generator_step`'s terms.
-    """
-    weights = up if dn is None else _neighbour_weights(up, dn, m.ndim, transpose=True)
-    terms = m.take(_neighbour_rows(m.shape)[1])
-    terms *= weights
-    out = diag * m
-    for k in range(len(terms)):
         out += terms[k]
     return out
 
@@ -283,11 +256,9 @@ def solve_fp(op: TransportOperator, m0: np.ndarray) -> DensityPath:
     vals[0] = m0
     mass[0] = m0.sum() * cell
     for steps in grid.level_chunks(stop=grid.nt):
-        diag, up, dn = op.weights(steps)
-        weights = _neighbour_weights(up, dn, grid.dim, transpose=True)
-        del up, dn  # one copy of the chunk's weights while it is marched
+        diag, nbr = op.weights(steps, transpose=True)
         for j, n in enumerate(range(steps.start, steps.stop)):
-            vals[n + 1] = _adjoint_step(diag[j], weights[j], None, vals[n])
+            vals[n + 1] = _step(diag[j], nbr[j], vals[n], transpose=True)
         _check_levels(vals, mass, slice(steps.start + 1, steps.stop + 1), cell)
     return DensityPath(grid, vals, mass)
 
@@ -324,14 +295,16 @@ def check_duality(m: DensityPath, op: TransportOperator, phi_terminal: np.ndarra
     if not (op.grid.same_lattice(grid) and psi.grid.same_lattice(grid)):
         raise ValueError("duality check needs matching lattices")
     phi_t = np.asarray(phi_terminal, dtype=float)
+    if phi_t.shape != grid.shape:
+        raise ValueError(f"phi_terminal shape {phi_t.shape} != grid shape {grid.shape}")
+    if not np.all(np.isfinite(phi_t)):
+        raise ValueError("phi_terminal has non-finite values")
     phi = phi_t
     for steps in reversed(grid.level_chunks(stop=grid.nt)):
-        diag, up, dn = op.weights(steps)
-        weights = _neighbour_weights(up, dn, grid.dim)
-        del up, dn  # one copy of the chunk's weights while it is marched
+        diag, nbr = op.weights(steps)
         source = grid.dt * psi.values[steps.start + 1 : steps.stop + 1]
         for j in range(steps.stop - steps.start - 1, -1, -1):
-            phi = _generator_step(diag[j], weights[j], None, phi)
+            phi = _step(diag[j], nbr[j], phi)
             phi += source[j]
     cell = grid.dx**grid.dim
     terminal = float(np.vdot(phi_t, m.values[grid.nt]))

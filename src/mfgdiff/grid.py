@@ -23,7 +23,11 @@ neighbours, for the value march; given a march's dict of buffers, it
 fills them on the first level and writes into them after.  The one-step
 weights of both marches come from one monotone kernel, `stencil_weights`,
 at the dissipation theta_k = |b_k| (upwinding, the density march) or
-theta_k = theta_lf (the value march).
+theta_k = theta_lf (the value march).  It returns the diagonal weight
+(`stencil_diagonal`, which the density march's positivity check also
+evaluates alone) and the 2 d neighbour weights as rows up_0, dn_0, up_1,
+... of one array, the order in which one gather through the neighbour
+table reads the neighbours ahead_0, behind_0, ahead_1, ....
 
 Every periodic neighbour in the package is read from one neighbour table
 (`neighbour_table`): per spatial shape, cached, the flat index of the node
@@ -311,33 +315,44 @@ def derivative_stack(values: np.ndarray, dx: float, dim: int | None = None, work
     return stack
 
 
+def stencil_diagonal(a: np.ndarray, theta: np.ndarray, dx: float, dt: float) -> np.ndarray:
+    """The diagonal weight of `stencil_weights`, diag = 1 - dt * (2 d a / dx^2 + sum_k theta_k / dx).
+
+    theta has the trailing axis of length d that a lacks.
+    """
+    # 2 d is a power of two, so 2 d * (a / dx^2) rounds as 2 d a / dx^2 does
+    return 1.0 - dt * (2.0 * theta.shape[-1] * (a / dx**2) + np.sum(theta, axis=-1) / dx)
+
+
 def stencil_weights(a: np.ndarray, b: np.ndarray, theta, dx: float, dt: float) -> tuple:
-    """Weights (diag, up, dn) of I + dt * sum_k [a D2_k + b_k Dc_k + (theta_k dx / 2) D2_k]:
+    """Weights (diag, nbr) of I + dt * sum_k [a D2_k + b_k Dc_k + (theta_k dx / 2) D2_k]:
 
         up_k = dt * (a / dx^2 + (theta_k + b_k) / (2 dx)),
         dn_k = dt * (a / dx^2 + (theta_k - b_k) / (2 dx)),
-        diag = 1 - dt * (2 d a / dx^2 + sum_k theta_k / dx),
 
-    with D2_k and Dc_k the 3-point second and centered differences along
-    axis k.  a holds a slice or a run of levels; b (and theta, unless a
-    scalar) adds a trailing axis of length d.  up and dn put the axis k
-    before the spatial axes and weigh the neighbours ahead and behind along
-    it.  The step is monotone where theta_k >= |b_k| under the grid's
-    time-step bound.  theta_k = |b_k| (local Lax-Friedrichs) turns the drift
-    part into the upwind difference of the density march; theta_k = theta_lf
-    is the value march's step frozen at its minimizing controls.
+    and diag from `stencil_diagonal`, with D2_k and Dc_k the 3-point second
+    and centered differences along axis k.  a holds a slice or a run of
+    levels; b (and theta, unless a scalar) adds a trailing axis of length
+    d.  nbr holds the rows up_0, dn_0, up_1, ... on an axis of length 2 d
+    before the spatial axes: the weights of the neighbours ahead_0,
+    behind_0, ahead_1, ..., in the order of `neighbour_table`'s (2 d,) +
+    shape reshape.  The step is monotone where theta_k >= |b_k| under the
+    grid's time-step bound.  theta_k = |b_k| (local Lax-Friedrichs) turns
+    the drift part into the upwind difference of the density march;
+    theta_k = theta_lf is the value march's step frozen at its minimizing
+    controls.
     """
     dim = b.shape[-1]
     theta = np.broadcast_to(theta, b.shape)
     a_dx2 = a / dx**2
     axis = a.ndim - dim
-    up = np.stack([a_dx2 + (theta[..., k] + b[..., k]) / (2.0 * dx) for k in range(dim)], axis=axis)
-    dn = np.stack([a_dx2 + (theta[..., k] - b[..., k]) / (2.0 * dx) for k in range(dim)], axis=axis)
-    # 2 d is a power of two, so 2 d * (a / dx^2) rounds as 2 d a / dx^2 does
-    diag = 1.0 - dt * (2.0 * dim * a_dx2 + np.sum(theta, axis=-1) / dx)
-    up *= dt
-    dn *= dt
-    return diag, up, dn
+    nbr = np.empty(a.shape[:axis] + (2 * dim,) + a.shape[axis:])
+    rows = np.moveaxis(nbr, axis, 0)
+    for k in range(dim):
+        rows[2 * k] = a_dx2 + (theta[..., k] + b[..., k]) / (2.0 * dx)
+        rows[2 * k + 1] = a_dx2 + (theta[..., k] - b[..., k]) / (2.0 * dx)
+    nbr *= dt
+    return stencil_diagonal(a, theta, dx, dt), nbr
 
 
 def diff_forward(values: np.ndarray, dx: float, axis: int) -> np.ndarray:

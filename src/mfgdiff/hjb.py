@@ -309,7 +309,7 @@ def _check_discount(lam: float, grid: GridSpec) -> None:
 
 
 def _frozen_step_weights(model: ModelSpec, grid: GridSpec, u_slice: np.ndarray, t: float) -> tuple:
-    """Weights (diag, up, dn) of one backward step from u_slice at time t, controls frozen there.
+    """Weights (diag, nbr) of one backward step from u_slice at time t, controls frozen there.
 
     The frozen step is affine: these weights applied to the slice, plus
     dt * (H2 - a Lap_h u + H1 - b . Dc u + F) with a = H2_q and b = H1_p.
@@ -323,8 +323,8 @@ def _frozen_step_weights(model: ModelSpec, grid: GridSpec, u_slice: np.ndarray, 
 def monotonicity_certificate(model: ModelSpec, grid: GridSpec, u_slice: np.ndarray, t: float) -> dict:
     """Bounds on `_frozen_step_weights`; monotone when neighbor weights are >= 0 and diag in [0, 1]."""
     _check_model_grid(model, grid)
-    diag, up, dn = _frozen_step_weights(model, grid, np.asarray(u_slice, dtype=float), t)
-    return {"off_diagonal_min": float(min(up.min(), dn.min())),
+    diag, nbr = _frozen_step_weights(model, grid, np.asarray(u_slice, dtype=float), t)
+    return {"off_diagonal_min": float(nbr.min()),
             "diagonal_min": float(diag.min()), "diagonal_max": float(diag.max())}
 
 

@@ -10,8 +10,7 @@ from mfgdiff.fixed_point import picard_solve
 from mfgdiff.fp import (
     DensityPath,
     TransportOperator,
-    _adjoint_step,
-    _generator_step,
+    _step,
     build_transport_operator,
     check_duality,
     solve_fp,
@@ -36,15 +35,17 @@ def _diffusion_grid(nx=64, nt=512, horizon=0.02, a=0.5, theta=0.0):
     return GridSpec(dim=1, box_length=1.0, nx=nx, nt=nt, horizon=horizon, a_max=a, theta_lf=theta)
 
 
-def _level_weights(op, n):
-    """The stencil weights (diag, up, dn) of I + dt * L_n at one level."""
-    return tuple(w[0] for w in op.weights(slice(n, n + 1)))
+def _apply(op, n, v, transpose=False):
+    """`_step` with the weights (diag, nbr) of level n on the slice v: I + dt * L_n, or its transpose."""
+    diag, nbr = op.weights(slice(n, n + 1), transpose)
+    return _step(diag[0], nbr[0], v, transpose)
 
 
-def _stencil_matrix(kernel, weights, shape):
-    """The matrix of `_generator_step` or `_adjoint_step` with one level's weights, column by column."""
-    unit = np.eye(int(np.prod(shape)))
-    return np.stack([kernel(*weights, e.reshape(shape)).ravel() for e in unit], axis=1)
+def _stencil_matrix(op, n, transpose=False):
+    """The matrix of `_apply(op, n, ., transpose)`, column by column."""
+    shape = op.grid.shape
+    unit = np.eye(op.grid.n_nodes)
+    return np.stack([_apply(op, n, e.reshape(shape), transpose).ravel() for e in unit], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +121,7 @@ def test_picard_working_set_bound():
 
 
 def test_picard_residual_sup_takes_no_extra_stack():
-    """The residual sup adds no level stack: traced peak 6.3 stacks (7.0 with an abs copy)."""
+    """The residual sup adds no level stack: traced peak 6.474 stacks (7.0 with an abs copy)."""
     import tracemalloc
 
     # many nodes per level, so a chunk of the residual's temporaries is small next to a stack
@@ -153,9 +154,8 @@ def test_adjoint_is_exact_transpose(rng):
     )
     v = rng.standard_normal(grid.shape)
     m = rng.standard_normal(grid.shape)
-    weights = _level_weights(op, 0)
-    lhs = float(np.sum(_generator_step(*weights, v) * m))
-    rhs = float(np.sum(v * _adjoint_step(*weights, m)))
+    lhs = float(np.sum(_apply(op, 0, v) * m))
+    rhs = float(np.sum(v * _apply(op, 0, m, transpose=True)))
     assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -179,7 +179,7 @@ def test_adjoint_matches_direct_product_discretization(rng):
     div_part = (bp - np.roll(bp, 1)) / dx + (np.roll(bm, -1) - bm) / dx
     expected = m + grid.dt * (diff_part - div_part)
     # relative to the step's size, as 1e-12 was to L^T m's (about 120 here)
-    assert np.max(np.abs(_adjoint_step(*_level_weights(op, 0), m) - expected)) <= 1e-14 * np.max(np.abs(expected))
+    assert np.max(np.abs(_apply(op, 0, m, transpose=True) - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 def test_generator_annihilates_constants(rng):
@@ -189,7 +189,7 @@ def test_generator_annihilates_constants(rng):
         0.5 + 0.4 * rng.random((grid.nt + 1, grid.nx)),
         0.5 * rng.standard_normal((grid.nt + 1, grid.nx, 1)),
     )
-    out = _generator_step(*_level_weights(op, 0), np.full(grid.shape, 7.0))
+    out = _apply(op, 0, np.full(grid.shape, 7.0))
     # I + dt * L keeps constants: L annihilates them to 1e-10, as read off the step
     assert np.max(np.abs(out - 7.0)) <= 1e-10 * grid.dt
 
@@ -203,7 +203,7 @@ def test_step_matrix_nonnegative_unit_rowsums():
         np.broadcast_to(0.4 * np.cos(2 * np.pi * x)[:, None], (grid.nt + 1, grid.nx, 1)).copy(),
     )
     # I + dt L as the march applies it, from the step weights
-    dense = _stencil_matrix(_generator_step, _level_weights(op, 0), grid.shape)
+    dense = _stencil_matrix(op, 0)
     assert dense.min() >= -1e-14
     # unit row sums of I + dt L (constants preserved); the transposed step
     # then conserves mass because its column sums are these row sums
@@ -232,13 +232,16 @@ def _upwind_step_weights(a, b, dx, dt):
     """Weights of I + dt * L on a run of levels, from the upwind formula written out per axis.
 
     up_k = a / dx^2 + b_k^+ / dx, dn_k = a / dx^2 - b_k^- / dx and
-    diag = -(2 d a / dx^2 + sum_k |b_k| / dx), then scaled to the step.
+    diag = -(2 d a / dx^2 + sum_k |b_k| / dx), then scaled to the step;
+    the neighbour weights as rows up_0, dn_0, up_1, ... after the level axis.
     """
     dim = b.shape[-1]
     diag = -(2.0 * dim * a / dx**2 + np.sum(np.abs(b), axis=-1) / dx)
-    up = np.stack([a / dx**2 + np.maximum(b[..., k], 0.0) / dx for k in range(dim)], axis=1)
-    dn = np.stack([a / dx**2 - np.minimum(b[..., k], 0.0) / dx for k in range(dim)], axis=1)
-    return 1.0 + dt * diag, dt * up, dt * dn
+    rows = []
+    for k in range(dim):
+        rows.append(a / dx**2 + np.maximum(b[..., k], 0.0) / dx)  # up_k
+        rows.append(a / dx**2 - np.minimum(b[..., k], 0.0) / dx)  # dn_k
+    return 1.0 + dt * diag, dt * np.stack(rows, axis=1)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -292,15 +295,14 @@ def test_march_matches_dense_oracle(dim, box_length, rng):
     for n in range(grid.nt):
         step = np.eye(grid.n_nodes) + grid.dt * _dense_generator(grid, op.a[n], op.b[n])
         if n in (0, grid.nt // 2, grid.nt - 1):
-            # the weights of I + dt * L_n, applied by each kernel, against the step and its transpose
-            weights = _level_weights(op, n)
+            # the weights of I + dt * L_n, applied by the step both ways, against the step and its transpose
             bound = 1e-13 * np.max(np.abs(step))
-            generator = _stencil_matrix(_generator_step, weights, grid.shape)
+            generator = _stencil_matrix(op, n)
             if dim == 1:
                 # one axis: the weights round as the definition's entries do, to the last bit
                 assert np.array_equal(generator, step)
             assert np.max(np.abs(generator - step)) <= bound
-            assert np.max(np.abs(_stencil_matrix(_adjoint_step, weights, grid.shape) - step.T)) <= bound
+            assert np.max(np.abs(_stencil_matrix(op, n, transpose=True) - step.T)) <= bound
         ref = step.T @ ref
         worst = max(worst, float(np.max(np.abs(m.values[n + 1].ravel() - ref)) / np.max(ref)))
     assert worst <= 1e-13
@@ -424,6 +426,17 @@ def test_duality_source_only_measures_horizon(fp_run, grid32):
 # ---------------------------------------------------------------------------
 # rejection paths
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "phi_t",
+    [np.zeros(33), np.float64(1.0), np.where(np.arange(32) == 5, np.nan, 1.0)],
+    ids=["wrong-shape", "0-d", "nan"],
+)
+def test_duality_rejects_bad_terminal_slice(fp_run, phi_t, grid32):
+    op, m = fp_run
+    with pytest.raises(ValueError, match="phi_terminal"):
+        check_duality(m, op, phi_t, TimeField.zeros(grid32))
 
 
 def test_cfl_violation_rejected():
