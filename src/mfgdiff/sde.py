@@ -45,13 +45,23 @@ Each Euler step wraps the positions once, after the increment; the next
 step locates every path's cell from those wrapped positions
 (`grid.wrapped_cells`) and gathers all the fields it needs from those
 cells (`grid.interp_at`), with the same values as one `interp_periodic`
-call per field.  Paths are advanced in one vectorized batch per step, so a
-fixed seed reproduces estimates bit-for-bit; antithetic pairing mirrors
-the Gaussian increments of the second half of the batch.
+call per field.  The feedback stencils (lap u, grad u) are computed one
+`grid.level_chunks` chunk of time levels at a time, as the paths reach it,
+so no full level stack of them is held.
+
+Paths are advanced in one vectorized batch per step.  The Gaussian normals
+of both loops (`_accumulate_costs`, `modulus_check`) come from one producer,
+`_normals`: a helper thread draws them from `default_rng(seed)` into a ring
+of two blocks of _BLOCK_STEPS steps, filling one block while the loop reads
+the other.  It draws in the order of one (n, dim) draw per step, so a fixed
+seed reproduces estimates bit-for-bit, however the threads interleave; a
+row it yields is valid until the next row is requested.  Antithetic pairing
+draws the first half of each step's batch and mirrors it into the second.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +81,8 @@ from .grid import (
 )
 
 _GUARD_SIGMAS = 10.0
+# Euler steps per block of the normals' ring
+_BLOCK_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -164,7 +176,9 @@ def _estimate(costs: np.ndarray, antithetic: bool) -> McEstimate:
 
 
 def _mc_steps(span: float, dt_mc: float, name: str) -> int:
-    """Number of MC steps in `span`, which must be a positive multiple of dt_mc."""
+    """Number of MC steps in `span`, which must be a finite positive multiple of dt_mc."""
+    if not np.isfinite(span):
+        raise ConfigError(f"{name}={span} must be finite")
     steps = span / dt_mc
     rounded = round(steps)
     if rounded < 1 or abs(steps - rounded) > 1e-9 * max(1.0, steps):
@@ -172,17 +186,51 @@ def _mc_steps(span: float, dt_mc: float, name: str) -> int:
     return int(rounded)
 
 
-def _draw_increments(rng, n_paths: int, dim: int, antithetic: bool) -> np.ndarray:
-    if not antithetic:
-        return rng.standard_normal((n_paths, dim))
-    half = n_paths // 2
-    z = rng.standard_normal((half, dim))
-    return np.concatenate([z, -z], axis=0)
+@contextmanager
+def _normals(seed: int, n: int, dim: int, antithetic: bool, steps: int):
+    """Iterator over the (n, dim) standard normal rows of `steps` >= 1 Euler steps.
+
+    The rows are those of `np.random.default_rng(seed)` drawing (n, dim) per
+    step in order; antithetic rows draw (n/2, dim) and mirror them as
+    [z, -z].  One helper thread fills a ring of two (_BLOCK_STEPS, n, dim)
+    blocks, one block of steps ahead of the caller, who reads the other.  A
+    yielded row is valid until the next row is requested: its slot may then
+    be refilled.  Leaving the context joins the helper, also on an error.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    rng = np.random.default_rng(seed)
+    ring = np.empty((2, _BLOCK_STEPS, n, dim))
+    half = n // 2
+
+    def fill(block):
+        if not antithetic:
+            rng.standard_normal(out=block)
+            return
+        for row in block:
+            rng.standard_normal(out=row[:half])
+            np.negative(row[:half], out=row[half:])
+
+    starts = range(0, steps, _BLOCK_STEPS)
+    blocks = [ring[k % 2, : min(_BLOCK_STEPS, steps - lo)] for k, lo in enumerate(starts)]
+
+    def rows():
+        ahead = pool.submit(fill, blocks[0])
+        for k, block in enumerate(blocks):
+            ahead.result()
+            if k + 1 < len(blocks):
+                ahead = pool.submit(fill, blocks[k + 1])
+            yield from block
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        yield rows()
 
 
-def _feedback_fields(u: TimeField):
+def _feedback_fields(u: TimeField, levels: slice):
+    """Laplacian and gradient of u on the time levels of one `level_chunks` chunk."""
     grid = u.grid
-    return laplacian(u.values, grid.dx, grid.dim), grad_central(u.values, grid.dx, grid.dim)
+    values = u.values[levels]
+    return laplacian(values, grid.dx, grid.dim), grad_central(values, grid.dx, grid.dim)
 
 
 def simulate_value(
@@ -269,7 +317,9 @@ def _accumulate_costs(
     shared by all of them.  Rejects a density on another lattice, an MC step
     longer than the grid step, an x0 of the wrong dimension, and constant
     controls on a model without running costs, all before any field work.
-    The feedback stencils are computed only when the controls are feedback.
+    The feedback stencils are computed only when the controls are feedback,
+    one `level_chunks` chunk at a time, when the paths reach its first level.
+    The normals come from `_normals`, a block of steps ahead of the loop.
     """
     grid = u.grid
     if not m.grid.same_lattice(grid):
@@ -278,14 +328,11 @@ def _accumulate_costs(
         raise ConfigError(f"dt_mc={cfg.dt_mc} exceeds the grid step {grid.dt}")
     if len(cfg.x0) != grid.dim:
         raise ConfigError(f"x0 needs {grid.dim} coordinates")
-    if alpha_const is None:
-        laps, grads = _feedback_fields(u)
-    else:
+    if alpha_const is not None:
         # a spec without running costs fails here, before the coupling fields
         running_costs(model, 0.0, np.asarray(cfg.x0)[None, :], alpha_const, eta_const)
     dt, dim, length = cfg.dt_mc, grid.dim, grid.box_length
     f_path, g_slice = coupling_fields(model, grid, m.values)
-    rng = np.random.default_rng(cfg.seed)
     n = cfg.num_paths
     x = np.tile(np.asarray(cfg.x0, dtype=float), (n, 1))
     # every later step locates its cells from the positions the step before wrapped
@@ -295,34 +342,39 @@ def _accumulate_costs(
     guard = _increment_bound(model, dt)
     last = max(step for step, _ in ends)
     out = [None] * len(ends)
-    for j in range(last + 1):
-        cells = wrapped_cells(grid, wrapped)
-        for k, (step, end_level) in enumerate(ends):
-            if step == j:
-                end = g_slice if end_level is None else u.values[end_level]
-                out[k] = cost + interp_at(end, cells)
-        if j == last:
-            break
-        s = j * dt
-        level = min(int(s / grid.dt + 1e-9), grid.nt)
-        if alpha_const is None:
-            p = interp_at(grads[level], cells)
-            q = interp_at(laps[level], cells)
-            h1v, alpha = h1_terms(model, s, x, p)
-            h2v, eta = h2_terms(model, s, x, q)
-            l1_cost = h1v - np.sum(p * alpha, axis=-1)
-            l3_cost = h2v - eta * q
-        else:
-            alpha = np.broadcast_to(alpha_const, (n, dim))
-            eta = np.full(n, float(eta_const))
-            l1_cost, l3_cost = running_costs(model, s, x, alpha_const, eta_const)
-        f_here = interp_at(f_path.values[level], cells)
-        cost += (l1_cost + l3_cost + f_here) * dt
-        sigma = np.sqrt(2.0 * eta)
-        inc = alpha * dt + sigma[..., None] * sqdt * _draw_increments(rng, n, dim, cfg.antithetic)
-        _check_increment_guard(inc, guard, "cost simulation")
-        x = wrap_periodic(x + inc, length)
-        wrapped = x
+    chunks, levels = iter(grid.level_chunks()), slice(0, 0)
+    with _normals(cfg.seed, n, dim, cfg.antithetic, last) as normals:
+        for j in range(last + 1):
+            cells = wrapped_cells(grid, wrapped)
+            for k, (step, end_level) in enumerate(ends):
+                if step == j:
+                    end = g_slice if end_level is None else u.values[end_level]
+                    out[k] = cost + interp_at(end, cells)
+            if j == last:
+                break
+            s = j * dt
+            level = min(int(s / grid.dt + 1e-9), grid.nt)
+            if alpha_const is None:
+                if level >= levels.stop:
+                    levels = next(c for c in chunks if level < c.stop)
+                    laps, grads = _feedback_fields(u, levels)
+                p = interp_at(grads[level - levels.start], cells)
+                q = interp_at(laps[level - levels.start], cells)
+                h1v, alpha = h1_terms(model, s, x, p)
+                h2v, eta = h2_terms(model, s, x, q)
+                l1_cost = h1v - np.sum(p * alpha, axis=-1)
+                l3_cost = h2v - eta * q
+            else:
+                alpha = np.broadcast_to(alpha_const, (n, dim))
+                eta = np.full(n, float(eta_const))
+                l1_cost, l3_cost = running_costs(model, s, x, alpha_const, eta_const)
+            f_here = interp_at(f_path.values[level], cells)
+            cost += (l1_cost + l3_cost + f_here) * dt
+            sigma = np.sqrt(2.0 * eta)
+            inc = alpha * dt + sigma[..., None] * sqdt * next(normals)
+            _check_increment_guard(inc, guard, "cost simulation")
+            x = wrap_periodic(x + inc, length)
+            wrapped = x
     return out
 
 
@@ -338,22 +390,19 @@ def modulus_check(
     Runs constant admissible controls on unwrapped coordinates (the modulus
     is a displacement, so no torus wrap applies) and records the running
     supremum at each requested h.  Needs at least four h values, each a
-    multiple of dt_mc.
+    finite positive multiple of dt_mc.
     """
     h_arr = np.sort(np.asarray(list(h_list), dtype=float))
     if h_arr.size < 4:
         raise ConfigError(f"need at least 4 separations to fit a slope, got {h_arr.size}")
-    if np.any(h_arr <= 0):
-        raise ConfigError("separations must be positive")
+    dt = cfg.dt_mc
+    checkpoints = [_mc_steps(h, dt, "h") for h in h_arr]
+    total = checkpoints[-1]
     dim = model.dim
     alpha = np.broadcast_to(np.asarray(alpha_const, dtype=float), (dim,))
     eta = model.bounds.a_min if eta_const is None else float(eta_const)
     _check_constant_controls(model, alpha, eta)
 
-    dt = cfg.dt_mc
-    checkpoints = [_mc_steps(h, dt, "h") for h in h_arr]
-    total = checkpoints[-1]
-    rng = np.random.default_rng(cfg.seed)
     n = cfg.num_paths
     x = np.zeros((n, dim))
     running_max = np.zeros(n)
@@ -361,13 +410,14 @@ def modulus_check(
     estimates = np.empty(h_arr.size)
     guard = _increment_bound(model, dt)
     next_idx = 0
-    for j in range(1, total + 1):
-        inc = alpha * dt + sigma * np.sqrt(dt) * _draw_increments(rng, n, dim, cfg.antithetic)
-        _check_increment_guard(inc, guard, "modulus simulation")
-        x = x + inc
-        running_max = np.maximum(running_max, np.linalg.norm(x, axis=-1))
-        while next_idx < len(checkpoints) and checkpoints[next_idx] == j:
-            estimates[next_idx] = running_max.mean()
-            next_idx += 1
+    with _normals(cfg.seed, n, dim, cfg.antithetic, total) as normals:
+        for j, z in enumerate(normals, start=1):
+            inc = alpha * dt + sigma * np.sqrt(dt) * z
+            _check_increment_guard(inc, guard, "modulus simulation")
+            x = x + inc
+            running_max = np.maximum(running_max, np.linalg.norm(x, axis=-1))
+            while next_idx < len(checkpoints) and checkpoints[next_idx] == j:
+                estimates[next_idx] = running_max.mean()
+                next_idx += 1
     slope, _ = np.polyfit(np.log(h_arr), np.log(estimates), 1)
     return ModulusResult(slope=float(slope), separations=h_arr, estimates=estimates)

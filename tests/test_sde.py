@@ -1,5 +1,8 @@
 """Monte-Carlo verification: value agreement, programming identity, modulus."""
 
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -348,3 +351,111 @@ def test_config_errors_before_field_work(heat_setup, monkeypatch, instrument, ca
     monkeypatch.setattr(sde, "coupling_fields", _refuse)
     with pytest.raises(ConfigError, match=message):
         instrument(u, m, sc, cfg, h_steps * grid.dt)
+
+
+_SPANS = {
+    # instrument run with one span set to the parametrized value
+    "modulus": lambda u, m, model, cfg, v: modulus_check(model, cfg, [0.1, 0.2, v, 0.05]),
+    "dpp": lambda u, m, model, cfg, v: dpp_check(u, m, model, cfg, v),
+    "sweep": lambda u, m, model, cfg, v: value_and_dpp(u, m, model, cfg, v),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("instrument", sorted(_SPANS))
+def test_non_finite_span_refused_before_work(heat_setup, monkeypatch, instrument, value):
+    sc, grid, u, m = heat_setup
+    cfg = McConfig(num_paths=200, dt_mc=grid.dt, seed=0, x0=(0.2,))
+    monkeypatch.setattr(sde, "_feedback_fields", _refuse)
+    monkeypatch.setattr(sde, "coupling_fields", _refuse)
+    monkeypatch.setattr(sde, "_normals", _refuse)
+    threads = threading.active_count()
+    with pytest.raises(ConfigError, match=f"h={value} must be finite"):
+        _SPANS[instrument](u, m, sc, cfg, value)
+    assert threading.active_count() == threads
+
+
+def _trip_guard_at(call):
+    """`_check_increment_guard` with a zero bound on its `call`-th use; records the live threads then."""
+    calls, seen = [0], []
+
+    def check(increments, bound, where):
+        calls[0] += 1
+        if calls[0] == call:
+            seen.append(threading.active_count())
+            bound = 0.0
+        _check_increment_guard(increments, bound, where)
+
+    return check, seen
+
+
+def test_no_helper_thread_outlives_a_call(heat_setup, monkeypatch):
+    sc, grid, u, m = heat_setup
+    cfg = _cfg(grid, n=200)
+    threads = threading.active_count()
+    value_and_dpp(u, m, sc, cfg, grid.horizon / 8)
+    assert threading.active_count() == threads
+    # fewer steps than one block of normals
+    modulus_check(sc, cfg, [grid.dt * k for k in (1, 2, 4, 7)])
+    assert threading.active_count() == threads
+    # the guard trips midway, while the helper draws ahead
+    check, seen = _trip_guard_at(20)
+    monkeypatch.setattr(sde, "_check_increment_guard", check)
+    with pytest.raises(ContractError, match=r"^200 path increments exceeded the sanity bound 0 during cost simulation \(allowed 10\)$"):
+        value_and_dpp(u, m, sc, cfg, grid.horizon / 8)
+    assert seen == [threads + 1]
+    assert threading.active_count() == threads
+    monkeypatch.undo()
+    # stopped before the first step
+    monkeypatch.setattr(sde, "_feedback_fields", _refuse)
+    with pytest.raises(AssertionError, match="field work"):
+        value_and_dpp(u, m, sc, cfg, grid.horizon / 8)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
+@pytest.mark.parametrize("steps", [1, 7, 8, 9, 17])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_normals_follow_the_per_step_stream(dim, steps, antithetic):
+    n, seed = 6, 13
+    with sde._normals(seed, n, dim, antithetic, steps) as rows:
+        # a row is valid only until the next one is requested
+        got = [row.copy() for row in rows]
+    rng = np.random.default_rng(seed)
+    expected = []
+    for _ in range(steps):
+        if antithetic:
+            z = rng.standard_normal((n // 2, dim))
+            expected.append(np.concatenate([z, -z]))
+        else:
+            expected.append(rng.standard_normal((n, dim)))
+    assert len(got) == steps
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
+def test_sweep_holds_no_full_stencil_stack():
+    """The traced peak of `value_and_dpp` is that of the coupling fields it reads.
+
+    On model A at 64x1040 with 1000 paths, one level stack is 533 kB.  The
+    peak reads 2.31 stacks: `coupling_fields` (the F path and its FFT
+    temporaries), before the sweep begins.  The sweep adds one chunk of
+    stencils, the paths and the normals' ring (128 kB).  With full Laplacian
+    and gradient stacks, alive while the coupling fields are computed, it
+    read 4.31 stacks.
+    """
+    model = model_a(horizon=1 / 16)
+    grid = grid_for(model, nx=64, nt=1040)
+    m = DensityPath.constant_in_time(grid, model.m0.discretize(grid))
+    u = solve_hjb(model, *coupling_fields(model, grid, m.values), grid)
+    cfg = McConfig(num_paths=1000, dt_mc=grid.dt, seed=5, x0=(0.3,))
+    # first-call costs (imports, caches) are not the sweep's working set
+    value_and_dpp(u, m, model, McConfig(num_paths=100, dt_mc=grid.dt, seed=5, x0=(0.3,)), grid.horizon / 8)
+    stack_bytes = (grid.nt + 1) * grid.n_nodes * 8
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        value_and_dpp(u, m, model, cfg, grid.horizon / 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * stack_bytes
