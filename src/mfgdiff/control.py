@@ -206,8 +206,8 @@ class ModelSpec:
             raise ConfigError(f"horizon must be positive, got {self.horizon}")
         if not math.isfinite(self.horizon):
             raise ConfigError(f"horizon must be finite, got {self.horizon}")
-        if not self.discount >= 0:
-            raise ConfigError(f"discount must be nonnegative, got {self.discount}")
+        if not 0 <= self.discount < math.inf:
+            raise ConfigError(f"discount must be nonnegative and finite, got {self.discount}")
         ham = self.hamiltonians
         while ham.kind == "mollified":
             ham = ham.base

@@ -11,6 +11,11 @@ one is invariant under adding a constant to the field.
   * `semiconcavity_constant`: signed max of the one-sided second-difference
     quotient (u(x + h) + u(x - h) - 2 u(x)) / |h|^2 with h one grid step
     (periodic neighbors).  Semiconcave fields keep it bounded above.
+
+    Both read the neighbours through `grid.neighbour_table` (the Lipschitz
+    audit gathers only the rows ahead) and reduce their max chunk by chunk
+    of levels (`GridSpec.level_chunks`), so their temporaries stay bounded
+    by the chunk, not by the level stack.
   * `three_point_check`: worst ratio of u(x) + u(y) - 2 u(z) against
     delta + (|x - z|^4 + |y - z|^4 + |x + y - 2 z|^2) / delta over sampled
     on-grid triples.  A finite worst ratio certifies the quantitative
@@ -50,7 +55,7 @@ from .control import (
     h2_value,
 )
 from .errors import ConfigError
-from .grid import TimeField, diff_backward, diff_forward
+from .grid import TimeField, neighbour_table, neighbours
 
 # Gathered entries (levels times triples) per chunk of `three_point_check`.
 _THREE_POINT_ENTRIES = 1 << 18
@@ -61,26 +66,29 @@ _THREE_POINT_ENTRIES = 1 << 18
 # --------------------------------------------------------------------------
 
 
+def _second_differences(values: np.ndarray, dx: float, dim: int) -> np.ndarray:
+    """Per-axis quotients (forward - backward difference) / dx, shape (dim,) + values.shape."""
+    nbr = neighbours(values, dim)
+    return ((nbr[0::2] - values) / dx - (values - nbr[1::2]) / dx) / dx
+
+
 def lipschitz_constant(u: TimeField) -> float:
-    """Max-norm discrete space-Lipschitz constant over all time levels."""
-    dx, dim = u.grid.dx, u.grid.dim
-    return max(float(np.max(np.abs(diff_forward(u.values, dx, k - dim)))) for k in range(dim))
+    """Max-norm discrete space-Lipschitz constant over all time levels, reduced chunk by chunk."""
+    grid = u.grid
+    ahead = neighbour_table(grid.shape)[0::2].reshape(grid.dim, -1)  # only the rows ahead are read
+    flats = (u.values[c].reshape(c.stop - c.start, -1) for c in grid.level_chunks())
+    return max(float(np.max(np.abs((f.take(ahead, axis=-1) - f[:, None]) / grid.dx))) for f in flats)
 
 
 def second_difference_quotient(u: TimeField) -> np.ndarray:
     """Per-axis second-difference quotients, shape (dim,) + values.shape."""
-    dx, dim = u.grid.dx, u.grid.dim
-    return np.stack(
-        [
-            (diff_forward(u.values, dx, k - dim) - diff_backward(u.values, dx, k - dim)) / dx
-            for k in range(dim)
-        ]
-    )
+    return _second_differences(u.values, u.grid.dx, u.grid.dim)
 
 
 def semiconcavity_constant(u: TimeField) -> float:
-    """Signed maximum of the second-difference quotient (upper bound audit)."""
-    return float(np.max(second_difference_quotient(u)))
+    """Signed maximum of the second-difference quotient (upper bound audit), reduced chunk by chunk."""
+    grid = u.grid
+    return max(float(np.max(_second_differences(u.values[c], grid.dx, grid.dim))) for c in grid.level_chunks())
 
 
 def random_triples(grid, count: int, rng) -> np.ndarray:
@@ -96,8 +104,8 @@ def three_point_check(u: TimeField, triples: np.ndarray, delta: float) -> float:
     chunks of levels of about _THREE_POINT_ENTRIES gathered values each, so
     the temporaries do not grow with nt.
     """
-    if delta <= 0:
-        raise ConfigError(f"delta must be positive, got {delta}")
+    if not 0 < delta < np.inf:  # a NaN fails it too
+        raise ConfigError(f"delta must be positive and finite, got {delta}")
     grid = u.grid
     triples = np.asarray(triples, dtype=int)
     if triples.ndim != 3 or triples.shape[1] != 3 or triples.shape[2] != grid.dim:

@@ -31,9 +31,11 @@ up_1, ... of one array.  For the transpose, `TransportOperator.weights`
 reads each row once per chunk at the node whose outflow it weighs: up_k at
 i - e_k, dn_k at i + e_k.  Both marches then take one step function,
 `_step`: diag * v plus 2 d neighbour products, formed by one gather
-through the grid's neighbour table (`grid.neighbour_table`; the generator
-reads v at i + e_k and i - e_k, the transpose at i - e_k and i + e_k) and
-one multiply, and added in the order up_0, dn_0, up_1, ...
+through the grid's neighbour table and one multiply, and added in the
+order up_0, dn_0, up_1, ...  The generator reads v at the rows of
+`grid.neighbour_table(shape)` (i + e_k, then i - e_k), the transpose at
+the rows of `grid.neighbour_table(shape, transpose=True)` (i - e_k, then
+i + e_k), which are also the nodes its weights are read at.
 
 The density is marched with the transpose:
 
@@ -62,7 +64,6 @@ check needs only phi^0, so it marches one slice.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,15 +116,15 @@ class TransportOperator:
         `grid.stencil_weights` at theta = |b|: diag has shape (c,) +
         grid.shape, nbr (c, 2 d) + grid.shape with rows up_0, dn_0, up_1,
         ....  With transpose, each row is read at the node whose outflow it
-        weighs (up_k at i - e_k, dn_k at i + e_k), the layout in which
-        `_step` applies the transpose.
+        weighs (up_k at i - e_k, dn_k at i + e_k, the rows of the transposed
+        neighbour table), the layout in which `_step` applies the transpose.
         """
         grid = self.grid
         b = self.b[levels]
         diag, nbr = stencil_weights(self.a[levels], b, np.abs(b), grid.dx, grid.dt)
         if transpose:
             offsets = (grid.n_nodes * np.arange(2 * grid.dim)).reshape((-1,) + (1,) * grid.dim)
-            nbr = nbr.reshape(len(nbr), -1).take(_neighbour_rows(grid.shape)[1] + offsets, axis=1)
+            nbr = nbr.reshape(len(nbr), -1).take(neighbour_table(grid.shape, True) + offsets, axis=1)
         return diag, nbr
 
     def step_positivity_margin(self) -> float:
@@ -133,31 +134,18 @@ class TransportOperator:
                              for c in self.grid.level_chunks()]))
 
 
-@functools.lru_cache(maxsize=32)
-def _neighbour_rows(shape: tuple[int, ...]) -> tuple:
-    """Flat indices of the 2 d neighbours of each node, shape (2 d,) + shape, cached by shape.
-
-    Rows ahead_0, behind_0, ahead_1, ... are the nodes the generator reads;
-    rows behind_0, ahead_0, behind_1, ... the nodes whose outflow (up_k at
-    i - e_k, dn_k at i + e_k) its transpose receives.
-    """
-    table = neighbour_table(shape)
-    rows = (2 * len(shape),) + shape
-    received = table[:, ::-1].reshape(rows)
-    received.setflags(write=False)
-    return table.reshape(rows), received
-
-
 def _step(diag: np.ndarray, nbr: np.ndarray, v: np.ndarray, transpose: bool = False) -> np.ndarray:
     """I + dt * L_n applied to the slice v, or with transpose its transpose.
 
     diag and nbr are one level of `TransportOperator.weights` with the same
-    transpose.  One gather reads the neighbours the step weighs (the nodes
-    ahead and behind, or the nodes that send to each node) and one multiply
-    weighs them; the products are added to diag * v in the order up_0,
-    dn_0, up_1, ...
+    transpose.  One gather through `neighbour_table(v.shape, transpose)`
+    reads the neighbours the step weighs (rows ahead_0, behind_0, ...; with
+    transpose behind_0, ahead_0, ..., the nodes that send to each node) and
+    one multiply weighs them; the products are added to diag * v in the
+    order up_0, dn_0, up_1, ...  The take is inline, not through
+    `grid.neighbours`: the march calls this once per level.
     """
-    terms = v.take(_neighbour_rows(v.shape)[transpose])
+    terms = v.take(neighbour_table(v.shape, transpose))
     terms *= nbr
     out = diag * v
     for k in range(len(terms)):  # indexing the rows costs less than iterating over them

@@ -13,34 +13,32 @@ the sup of the drift Hamiltonian's gradient).  The bound makes the diagonal
 coefficient of each one-step update nonnegative, which is what every
 monotonicity, positivity and comparison argument below hangs on.
 
-Spatial derivatives are the standard periodic stencils: centered first
-differences, forward/backward one-sided differences, and the 3-point
-Laplacian per axis.  They act on the trailing spatial axes, so one call
-takes either a single time slice or a whole (nt + 1)-level stack.
-`derivative_stack` writes the Laplacian and the d centered gradient
-components as the rows of one array, from one gather of the 2 d
-neighbours, for the value march; given a march's dict of buffers, it
-fills them on the first level and writes into them after.  The one-step
-weights of both marches come from one monotone kernel, `stencil_weights`,
-at the dissipation theta_k = |b_k| (upwinding, the density march) or
-theta_k = theta_lf (the value march).  It returns the diagonal weight
-(`stencil_diagonal`, which the density march's positivity check also
-evaluates alone) and the 2 d neighbour weights as rows up_0, dn_0, up_1,
-... of one array, the order in which one gather through the neighbour
-table reads the neighbours ahead_0, behind_0, ahead_1, ....
+Every periodic neighbour in the package is read through one neighbour
+table (`neighbour_table`): per spatial shape, cached and read-only, the
+flat indices of the 2 d neighbours of each node as the rows ahead_0,
+behind_0, ahead_1, ... of one (2 d,) + shape array (with `transpose`,
+each axis's pair swapped).  One `ndarray.take` through it reads them all,
+at a fraction of the cost of numpy's roll on the small slices the marches
+step through.  `neighbours` is the one gather: one take on a slice, one
+per row on a run of levels.  The stencils act on the trailing spatial
+axes of a slice or of a run of levels, with one gather each: `laplacian`,
+`grad_central` (components on a contiguous trailing axis), and
+`derivative_stack`, which writes both as the rows of one array for the
+value march, reusing a march's buffers and gathering a slice inline.  The
+regularity audits read their one-sided differences through the table too.
 
-Every periodic neighbour in the package is read from one neighbour table
-(`neighbour_table`): per spatial shape, cached, the flat index of the node
-one step ahead and one step behind along each axis, as one array, so that
-one `ndarray.take` on the flattened spatial axes reads one neighbour or
-all 2 d of them.  That costs a fraction of numpy's roll, or of two slices
-and a concatenate, on the small slices the explicit marches step through.
+The one-step weights of both marches come from one monotone kernel,
+`stencil_weights`, at the dissipation theta_k = |b_k| (upwinding, the
+density march) or theta_k = theta_lf (the value march).  It returns the
+diagonal weight (`stencil_diagonal`, which the density march's positivity
+check also evaluates alone) and the 2 d neighbour weights as rows up_0,
+dn_0, up_1, ... of one array, the rows of the neighbour table they weigh.
 
 Passes over a level stack that are not a march (the scheme residual, the
-transport-operator build, the linearization) walk it in chunks of
-consecutive levels (`GridSpec.level_chunks`), which bounds their
-temporaries by a fixed node count instead of by the whole stack.  The marches check their levels once
-per chunk.
+transport-operator build, the linearization, the regularity audits) walk
+it in chunks of consecutive levels (`GridSpec.level_chunks`), which bounds
+their temporaries by a fixed node count instead of by the whole stack.
+The marches check their levels once per chunk.
 """
 
 from __future__ import annotations
@@ -202,48 +200,58 @@ class TimeField:
 
 
 @functools.lru_cache(maxsize=32)
-def neighbour_table(shape: tuple[int, ...]) -> np.ndarray:
-    """Flat node indices of the periodic neighbours on a spatial shape, cached by shape.
+def neighbour_table(shape: tuple[int, ...], transpose: bool = False) -> np.ndarray:
+    """Flat node indices of the periodic neighbours on a spatial shape, cached.
 
-    A read-only array of shape (d, 2) + shape: table[k, 0][i] is the flat
-    index of node i + e_k (ahead) and table[k, 1][i] that of node i - e_k
-    (behind), wrapped around the torus.  Iterating it gives one (ahead,
-    behind) pair per axis; reshaped to (2 d,) + shape its rows are ahead_0,
-    behind_0, ahead_1, ..., so one `take` gathers all 2 d neighbours.
+    A read-only array of shape (2 d,) + shape whose rows are ahead_0,
+    behind_0, ahead_1, ...: row 2 k holds, at node i, the flat index of node
+    i + e_k, and row 2 k + 1 that of node i - e_k, wrapped around the torus.
+    With transpose each axis's pair is swapped (behind_0, ahead_0, ...):
+    the nodes whose outflow a transposed step receives.
     """
     nodes = np.arange(math.prod(shape)).reshape(shape)
-    table = np.stack([np.stack((np.roll(nodes, -1, axis=k), np.roll(nodes, 1, axis=k)))
-                      for k in range(len(shape))])
+    shifts = (1, -1) if transpose else (-1, 1)
+    table = np.stack([np.roll(nodes, s, axis=k) for k in range(len(shape)) for s in shifts])
     table.setflags(write=False)
     return table
 
 
-def _gather(values: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """values at the flat node indices `index` over its trailing spatial axes, per leading index."""
-    if values.ndim == index.ndim:  # one slice
-        return values.take(index)
-    return values.reshape(values.shape[: values.ndim - index.ndim] + (-1,)).take(index, axis=-1)
+def neighbours(values: np.ndarray, dim: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The 2 d periodic neighbours of values over its trailing `dim` axes.
+
+    Returns (or writes into out) an array of shape (2 d,) + values.shape
+    with the rows of `neighbour_table`: one `take` on a slice, one per row
+    on a run of levels.
+    """
+    table = neighbour_table(values.shape[values.ndim - dim :])
+    if out is None:
+        out = np.empty(table.shape[:1] + values.shape, dtype=values.dtype)
+    if values.ndim == dim:
+        return values.take(table, out=out, mode="clip")
+    flat = values.reshape(values.shape[: values.ndim - dim] + (-1,))
+    for index, row in zip(table, out):
+        flat.take(index.reshape(-1), axis=-1, out=row.reshape(flat.shape), mode="clip")
+    return out
 
 
 def laplacian(values: np.ndarray, dx: float, dim: int | None = None) -> np.ndarray:
     """3-point periodic Laplacian summed over the trailing `dim` axes (default: all)."""
     dim = values.ndim if dim is None else dim
-    out = 0.0
-    for ahead, behind in neighbour_table(values.shape[values.ndim - dim :]):
-        out = out + (_gather(values, ahead) + _gather(values, behind) - 2.0 * values)
+    nbr = neighbours(values, dim)
+    out = nbr[0] + nbr[1] - 2.0 * values
+    for k in range(1, dim):
+        out = out + (nbr[2 * k] + nbr[2 * k + 1] - 2.0 * values)
     return out / (dx * dx)
 
 
 def grad_central(values: np.ndarray, dx: float, dim: int | None = None) -> np.ndarray:
     """Centered periodic gradient over the trailing `dim` axes (default: all).
 
-    Components are stacked on a new trailing axis.
+    Components are stacked on a new trailing axis, contiguous in memory.
     """
     dim = values.ndim if dim is None else dim
-    comps = [
-        (_gather(values, ahead) - _gather(values, behind)) / (2.0 * dx)
-        for ahead, behind in neighbour_table(values.shape[values.ndim - dim :])
-    ]
+    nbr = neighbours(values, dim)
+    comps = (nbr[0::2] - nbr[1::2]) / (2.0 * dx)
     # one component needs no stack, which costs more than the difference on a slice
     return np.stack(comps, axis=-1) if dim > 1 else comps[0][..., None]
 
@@ -252,16 +260,16 @@ def _stack_buffers(shape: tuple[int, ...], dim: int, dx: float, march: bool) -> 
     """Gather index, buffers and views of `derivative_stack` for values of `shape`.
 
     The neighbour rows ahead_0, behind_0, ahead_1, ... of every level are
-    gathered into one buffer of shape (2 d,) + shape; `ahead` and `behind`
-    view its rows.  A march divides the stack by its row divisors (dx^2,
-    2 dx, ..., 2 dx) at full shape, which pays off over its levels; a
-    single call divides row by row (scale None).  The last three entries
-    are views the stencil writes through: the gradient rows of the stack,
-    the behind row that takes 2 w, and the rows that take
-    ahead + behind - 2 w (in 1D, row 0 of the stack itself).
+    gathered into one buffer of shape (2 d,) + shape, the layout of
+    `neighbours`; `ahead` and `behind` view its rows.  A march divides the
+    stack by its row divisors (dx^2, 2 dx, ..., 2 dx) at full shape, which
+    pays off over its levels; a single call divides row by row (scale
+    None).  The last three entries are views the stencil writes through:
+    the gradient rows of the stack, the behind row that takes 2 w, and the
+    rows that take ahead + behind - 2 w (in 1D, row 0 of the stack itself).
     """
     space = shape[len(shape) - dim :]
-    rows = neighbour_table(space).reshape((2 * dim,) + space)
+    rows = neighbour_table(space)
     gathered = np.empty((2 * dim,) + shape)
     stack = np.empty((1 + dim,) + shape)
     scale = None
@@ -278,10 +286,9 @@ def derivative_stack(values: np.ndarray, dx: float, dim: int | None = None, work
 
     values holds a slice or a run of levels; the stack has shape (1 + d,) +
     values.shape.  Row 0 equals `laplacian` and row 1 + k component k of
-    `grad_central` bit for bit, except that a Laplacian of zero may come
-    back with the other sign (the value march's bracket does not depend on
-    it).  One `take` gathers the 2 d neighbours of a slice (one per
-    neighbour row on a run of levels); every later operation writes into
+    `grad_central` bit for bit, the sign of every zero included.  One `take`
+    gathers the 2 d neighbours of a slice (`neighbours`, one take per
+    neighbour row, on a run of levels); every later operation writes into
     the stack or into the gathered copy.
 
     work, when given, is a dict that a march passes to every level of one
@@ -295,12 +302,10 @@ def derivative_stack(values: np.ndarray, dx: float, dim: int | None = None, work
         if work is not None:
             work["stack"] = buffers
     rows, gathered, stack, scale, ahead, behind, grad, two_w, sums = buffers
-    if values.ndim == dim:
+    if values.ndim == dim:  # inline: a march calls this once per level
         values.take(rows, out=gathered, mode="clip")
-    else:  # a run of levels: gather each neighbour row over the flattened nodes of every level
-        flat = values.reshape(values.shape[: values.ndim - dim] + (-1,))
-        for index, row in zip(rows, gathered):
-            flat.take(index.reshape(-1), axis=-1, out=row.reshape(flat.shape), mode="clip")
+    else:
+        neighbours(values, dim, out=gathered)
     np.subtract(ahead, behind, out=grad)
     np.add(ahead, behind, out=ahead)
     np.multiply(values, 2.0, out=two_w)
@@ -335,12 +340,11 @@ def stencil_weights(a: np.ndarray, b: np.ndarray, theta, dx: float, dt: float) -
     levels; b (and theta, unless a scalar) adds a trailing axis of length
     d.  nbr holds the rows up_0, dn_0, up_1, ... on an axis of length 2 d
     before the spatial axes: the weights of the neighbours ahead_0,
-    behind_0, ahead_1, ..., in the order of `neighbour_table`'s (2 d,) +
-    shape reshape.  The step is monotone where theta_k >= |b_k| under the
-    grid's time-step bound.  theta_k = |b_k| (local Lax-Friedrichs) turns
-    the drift part into the upwind difference of the density march;
-    theta_k = theta_lf is the value march's step frozen at its minimizing
-    controls.
+    behind_0, ahead_1, ..., the rows of `neighbour_table`.  The step is
+    monotone where theta_k >= |b_k| under the grid's time-step bound.
+    theta_k = |b_k| (local Lax-Friedrichs) turns the drift part into the
+    upwind difference of the density march; theta_k = theta_lf is the value
+    march's step frozen at its minimizing controls.
     """
     dim = b.shape[-1]
     theta = np.broadcast_to(theta, b.shape)
@@ -353,23 +357,6 @@ def stencil_weights(a: np.ndarray, b: np.ndarray, theta, dx: float, dt: float) -
         rows[2 * k + 1] = a_dx2 + (theta[..., k] - b[..., k]) / (2.0 * dx)
     nbr *= dt
     return stencil_diagonal(a, theta, dx, dt), nbr
-
-
-def diff_forward(values: np.ndarray, dx: float, axis: int) -> np.ndarray:
-    """Forward periodic difference along `axis`.
-
-    Spatial axis k of a d-dimensional grid is axis k - d, which addresses
-    the same axis on a slice and on a level stack.  The neighbour is read
-    from the table of the trailing shape that starts at `axis`.
-    """
-    ahead = neighbour_table(values.shape[axis:])[0][0]
-    return (_gather(values, ahead) - values) / dx
-
-
-def diff_backward(values: np.ndarray, dx: float, axis: int) -> np.ndarray:
-    """Backward periodic difference along `axis` (spatial axis k is k - d)."""
-    behind = neighbour_table(values.shape[axis:])[0][1]
-    return (values - _gather(values, behind)) / dx
 
 
 def wrap_periodic(x: np.ndarray, length: float) -> np.ndarray:

@@ -257,8 +257,8 @@ def lambda_transform(u: TimeField, lam: float, direction: str) -> TimeField:
     direction 'forward' applies the factor, 'inverse' removes it; the
     round trip is the identity to round-off.
     """
-    if lam < 0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
+    if not 0 <= lam < math.inf:  # a NaN fails it too
+        raise ValueError(f"lam must be nonnegative and finite, got {lam}")
     if direction not in ("forward", "inverse"):
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
     grid = u.grid
@@ -293,8 +293,8 @@ def hjb_lambda_residual(v: TimeField, model: ModelSpec, f_path: TimeField, lam: 
 
 
 def _check_discount(lam: float, grid: GridSpec) -> None:
-    """Reject a negative lam, and a lam * T at which exp(-lam (T - t)) underflows."""
-    if lam < 0:
+    """Reject a negative or NaN lam, and a lam * T at which exp(-lam (T - t)) underflows."""
+    if not lam >= 0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
     if lam * grid.horizon > _MAX_DISCOUNT:
         raise StabilityError(

@@ -177,6 +177,17 @@ def test_nonfinite_parameters_rejected(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: ModelSpec(**{**vars(model_a()), "discount": float("inf")}), lambda: model_a(discount=float("inf"))],
+    ids=["model_spec", "model_a"],
+)
+def test_infinite_discount_rejected_by_name(build):
+    # as an infinite horizon is: the discounted march could not take a step of it
+    with pytest.raises(ConfigError, match="discount must be .* finite"):
+        build()
+
+
 def test_empty_control_grid_rejected():
     with pytest.raises(ConfigError):
         HamiltonianSpec(

@@ -1,5 +1,6 @@
 """Regularity constants, three-point inequality, structural-class audit."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -201,6 +202,16 @@ def test_three_point_rejects_bad_delta(rng):
         three_point_check(u, random_triples(grid, 5, rng), delta=0.0)
 
 
+@pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+def test_three_point_rejects_non_finite_delta(delta, rng):
+    # a NaN delta made every ratio NaN, an infinite one made them all 0: a
+    # certificate that says nothing
+    grid = _grid(32)
+    u = TimeField(grid, rng.standard_normal((grid.nt + 1, grid.nx)))
+    with pytest.raises(ConfigError, match="delta must be .* finite"):
+        three_point_check(u, random_triples(grid, 5, rng), delta=delta)
+
+
 # ---------------------------------------------------------------------------
 # structural-class audit
 # ---------------------------------------------------------------------------
@@ -286,3 +297,50 @@ def test_class_m_2d(rng):
     m2 = model_a(dim=2)
     report = class_m_check(m2, _samples(rng, n=100, d=2), declared_c=10.0)
     assert report.passed
+
+
+# ---------------------------------------------------------------------------
+# recorded bits of the regularity audits
+# ---------------------------------------------------------------------------
+
+# model builder and lattice (nx, nt) of a frozen-coupling model A solve
+_AUDIT_CASES = {
+    "1d": (lambda: model_a(), (32, 1040)),
+    "2d": (lambda: model_a(dim=2, horizon=0.0625), (8, 64)),
+}
+
+_AUDIT_BITS = {
+    "1d": {
+        "lipschitz": "0x1.65a5a1d6169ebp+2",
+        "semiconcavity": "0x1.cfd1bf95a28c0p+4",
+        "three_point": "0x1.3d26654795071p+3",
+        "quotient": "228f0c559e172463f80ca2d960d4f895766fc691b8b189f443283404749b18e3",
+    },
+    "2d": {
+        "lipschitz": "0x1.69284dd08d6b0p+2",
+        "semiconcavity": "0x1.29ba8983caae7p+5",
+        "three_point": "0x1.78aeda7d380d6p+2",
+        "quotient": "08cf173e5e4d411d76fc2912379427b77f7f37896b4023d13193b60cc3b0e43a",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(_AUDIT_CASES))
+def test_regularity_audits_match_recorded_bits(case):
+    # raw bits, so a refactor of the periodic differences that reorders one
+    # operation or reads one wrong neighbour fails here
+    build, (nx, nt) = _AUDIT_CASES[case]
+    model = build()
+    grid = grid_for(model, nx=nx, nt=nt)
+    gamma = DensityPath.constant_in_time(grid, model.m0.discretize(grid))
+    f_path, g_slice = coupling_fields(model, grid, gamma.values)
+    u = solve_hjb(model, f_path, g_slice, grid)
+    triples = random_triples(grid, 500, np.random.default_rng(5))
+    quotient = np.ascontiguousarray(second_difference_quotient(u)).tobytes()
+    got = {
+        "lipschitz": float.hex(lipschitz_constant(u)),
+        "semiconcavity": float.hex(semiconcavity_constant(u)),
+        "three_point": float.hex(three_point_check(u, triples, delta=grid.dx)),
+        "quotient": hashlib.sha256(quotient).hexdigest(),
+    }
+    assert got == _AUDIT_BITS[case]

@@ -7,13 +7,13 @@ from mfgdiff.errors import StabilityError
 from mfgdiff.grid import (
     GridSpec,
     derivative_stack,
-    diff_backward,
-    diff_forward,
     grad_central,
     interp_at,
     interp_cells,
     interp_periodic,
     laplacian,
+    neighbour_table,
+    neighbours,
     wrap_periodic,
     wrapped_cells,
 )
@@ -25,8 +25,8 @@ def test_stacked_stencils_match_per_level(dim, rng):
     dx = grid.dx
     stack = rng.standard_normal((grid.nt + 1, *grid.shape))
     stencils = [lambda v: laplacian(v, dx, dim), lambda v: grad_central(v, dx, dim)]
-    stencils += [lambda v, k=k: diff_forward(v, dx, k - dim) for k in range(dim)]
-    stencils += [lambda v, k=k: diff_backward(v, dx, k - dim) for k in range(dim)]
+    # the neighbour rows ahead_0, behind_0, ... lead, before the level axis
+    stencils += [lambda v, r=r: neighbours(v, dim)[r] for r in range(2 * dim)]
     for stencil in stencils:
         whole = stencil(stack)
         for n in range(grid.nt + 1):
@@ -54,6 +54,24 @@ def test_derivative_stack_matches_stencils(dim, rng):
     assert derivative_stack(values[1], dx, dim, work) is derivative_stack(values[2], dx, dim, work)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_derivative_stack_keeps_the_sign_of_zero(dim, rng):
+    # row 0 equals the Laplacian by raw bytes on slices whose differences are
+    # signed zeros: all -0.0, +0.0 and -0.0 mixed or on a checkerboard,
+    # constant, and random
+    grid = GridSpec(dim=dim, box_length=0.7, nx=8, nt=4, horizon=1e-3, a_max=0.5)
+    dx = grid.dx
+    mixed = np.where(rng.random(grid.shape) < 0.5, -0.0, 0.0)
+    checker = np.where(np.indices(grid.shape).sum(axis=0) % 2, -0.0, 0.0)
+    cases = (np.full(grid.shape, -0.0), mixed, checker, np.full(grid.shape, 3.0), rng.standard_normal(grid.shape))
+    for v in cases:
+        for work in (None, {}):
+            row = derivative_stack(v, dx, dim, work)[0]
+            assert row.tobytes() == laplacian(v, dx, dim).tobytes()
+    # on the checkerboard every +0.0 node has two -0.0 neighbours per axis: its Laplacian is -0.0
+    assert np.array_equal(np.signbit(laplacian(checker, dx, dim)), ~np.signbit(checker))
+
+
 def _roll_stencils(values, dx, dim):
     """The four stencils written with np.roll, in the same arithmetic order."""
     lap = np.zeros_like(values)
@@ -75,11 +93,23 @@ def test_stencils_match_roll_reference(dim, stacked, rng):
     dx = grid.dx
     values = rng.standard_normal((grid.nt + 1, *grid.shape) if stacked else grid.shape)
     ours = [laplacian(values, dx, dim), grad_central(values, dx, dim)]
-    ours += [diff_forward(values, dx, k - dim) for k in range(dim)]
-    ours += [diff_backward(values, dx, k - dim) for k in range(dim)]
+    nbr = neighbours(values, dim)
+    ours += [(nbr[2 * k] - values) / dx for k in range(dim)]
+    ours += [(values - nbr[2 * k + 1]) / dx for k in range(dim)]
     for got, ref in zip(ours, _roll_stencils(values, dx, dim), strict=True):
         assert got.shape == ref.shape
         assert np.array_equal(got, ref)
+    # each axis's pair: the node ahead, then the node behind; swapped in the transposed table
+    flat = values.reshape(values.shape[: values.ndim - dim] + (-1,))
+    swapped = np.stack([flat.take(row.reshape(-1), axis=-1).reshape(values.shape)
+                        for row in neighbour_table(grid.shape, True)])
+    for k in range(dim):
+        ahead, behind = np.roll(values, -1, axis=k - dim), np.roll(values, 1, axis=k - dim)
+        assert np.array_equal(nbr[2 * k], ahead) and np.array_equal(nbr[2 * k + 1], behind)
+        assert np.array_equal(swapped[2 * k], behind) and np.array_equal(swapped[2 * k + 1], ahead)
+    for transpose in (False, True):
+        table = neighbour_table(grid.shape, transpose)
+        assert table.shape == (2 * dim,) + grid.shape and not table.flags.writeable
 
 
 _BOX_LENGTHS = [1.0, 0.7, 2.0, 2 * np.pi]

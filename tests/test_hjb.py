@@ -9,6 +9,7 @@ import pytest
 
 from mfgdiff import ContractError, StabilityError, model_a, mollify_model, single_control_model
 from mfgdiff import grid as grid_module
+from mfgdiff import hjb as hjb_module
 from mfgdiff.control import h1_segment_mean, h1_terms, h1_value, h2_segment_mean, h2_terms, h2_value
 from mfgdiff.fp import _step
 from mfgdiff.grid import GridSpec, TimeField, grad_central, laplacian
@@ -305,6 +306,50 @@ def test_residual_truncation_order_on_exact_solution():
     assert 2.5 <= sups[0] / sups[1] <= 6.0
 
 
+def _manufactured(model, grid):
+    """u* = phi(t, x_1) + ... + phi(t, x_d) on the lattice, and the running cost that makes it exact.
+
+    phi(t, x) = 0.1 e^t cos 2 pi x + 0.05 (1 + t) sin 4 pi x, and the cost is
+    F = -(u*_t + H2(Lap u*) + H1(grad u*)).  Also returns the diffusion
+    coefficient H2_q and the drift H1_p along u*, to show the clamps act.
+    """
+    t = grid.times().reshape((-1,) + (1,) * grid.dim)
+    x = grid.coords()
+    w = 2 * np.pi
+    u = u_t = lap = 0.0
+    grad = []
+    for k in range(grid.dim):
+        c = x[..., k]
+        u = u + 0.1 * np.exp(t) * np.cos(w * c) + 0.05 * (1 + t) * np.sin(2 * w * c)
+        u_t = u_t + 0.1 * np.exp(t) * np.cos(w * c) + 0.05 * np.sin(2 * w * c)
+        lap = lap - 0.1 * w**2 * np.exp(t) * np.cos(w * c) - 0.2 * w**2 * (1 + t) * np.sin(2 * w * c)
+        grad.append(-0.1 * w * np.exp(t) * np.sin(w * c) + 0.1 * w * (1 + t) * np.cos(2 * w * c))
+    grad = np.stack(grad, axis=-1)
+    f = -(u_t + h2_value(model, t, x, lap) + h1_value(model, t, x, grad))
+    return u, f, h2_terms(model, t, x, lap)[1], h1_terms(model, t, x, grad)[1]
+
+
+# (dim, lattices): dx halves and dt quarters from the first to the second
+@pytest.mark.parametrize(
+    "dim,lattices", [(1, ((32, 1040), (64, 4160))), (2, ((16, 520), (32, 2080)))], ids=["1d", "2d"]
+)
+def test_march_converges_to_manufactured_solution(dim, lattices):
+    # errors 1.81e-2, 9.05e-3 in 1D and 5.52e-2, 2.76e-2 in 2D: first order
+    # in dx, from the (theta_lf dx / 2) Lap_h dissipation of the drift flux
+    model = model_a(dim=dim)
+    errors = []
+    for nx, nt in lattices:
+        grid = grid_for(model, nx=nx, nt=nt)
+        exact, f, a, b = _manufactured(model, grid)
+        # the diffusion control sits at both ends of its box and the drift control at its bound
+        assert a.min() == model.bounds.a_min and a.max() == model.bounds.a_max
+        assert np.abs(b).max() == model.bounds.drift_bound
+        u = solve_hjb(model, TimeField(grid, f), exact[-1], grid)
+        errors.append(np.max(np.abs(u.values - exact)))
+    order = math.log2(errors[0] / errors[1])
+    assert 0.9 <= order <= 1.1, (errors, order)
+
+
 # (dim, nx, nt, chunks): levels per chunk are 256 at 16 nodes and 64 at 8 x 8,
 # so nt is either not a multiple of the chunk or below it
 @pytest.mark.parametrize("dim,nx,nt,chunks", [(1, 16, 600, 3), (1, 16, 100, 1), (2, 8, 100, 2)])
@@ -522,6 +567,32 @@ def test_linearization_memory_bounded_by_chunks():
     stack = u.values.nbytes  # 2.1 MB; V, Z and c alone are three of them
     assert lin_peak < 10e6 and lin_peak < 5 * stack
     assert gap_peak - base < 2e6
+
+
+@pytest.mark.parametrize("call", ["solve", "residual"])
+def test_nan_discount_rejected_before_marching(call, ma, monkeypatch):
+    # a NaN lam used to march a chunk and then fail as a non-finite level
+    grid = grid_for(ma, nx=16, nt=288)
+    f_path = TimeField.zeros(grid)
+    g = np.cos(2 * np.pi * grid.axis_coords())
+
+    def refuse(*args):
+        raise AssertionError("field work started")
+
+    monkeypatch.setattr(hjb_module, "_march", refuse)
+    monkeypatch.setattr(hjb_module, "_residual", refuse)
+    with pytest.raises(ValueError, match="lam must be nonnegative, got nan"):
+        if call == "solve":
+            solve_hjb_lambda(ma, f_path, g, grid, float("nan"))
+        else:
+            hjb_lambda_residual(TimeField.zeros(grid), ma, f_path, float("nan"))
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+def test_lambda_transform_rejects_non_finite_lam(lam, direction, ma, grid16):
+    with pytest.raises(ValueError, match="lam must be nonnegative and finite"):
+        lambda_transform(TimeField.zeros(grid16), lam, direction)
 
 
 def test_discount_underflow_rejected_before_marching(ma):
