@@ -1,5 +1,7 @@
 """Hamiltonian evaluation, mollification and the structural-hypothesis audit."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,17 @@ from mfgdiff import (
     validate_hypotheses,
 )
 from mfgdiff.config import FixedPointConfig
-from mfgdiff.control import ModelSpec, h1_terms, h1_value, h2_terms, h2_value, hamiltonian_values, node_zeros
+from mfgdiff.control import (
+    ModelSpec,
+    h1_segment_mean,
+    h1_terms,
+    h1_value,
+    h2_segment_mean,
+    h2_terms,
+    h2_value,
+    hamiltonian_values,
+    node_zeros,
+)
 from mfgdiff.couplings import DensityInit, KernelCoupling, TerminalBase, TerminalSpec, validate_kernel
 from mfgdiff.fixed_point import picard_solve
 from mfgdiff.grid import GridSpec
@@ -382,6 +394,93 @@ def test_stacked_hamiltonians_match_split_evaluation(case, rng):
     eta = h2_terms(model, t, x, stack[0])[1]
     if model.hamiltonians.kind != "mollified":
         assert {model.bounds.a_min, model.bounds.a_max} <= set(eta.ravel().tolist())
+
+
+# sha256 of the raw bytes of each evaluation, over two draws of
+# `_derivative_stack_with_edges` (seed 20260), in the order of the dict below
+_RECORDED_BITS = {
+    "closed_1d": {
+        "h1_value": "9ab10a04548c2a10a9af384bf72c967082c9c9ee92c11c2d752a2966de59225e",
+        "h1_argmin": "5eefe278e1eaa9e760a91c857e27a55e030097271ff46ba176abc5a281c9a7c7",
+        "h2_value": "395d44d8d8e4e176d6b672cabb5b3495b11651d22a075dbb220e8060a834ea46",
+        "h2_argmin": "c7e2829fc81680106ae1b288f8ec4f40a0ed9985af403418c3d1b770b0290601",
+        "stacked_h2": "395d44d8d8e4e176d6b672cabb5b3495b11651d22a075dbb220e8060a834ea46",
+        "stacked_h1": "9ab10a04548c2a10a9af384bf72c967082c9c9ee92c11c2d752a2966de59225e",
+        "marched_h2": "395d44d8d8e4e176d6b672cabb5b3495b11651d22a075dbb220e8060a834ea46",
+        "marched_h1": "9ab10a04548c2a10a9af384bf72c967082c9c9ee92c11c2d752a2966de59225e",
+        "h1_segment_mean": "3cfc3c11b8c2b7320ec6c8702efe172dd4370319e41c5b8f921017a1dfc02dc0",
+        "h2_segment_mean": "826b365280075c04a2b18053a0394fe5a80f51b40f9dc140dee08a6a6b8b721e",
+    },
+    "closed_2d": {
+        "h1_value": "08a7d5016835d5e991d2853cd13a325a8353ee560a1f200d4e40217ba7867b74",
+        "h1_argmin": "9bca90d513bce19033d2a72017a74ee334684d91e8de82bc14f6193386332dfe",
+        "h2_value": "10615701ced13c052c257df5bb0f1a0ee6e44f400714651ff205511a56858876",
+        "h2_argmin": "162c2ece1261977172c550705deca97eb2ebaa66c5d8640c731a656f46bdd06f",
+        "stacked_h2": "10615701ced13c052c257df5bb0f1a0ee6e44f400714651ff205511a56858876",
+        "stacked_h1": "08a7d5016835d5e991d2853cd13a325a8353ee560a1f200d4e40217ba7867b74",
+        "marched_h2": "10615701ced13c052c257df5bb0f1a0ee6e44f400714651ff205511a56858876",
+        "marched_h1": "08a7d5016835d5e991d2853cd13a325a8353ee560a1f200d4e40217ba7867b74",
+        "h1_segment_mean": "73b1466adf4e638e47ecbed7e4d3d27bc5b1a48aac84c731feae74d92daf365d",
+        "h2_segment_mean": "84cea320f7425128578730ebdf10d5809aef8590f6eefb3d2fefb72777b31f04",
+    },
+    "closed_1d_non_dyadic": {
+        "h1_value": "50430b67723579c82b2cd3150c235d299d92dbaa6bf5cbd7d268032c2f004865",
+        "h1_argmin": "00e386792b65ae35e8162aa576e4ba884da37f17067e1c7dca5d894e0fe9039f",
+        "h2_value": "01b5d26807232e9c2a92dcdb8c3a32765d8371d67be2caa3838cb2a687bca84f",
+        "h2_argmin": "0a4aeb89dffd140521683c34fe4617563c42363e2c4e12ee84a11997c67c1518",
+        "stacked_h2": "01b5d26807232e9c2a92dcdb8c3a32765d8371d67be2caa3838cb2a687bca84f",
+        "stacked_h1": "50430b67723579c82b2cd3150c235d299d92dbaa6bf5cbd7d268032c2f004865",
+        "marched_h2": "01b5d26807232e9c2a92dcdb8c3a32765d8371d67be2caa3838cb2a687bca84f",
+        "marched_h1": "50430b67723579c82b2cd3150c235d299d92dbaa6bf5cbd7d268032c2f004865",
+        "h1_segment_mean": "aa476b92fc88e9f2dea2027d27af4e87cac353eaf3b1ad86cc1a708dc91b669c",
+        "h2_segment_mean": "6473ce62de773526f4fe85eee40c1c7ff692411c04aeaf65b1190ed8a8ca90a2",
+    },
+    "tabulated_1d": {
+        "h1_value": "9e7835b3903e926231c14a819677a7433f84287ae656b8f2f54b088a06016017",
+        "h1_argmin": "9846803ff4448a61055f1593588ea22e234209f0c34967b804f4eea2f6021bbc",
+        "h2_value": "06da3102e3990a580b6d4e1ff20a0cdf6826807add46f3ac4e647ab181d3eb91",
+        "h2_argmin": "f2c56b71981b57dcf50e1c892142c7a20d8b0b5ec5e4faa6f2249ffc91027589",
+        "stacked_h2": "06da3102e3990a580b6d4e1ff20a0cdf6826807add46f3ac4e647ab181d3eb91",
+        "stacked_h1": "9e7835b3903e926231c14a819677a7433f84287ae656b8f2f54b088a06016017",
+        "marched_h2": "06da3102e3990a580b6d4e1ff20a0cdf6826807add46f3ac4e647ab181d3eb91",
+        "marched_h1": "9e7835b3903e926231c14a819677a7433f84287ae656b8f2f54b088a06016017",
+        "h1_segment_mean": "2a363898487d1ade77c1359c2cd9f2645ce7a5cad34a19c21db82fdc020d522a",
+        "h2_segment_mean": "7931c07a087821e50e8abe96b4b1fc976f3d5190804a0e30611c019e30b2e45a",
+    },
+}
+
+
+def _evaluation_digests(model, seed=20260):
+    dim = model.dim
+    x = GridSpec(dim=dim, box_length=1.0, nx=8, nt=1, horizon=1e-3, a_max=2.0).coords()
+    t = np.linspace(0.0, model.horizon, 3).reshape((-1,) + (1,) * dim)
+    rng = np.random.default_rng(seed)
+    names = ("h1_value", "h1_argmin", "h2_value", "h2_argmin", "stacked_h2", "stacked_h1",
+             "marched_h2", "marched_h1", "h1_segment_mean", "h2_segment_mean")
+    digests = {name: hashlib.sha256() for name in names}
+    work = {}
+    for _ in range(2):  # the second march call reuses the buffers the first one left in work
+        stack = _derivative_stack_with_edges(dim, 3, rng)
+        q, p = stack[0], np.moveaxis(stack[1:], 0, -1)
+        with np.errstate(invalid="ignore", over="ignore"):
+            arrays = (
+                *h1_terms(model, t, x, p),
+                *h2_terms(model, t, x, q),
+                *hamiltonian_values(model, t, x, stack),
+                *hamiltonian_values(model, t, x, stack, work),
+                h1_segment_mean(model, t, x, p),
+                h2_segment_mean(model, t, x, q),
+            )
+        for name, arr in zip(names, arrays):
+            digests[name].update(np.ascontiguousarray(arr, dtype=float).tobytes())
+    return {name: d.hexdigest() for name, d in digests.items()}
+
+
+@pytest.mark.parametrize("case", ["closed_1d", "closed_2d", "closed_1d_non_dyadic", "tabulated_1d"])
+def test_hamiltonian_evaluations_match_recorded_bits(case):
+    # raw bytes: the sign of every zero and the NaN and inf edges count; every
+    # evaluation path of both Hamiltonians, the march's included, is pinned here
+    assert _evaluation_digests(_STACK_MODELS[case]()) == _RECORDED_BITS[case]
 
 
 # ---------------------------------------------------------------------------
