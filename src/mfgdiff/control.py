@@ -32,18 +32,20 @@ concavity and keep the derivative inside the control interval, so the
 mollified Hamiltonians satisfy the same structural bounds as the originals.
 
 Every caller evaluates the Hamiltonians through `h1_terms` and `h2_terms`,
-vectorized over nodes; there is no scalar API.  The value march's step
-needs only the two values, on the rows of one derivative stack
-[q; p_1; ...; p_d], and takes them from one call (`hamiltonian_values`).
-The two closed forms share one shape, a clamped linear minimizer and a
-quadratic value, so in a march that call evaluates them as one clamp and
-one quadratic over the whole stack, with per-row constants.  No other
-module branches on the representation.  This one also writes the running
-costs L1, L3 at an explicit control (`running_costs`; a mollified spec has
-none and raises a ConfigError), and the segment means of H2_q and H1_p
-along [0, q] and [0, p] (`h2_segment_mean`, `h1_segment_mean`): exact for
-the closed form, whose derivatives are clamped linear in the segment
-parameter, and Gauss-Legendre quadrature otherwise.
+vectorized over nodes; there is no scalar API.  The two closed forms share
+one shape, a clamped linear minimizer and a quadratic value, and one kernel
+(`_clamped_quadratic`) evaluates both, with the constants of each stated
+once; a tabulated spec takes one exhaustive grid minimum for both.  The
+value step and its scheme residual need only the two values, on the rows
+of one derivative stack [q; p_1; ...; p_d], and take them from one call
+(`hamiltonian_values`): for the closed form, that kernel over the whole
+stack.  No other module branches on the representation.  This one also
+writes the running costs L1, L3 at an explicit control (`running_costs`; a
+mollified spec has none and raises a ConfigError), and the segment means
+of H2_q and H1_p along [0, q] and [0, p] (`h2_segment_mean`,
+`h1_segment_mean`): exact for the closed form, whose derivatives are
+clamped linear in the segment parameter, and Gauss-Legendre quadrature
+otherwise.
 
 `validate_hypotheses` audits those structural bounds on a sample cloud:
 ellipticity of H2_q, boundedness of values and derivatives at zero, the
@@ -90,14 +92,15 @@ class ControlBounds:
     drift_bound: float = 1.0
 
     def __post_init__(self):
+        for name in ("lambda1", "lambda2", "drift_bound"):  # a NaN fails it too
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not (0.0 < self.lambda1 < self.lambda2):
             raise ConfigError(
                 f"need 0 < lambda1 < lambda2, got ({self.lambda1}, {self.lambda2})"
             )
         if not self.drift_bound >= 0:
             raise ConfigError(f"drift bound must be nonnegative, got {self.drift_bound}")
-        if not math.isfinite(self.drift_bound):
-            raise ConfigError(f"drift bound must be finite, got {self.drift_bound}")
 
     @property
     def a_min(self) -> float:
@@ -292,6 +295,44 @@ def _l3(spec: HamiltonianSpec, t, x, eta) -> np.ndarray:
     raise ConfigError("running costs need a closed-form or tabulated spec, not a mollified one")
 
 
+def _closed_form_constants(cf: ClosedFormCoefficients, bounds: ControlBounds) -> tuple:
+    """The `_clamped_quadratic` constants (divisor, vertex, lo, hi, weight) of H2 and of H1.
+
+    H1's vertex -0 changes no bit: adding it leaves s / divisor as it is, and
+    subtracting it changes only the sign of a zero that is then squared.
+    """
+    return ((-2.0 * cf.l3_weight, cf.l3_vertex, bounds.a_min, bounds.a_max, cf.l3_weight),
+            (-2.0 * cf.l1_weight, -0.0, -bounds.drift_bound, bounds.drift_bound, cf.l1_weight))
+
+
+def _clamped_quadratic(s, divisor, vertex, lo, hi, weight, eta=None, value=None, cost=None):
+    """(value, minimizer) of a closed form, elementwise over s, in this operation order:
+
+        eta = clamp(vertex + s / divisor, lo, hi),  value = eta s + weight (eta - vertex)^2.
+
+    The constants broadcast against s.  eta, value and cost are the output
+    buffers, fresh when None; cost may be eta, which then ends as the cost term.
+    """
+    eta, value, cost = (np.empty(np.shape(s)) if b is None else b for b in (eta, value, cost))
+    np.divide(s, divisor, out=eta)
+    np.add(eta, vertex, out=eta)
+    np.maximum(eta, lo, out=eta)
+    np.minimum(eta, hi, out=eta)
+    np.multiply(eta, s, out=value)
+    np.subtract(eta, vertex, out=cost)
+    np.multiply(cost, cost, out=cost)
+    np.multiply(cost, weight, out=cost)
+    np.add(value, cost, out=value)
+    return value, eta
+
+
+def _grid_minimum(controls: np.ndarray, objective: Callable) -> tuple:
+    """(minimum, minimizing control) of objective(c) over the rows c of a control grid, per node."""
+    vals = np.stack([objective(c) for c in controls])
+    idx = np.argmin(vals, axis=0)
+    return np.take_along_axis(vals, idx[None], axis=0)[0], controls[idx]
+
+
 def _h1_terms(spec: HamiltonianSpec, bounds: ControlBounds, t, x, p):
     """(value, derivative) of H1, vectorized over nodes.
 
@@ -301,29 +342,12 @@ def _h1_terms(spec: HamiltonianSpec, bounds: ControlBounds, t, x, p):
     """
     p = np.asarray(p, dtype=float)
     if spec.kind == "closed-form":
-        # min(max(-p / (2 w), -M), M) and p alpha + w alpha^2, in place on fresh
-        # temporaries; p / (-2 w) rounds to -p / (2 w) exactly
-        cf = spec.closed_form
-        alpha = p / (-2.0 * cf.l1_weight)
-        np.maximum(alpha, -bounds.drift_bound, out=alpha)
-        np.minimum(alpha, bounds.drift_bound, out=alpha)
-        value = p * alpha
-        cost = alpha * alpha
-        cost *= cf.l1_weight
-        value += cost
+        value, alpha = _clamped_quadratic(p, *_closed_form_constants(spec.closed_form, bounds)[1])
         # a sum over one component is that component (a sum turns -0 into +0, but the
         # value is never -0: its cost term is at least +0)
         return (value[..., 0] if spec.dim == 1 else value.sum(axis=-1)), alpha
     if spec.kind == "tabulated":
-        vals = np.stack(
-            [
-                np.sum(p * a, axis=-1) + _l1(spec, t, x, a)
-                for a in spec.control_grid_u
-            ]
-        )
-        idx = np.argmin(vals, axis=0)
-        value = np.take_along_axis(vals, idx[None], axis=0)[0]
-        return value, spec.control_grid_u[idx]
+        return _grid_minimum(spec.control_grid_u, lambda a: np.sum(p * a, axis=-1) + _l1(spec, t, x, a))
     return _mollified_terms(_h1_terms, spec, bounds, t, x, p)
 
 
@@ -331,30 +355,9 @@ def _h2_terms(spec: HamiltonianSpec, bounds: ControlBounds, t, x, q):
     """(value, derivative) of H2, vectorized over nodes; q shape (...); H2_q is the minimizing eta."""
     q = np.asarray(q, dtype=float)
     if spec.kind == "closed-form":
-        # min(max(v - q / (2 w), lo), hi) and eta q + w (eta - v)^2, in place on fresh
-        # temporaries; v + q / (-2 w) rounds to v - q / (2 w) exactly, and asarray
-        # keeps eta an array (with a buffer) for a 0-d q
-        cf = spec.closed_form
-        eta = np.asarray(q / (-2.0 * cf.l3_weight))
-        eta += cf.l3_vertex
-        np.maximum(eta, bounds.a_min, out=eta)
-        np.minimum(eta, bounds.a_max, out=eta)
-        value = eta * q
-        cost = eta - cf.l3_vertex
-        cost *= cost
-        cost *= cf.l3_weight
-        value += cost
-        return value, eta
+        return _clamped_quadratic(q, *_closed_form_constants(spec.closed_form, bounds)[0])
     if spec.kind == "tabulated":
-        vals = np.stack(
-            [
-                e * q + _l3(spec, t, x, e)
-                for e in spec.control_grid_eta
-            ]
-        )
-        idx = np.argmin(vals, axis=0)
-        value = np.take_along_axis(vals, idx[None], axis=0)[0]
-        return value, spec.control_grid_eta[idx]
+        return _grid_minimum(spec.control_grid_eta, lambda e: e * q + _l3(spec, t, x, e))
     return _mollified_terms(_h2_terms, spec, bounds, t, x, q)
 
 
@@ -374,53 +377,44 @@ def h2_value(model: ModelSpec, t, x, q) -> np.ndarray:
     return h2_terms(model, t, x, q)[0]
 
 
+def _stacked_constants(model: ModelSpec, shape: tuple) -> np.ndarray:
+    """The five `_clamped_quadratic` constants of a stack of shape (1 + d, ...): H2's on row 0."""
+    constants = np.empty((5,) + shape)
+    for row, h2, h1 in zip(constants, *_closed_form_constants(model.hamiltonians.closed_form, model.bounds)):
+        row[0] = h2
+        row[1:] = h1
+    return constants
+
+
 def hamiltonian_values(model: ModelSpec, t, x, stack: np.ndarray, work: dict | None = None) -> tuple:
     """(H2(t, x, stack[0]), H1(t, x, stack[1:])) of a derivative stack (`grid.derivative_stack`).
 
     stack has shape (1 + d,) + nodes: row 0 holds H2's last variable q and
-    rows 1..d the components of H1's p.  The values equal `h2_value` and
-    `h1_value` of the split stack bit for bit: that is how they are taken,
-    except in a march of a closed-form model.  There the two closed forms,
-    which share one shape, are one clamp and one quadratic over the whole
-    stack, in the operations and order of `_h2_terms`:
-
-        eta = clamp(vertex + s / divisor, lo, hi),  value = eta s + weight (eta - vertex)^2,
-
-    with per-row constants (-2 w3, v3, a_min, a_max, w3) on row 0 and
-    (-2 w1, -0, -drift_bound, drift_bound, w1) on the drift rows, at full
-    shape.  On a drift row the vertex changes no bit: adding -0 leaves
-    p / (-2 w1) as it is, and subtracting it only the sign of a zero that
-    is then squared.  The drift rows are summed after, as `_h1_terms` sums
-    them.
+    rows 1..d the components of H1's p.  For a closed-form model both are
+    one `_clamped_quadratic` over the whole stack, the kernel `h2_terms` and
+    `h1_terms` run, with H2's constants on row 0 and H1's on the drift rows;
+    the cost term overwrites the minimizer, and the drift rows are summed as
+    `_h1_terms` sums them.  Other specs take `_h2_terms` and `_h1_terms`.
 
     work is the march's dict of buffers: the first call fills it with the
-    constants and two scratch stacks, and each call overwrites the values
-    the previous one returned.
+    constants at full shape and two scratch stacks, and each call overwrites
+    the values the previous one returned.  Without it the constants
+    broadcast per row and the two stacks are fresh.
     """
     spec = model.hamiltonians
-    if work is None or spec.kind != "closed-form":
+    if spec.kind != "closed-form":
         return (_h2_terms(spec, model.bounds, t, x, stack[0])[0],
                 _h1_terms(spec, model.bounds, t, x, np.moveaxis(stack[1:], 0, -1))[0])
-    if "closed_form" not in work:
-        cf, bounds = spec.closed_form, model.bounds
-        h2 = (-2.0 * cf.l3_weight, cf.l3_vertex, bounds.a_min, bounds.a_max, cf.l3_weight)
-        h1 = (-2.0 * cf.l1_weight, -0.0, -bounds.drift_bound, bounds.drift_bound, cf.l1_weight)
-        constants = np.empty((5,) + stack.shape)
-        for row, h2_const, h1_const in zip(constants, h2, h1):
-            row[0] = h2_const
-            row[1:] = h1_const
-        value = np.empty(stack.shape)
-        work["closed_form"] = (*constants, np.empty(stack.shape), value, value[0], value[1])
-    divisor, vertex, lo, hi, weight, eta, value, h2, h1 = work["closed_form"]
-    np.divide(stack, divisor, out=eta)
-    np.add(eta, vertex, out=eta)
-    np.maximum(eta, lo, out=eta)
-    np.minimum(eta, hi, out=eta)
-    np.multiply(eta, stack, out=value)
-    np.subtract(eta, vertex, out=eta)
-    np.multiply(eta, eta, out=eta)
-    np.multiply(eta, weight, out=eta)
-    np.add(value, eta, out=value)
+    if work is None:
+        constants = _stacked_constants(model, (len(stack),) + (1,) * (stack.ndim - 1))
+        eta, value = np.empty(stack.shape), None
+    else:
+        if "closed_form" not in work:
+            work["closed_form"] = (*_stacked_constants(model, stack.shape),
+                                   np.empty(stack.shape), np.empty(stack.shape))
+        *constants, eta, value = work["closed_form"]
+    value, _ = _clamped_quadratic(stack, *constants, eta=eta, value=value, cost=eta)
+    h2, h1 = value[0], value[1]
     if len(stack) == 3:
         np.add(h1, value[2], out=h1)
     return h2, h1
@@ -482,10 +476,9 @@ def h1_segment_mean(model: ModelSpec, t, x, p, order: int = 16) -> np.ndarray:
     """Mean of H1_p along the segment [0, p]; p and the result have shape (..., dim)."""
     spec = model.hamiltonians
     if spec.kind == "closed-form":
-        cf = spec.closed_form
-        p = np.asarray(p, dtype=float)
-        hi = model.bounds.drift_bound
-        return _mean_clamped_linear(0.0, p / (2.0 * cf.l1_weight), -hi, hi)
+        divisor, _, lo, hi, _ = _closed_form_constants(spec.closed_form, model.bounds)[1]
+        # the vertex is +0, not H1's -0: a -0 would flip the sign of a zero mean at p = 0
+        return _mean_clamped_linear(0.0, np.asarray(p, dtype=float) / -divisor, lo, hi)
     return _quadrature_mean(h1_terms, model, t, x, p, order)
 
 
@@ -493,10 +486,8 @@ def h2_segment_mean(model: ModelSpec, t, x, q, order: int = 16) -> np.ndarray:
     """Mean of H2_q along the segment [0, q]."""
     spec = model.hamiltonians
     if spec.kind == "closed-form":
-        cf = spec.closed_form
-        q = np.asarray(q, dtype=float)
-        lo, hi = model.bounds.a_min, model.bounds.a_max
-        return _mean_clamped_linear(cf.l3_vertex, q / (2.0 * cf.l3_weight), lo, hi)
+        divisor, vertex, lo, hi, _ = _closed_form_constants(spec.closed_form, model.bounds)[0]
+        return _mean_clamped_linear(vertex, np.asarray(q, dtype=float) / -divisor, lo, hi)
     return _quadrature_mean(h2_terms, model, t, x, q, order)
 
 

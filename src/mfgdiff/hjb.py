@@ -33,13 +33,13 @@ Each step makes one stencil call and one Hamiltonian call.  The stencil
 call (`grid.derivative_stack`) writes Lap_h u and the d components of Dc u
 as the rows of one stack, from one gather of the 2 d neighbours.  The
 Hamiltonian call (`control.hamiltonian_values`) evaluates H2 on row 0 and
-H1 on the other rows; for the closed form that is one clamp and one
-quadratic over the whole stack.  The bracket is then summed in place, in
-the order written above, bit for bit the sum of separate `h2_value` and
-`h1_value` calls.  A march hands every level one dict of buffers, which its
-first level fills and which is dropped with the march, so a level of the
-undiscounted march of a closed-form model allocates no array.  The march
-checks its levels for finiteness once per level chunk
+H1 on the other rows; for the closed form that is the one clamped-quadratic
+kernel of `h2_terms` and `h1_terms`, run over the whole stack by the march
+and by the scheme residual alike.  The bracket is then summed in place, in
+the order written above.  A march hands every level one dict of buffers,
+which its first level fills and which is dropped with the march, so a
+level of the undiscounted march of a closed-form model allocates no array.
+The march checks its levels for finiteness once per level chunk
 (`GridSpec.level_chunks`), as the density march does; a non-finite value
 raises `ContractError` naming the first bad level in march order and its
 node.
@@ -255,13 +255,15 @@ def lambda_transform(u: TimeField, lam: float, direction: str) -> TimeField:
     """Exponential change of variable v(t) = exp(-lam (T - t)) u(t).
 
     direction 'forward' applies the factor, 'inverse' removes it; the
-    round trip is the identity to round-off.
+    round trip is the identity to round-off.  lam * T is bounded as in the
+    discounted march, so neither factor leaves the normal floats.
     """
     if not 0 <= lam < math.inf:  # a NaN fails it too
         raise ValueError(f"lam must be nonnegative and finite, got {lam}")
     if direction not in ("forward", "inverse"):
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
     grid = u.grid
+    _check_discount(lam, grid)
     tt = grid.times()
     expo = -lam * (grid.horizon - tt) if direction == "forward" else lam * (grid.horizon - tt)
     factors = np.exp(expo).reshape((-1,) + (1,) * grid.dim)

@@ -121,6 +121,17 @@ def test_bounds_reject_equal_lambdas():
         ControlBounds(lambda1=2.0, lambda2=1.0)
 
 
+@pytest.mark.parametrize(
+    "lambda1, lambda2, named",
+    [(1.0, float("inf"), "lambda2"), (float("inf"), 2.0, "lambda1"), (float("-inf"), 2.0, "lambda1"),
+     (float("nan"), 2.0, "lambda1"), (1.0, float("nan"), "lambda2")],
+)
+def test_bounds_reject_nonfinite_lambdas_by_name(lambda1, lambda2, named):
+    # an infinite lambda2 would leave the Monte-Carlo increment guard unbounded
+    with pytest.raises(ConfigError, match=f"{named} must be finite"):
+        ControlBounds(lambda1=lambda1, lambda2=lambda2)
+
+
 NAN = float("nan")
 
 

@@ -595,6 +595,21 @@ def test_lambda_transform_rejects_non_finite_lam(lam, direction, ma, grid16):
         lambda_transform(TimeField.zeros(grid16), lam, direction)
 
 
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+def test_lambda_transform_rejects_discount_beyond_normal_floats(direction):
+    # lam * T = 1000: the inverse factor exp(lam (T - t)) overflows and the forward
+    # one underflows to 0 on the early levels, so both are refused as the marches are
+    model = model_a()
+    grid = grid_for(model, nx=16, nt=288)
+    g = np.cos(2 * np.pi * grid.axis_coords())
+    u = TimeField(grid, np.broadcast_to(g, (grid.nt + 1,) + grid.shape).copy())
+    with pytest.raises(StabilityError, match=r"lam\*T=1000"):
+        lambda_transform(u, 4000.0, direction)
+    # lam * T = 700 stays below log(1 / smallest normal float): every level is finite and nonzero
+    v = lambda_transform(u, 2800.0, direction)
+    assert np.all(np.isfinite(v.values)) and np.all(np.abs(v.values).max(axis=1) > 0)
+
+
 def test_discount_underflow_rejected_before_marching(ma):
     # lam * T = 950: exp(-lam (T - t)) underflows to 0 on the early levels
     grid = grid_for(ma, nx=16, nt=1000)
