@@ -305,24 +305,24 @@ def _closed_form_constants(cf: ClosedFormCoefficients, bounds: ControlBounds) ->
             (-2.0 * cf.l1_weight, -0.0, -bounds.drift_bound, bounds.drift_bound, cf.l1_weight))
 
 
-def _clamped_quadratic(s, divisor, vertex, lo, hi, weight, eta=None, value=None, cost=None):
+def _clamped_quadratic(s, divisor, vertex, lo, hi, weight, out=(None, None, None)):
     """(value, minimizer) of a closed form, elementwise over s, in this operation order:
 
         eta = clamp(vertex + s / divisor, lo, hi),  value = eta s + weight (eta - vertex)^2.
 
-    The constants broadcast against s.  eta, value and cost are the output
-    buffers, fresh when None; cost may be eta, which then ends as the cost term.
+    The constants broadcast against s.  out holds the buffers (eta, value,
+    cost), None for a fresh one; cost may be eta, which then ends as the cost term.
     """
-    eta, value, cost = (np.empty(np.shape(s)) if b is None else b for b in (eta, value, cost))
-    np.divide(s, divisor, out=eta)
-    np.add(eta, vertex, out=eta)
+    eta, value, cost = out
+    eta = np.asarray(np.divide(s, divisor, out=eta))  # a 0-d s gives a 0-d eta with a buffer
+    eta += vertex
     np.maximum(eta, lo, out=eta)
     np.minimum(eta, hi, out=eta)
-    np.multiply(eta, s, out=value)
-    np.subtract(eta, vertex, out=cost)
-    np.multiply(cost, cost, out=cost)
-    np.multiply(cost, weight, out=cost)
-    np.add(value, cost, out=value)
+    value = np.multiply(eta, s, out=value)
+    cost = np.subtract(eta, vertex, out=cost)
+    cost *= cost
+    cost *= weight
+    value += cost
     return value, eta
 
 
@@ -377,15 +377,6 @@ def h2_value(model: ModelSpec, t, x, q) -> np.ndarray:
     return h2_terms(model, t, x, q)[0]
 
 
-def _stacked_constants(model: ModelSpec, shape: tuple) -> np.ndarray:
-    """The five `_clamped_quadratic` constants of a stack of shape (1 + d, ...): H2's on row 0."""
-    constants = np.empty((5,) + shape)
-    for row, h2, h1 in zip(constants, *_closed_form_constants(model.hamiltonians.closed_form, model.bounds)):
-        row[0] = h2
-        row[1:] = h1
-    return constants
-
-
 def hamiltonian_values(model: ModelSpec, t, x, stack: np.ndarray, work: dict | None = None) -> tuple:
     """(H2(t, x, stack[0]), H1(t, x, stack[1:])) of a derivative stack (`grid.derivative_stack`).
 
@@ -405,16 +396,19 @@ def hamiltonian_values(model: ModelSpec, t, x, stack: np.ndarray, work: dict | N
     if spec.kind != "closed-form":
         return (_h2_terms(spec, model.bounds, t, x, stack[0])[0],
                 _h1_terms(spec, model.bounds, t, x, np.moveaxis(stack[1:], 0, -1))[0])
-    if work is None:
-        constants = _stacked_constants(model, (len(stack),) + (1,) * (stack.ndim - 1))
-        eta, value = np.empty(stack.shape), None
+    if work is not None and "closed_form" in work:
+        args, value, h2, h1 = work["closed_form"]
     else:
-        if "closed_form" not in work:
-            work["closed_form"] = (*_stacked_constants(model, stack.shape),
-                                   np.empty(stack.shape), np.empty(stack.shape))
-        *constants, eta, value = work["closed_form"]
-    value, _ = _clamped_quadratic(stack, *constants, eta=eta, value=value, cost=eta)
-    h2, h1 = value[0], value[1]
+        shape = stack.shape if work is not None else (len(stack),) + (1,) * (stack.ndim - 1)
+        constants = np.empty((5,) + shape)
+        for row, h2_const, h1_const in zip(constants, *_closed_form_constants(spec.closed_form, model.bounds)):
+            row[0] = h2_const
+            row[1:] = h1_const
+        eta, value = np.empty(stack.shape), np.empty(stack.shape)
+        args, h2, h1 = (*constants, (eta, value, eta)), value[0], value[1]
+        if work is not None:
+            work["closed_form"] = args, value, h2, h1
+    _clamped_quadratic(stack, *args)
     if len(stack) == 3:
         np.add(h1, value[2], out=h1)
     return h2, h1
