@@ -5,7 +5,8 @@ Subcommands (all driven by one YAML document, see `config`):
     solve-hjb     backward solve with couplings frozen at the initial
                   density; writes the value field and a residual table
     solve-mfg     damped Picard iteration; writes value field, density path,
-                  the per-iteration report and `wasserstein`'s tables
+                  the per-iteration gap and mass drift, and `wasserstein`'s
+                  tables
     verify-sde    Monte-Carlo verification against a prior solve-mfg output
                   directory (--prior)
     diagnose      regularity constants, structural-hypothesis audit and the
@@ -133,9 +134,8 @@ def _cmd_solve_mfg(cfg: RunConfig, out: Path) -> int:
     rep = result.report
     write_table(
         out / "report.csv",
-        ["iteration", "gap", "hjb_residual_sup", "mass_drift"],
-        zip(range(1, rep.iterations + 1), rep.gap_history.tolist(),
-            rep.hjb_residual_history.tolist(), rep.mass_drift_history.tolist()),
+        ["iteration", "gap", "mass_drift"],
+        zip(range(1, rep.iterations + 1), rep.gap_history.tolist(), rep.mass_drift_history.tolist()),
     )
     if rep.holder is None:
         log.info("no Hölder check: nt=%d admits fewer than 4 dyadic separations", cfg.grid.nt)
@@ -148,10 +148,7 @@ def _cmd_solve_mfg(cfg: RunConfig, out: Path) -> int:
         rep.gap_history[-1] if rep.iterations else float("nan"),
         rep.final_hjb_residual, rep.final_duality_gap,
     )
-    log.info(
-        "density grid norms: L1 %.6g, L2 %.6g (sup over levels)",
-        m.lp_norm(1), m.lp_norm(2),
-    )
+    log.info("density grid norm: L2 %.6g (sup over levels)", m.lp_norm(2))
     return 0
 
 

@@ -293,9 +293,6 @@ def load_config(path) -> RunConfig:
 
     g = _take(doc["grid"], "grid", {"dim", "box_length", "nx", "nt", "theta_lf"},
               required={"nx", "nt"})
-    theta = g.get("theta_lf")
-    if theta is None:
-        theta = _echo_default("grid.theta_lf", model.bounds.drift_bound)
     try:
         grid = GridSpec(
             dim=_opt(g, "grid.dim", model.dim, _integer),
@@ -304,7 +301,7 @@ def load_config(path) -> RunConfig:
             nt=_integer(g["nt"], "grid.nt"),
             horizon=model.horizon,
             a_max=model.bounds.a_max,
-            theta_lf=_real(theta, "grid.theta_lf"),
+            theta_lf=_opt(g, "grid.theta_lf", model.bounds.drift_bound, _real),
         )
     except StabilityError as exc:
         raise ConfigError(f"grid: {exc}") from exc

@@ -76,14 +76,10 @@ def kernel_smooth(grid: GridSpec, eps: float, values: np.ndarray) -> np.ndarray:
     convolution acts on the trailing spatial axes.
     """
     k1 = _axis_kernel(grid.nx, grid.dx, eps)
-    if grid.dim == 1:
-        ker_hat = np.fft.rfft(k1) * grid.dx
-        out = np.fft.irfft(np.fft.rfft(values, axis=-1) * ker_hat, n=grid.nx, axis=-1)
-        return out
-    kern = np.multiply.outer(k1, k1)
-    ker_hat = np.fft.rfft2(kern) * grid.dx**2
-    out = np.fft.irfft2(np.fft.rfft2(values, axes=(-2, -1)) * ker_hat, s=grid.shape, axes=(-2, -1))
-    return out
+    axes = tuple(range(-grid.dim, 0))
+    kern = k1 if grid.dim == 1 else np.multiply.outer(k1, k1)
+    ker_hat = np.fft.rfftn(kern) * grid.dx**grid.dim
+    return np.fft.irfftn(np.fft.rfftn(values, axes=axes) * ker_hat, s=grid.shape, axes=axes)
 
 
 # --------------------------------------------------------------------------

@@ -67,13 +67,19 @@ def test_minimal_config_defaults(tmp_path, caplog):
     assert any("output.write_fields" in m for m in echoed)
 
 
-@pytest.mark.parametrize("key", ["output.directory", "output.write_fields", "mc.antithetic"])
+@pytest.mark.parametrize("key", ["output.directory", "output.write_fields", "mc.antithetic", "grid.theta_lf"])
 def test_explicit_null_rejected(tmp_path, key):
     with pytest.raises(ConfigError, match=f"{key} is null; omit the key"):
         load_config(_minimal_doc(tmp_path, **{key: None}))
-    # grid.theta_lf: null still means the default
-    cfg = load_config(_minimal_doc(tmp_path, **{"grid.theta_lf": None}))
-    assert cfg.grid.theta_lf == cfg.model.bounds.drift_bound
+
+
+def test_theta_lf_default_is_drift_bound(tmp_path, caplog):
+    import logging
+
+    with caplog.at_level(logging.INFO, logger="mfgdiff"):
+        cfg = load_config(_minimal_doc(tmp_path, **{"model.bounds.drift_bound": 0.75}))
+    assert cfg.grid.theta_lf == 0.75
+    assert "config default applied: grid.theta_lf = 0.75" in caplog.text
 
 
 def test_bad_bounds_named(tmp_path):

@@ -1,10 +1,14 @@
 """Equilibrium map, damped iteration, monotonicity and uniqueness instruments."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 
 import mfgdiff.fixed_point as fixed_point
 from mfgdiff import ConfigError, model_a
+from mfgdiff.cli import main
 from mfgdiff.couplings import DensityInit
 from mfgdiff.fixed_point import (
     coupling_fields,
@@ -147,6 +151,28 @@ def test_picard_holder_none_without_four_separations(ma_uncoupled, grid32):
     grid = grid_for(ma_uncoupled, nx=32, nt=424)
     res = picard_solve(ma_uncoupled, grid, theta=1.0, tol=1e-12, max_iter=10)
     assert res.report.converged and res.report.holder is None
+
+
+def test_solve_mfg_evaluates_the_scheme_residual_once(tmp_path, monkeypatch):
+    # each iterate's value field is the march's own output, so only the returned pair is certified
+    calls = []
+    residual = fixed_point.hjb_residual
+
+    def counting(u, model, f_path):
+        calls.append(u)
+        return residual(u, model, f_path)
+
+    monkeypatch.setattr(fixed_point, "hjb_residual", counting)
+    doc = yaml.safe_load((Path(__file__).resolve().parents[1] / "configs" / "model_a.yaml").read_text())
+    doc["grid"].update(nx=32, nt=1040)
+    doc["output"]["directory"] = str(tmp_path / "out")
+    config = tmp_path / "model_a_32.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    assert main(["solve-mfg", "--config", str(config), "--quiet"]) == 0
+    header, *rows = (tmp_path / "out" / "report.csv").read_text().splitlines()
+    assert len(rows) > 1
+    assert len(calls) == 1
+    assert header == "iteration,gap,mass_drift"
 
 
 # ---------------------------------------------------------------------------
