@@ -34,6 +34,7 @@ from .control import (
 )
 from .couplings import DensityInit, KernelCoupling, TerminalBase, TerminalSpec
 from .errors import ConfigError, StabilityError
+from .fixed_point import check_picard_settings
 from .grid import GridSpec
 from .sde import McConfig
 
@@ -47,12 +48,7 @@ class FixedPointConfig:
     max_iter: int = 50
 
     def __post_init__(self):
-        if not (0.0 < self.theta <= 1.0):
-            raise ConfigError(f"fixed_point.theta must lie in (0, 1], got {self.theta}")
-        if not self.tol > 0:  # a NaN fails it too
-            raise ConfigError(f"fixed_point.tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ConfigError(f"fixed_point.max_iter must be >= 1, got {self.max_iter}")
+        check_picard_settings(self.theta, self.tol, self.max_iter, "fixed_point.")
 
 
 @dataclass(frozen=True)

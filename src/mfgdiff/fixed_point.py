@@ -88,6 +88,16 @@ def phi_map(gamma: DensityPath, model: ModelSpec, grid: GridSpec) -> tuple[TimeF
     return u, m
 
 
+def check_picard_settings(theta: float, tol: float, max_iter: int, prefix: str = "") -> None:
+    """Refuse theta outside (0, 1], tol <= 0 and a max_iter that is not an integer >= 1, named after prefix."""
+    if not 0.0 < theta <= 1.0:  # a NaN fails this and the next rule too
+        raise ConfigError(f"{prefix}theta must lie in (0, 1], got {theta}")
+    if not tol > 0:
+        raise ConfigError(f"{prefix}tol must be positive, got {tol}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise ConfigError(f"{prefix}max_iter must be an integer >= 1, got {max_iter!r}")
+
+
 @dataclass
 class FixedPointReport:
     """Per-iteration diagnostics of a damped Picard run, and the checks of the returned pair."""
@@ -128,10 +138,7 @@ def picard_solve(
     reported duality gap is the worst over three seeded random dual test
     pairs against the operator that generated the returned density.
     """
-    if not (0.0 < theta <= 1.0):
-        raise ConfigError(f"damping must lie in (0, 1], got {theta}")
-    if not tol > 0:  # a NaN fails it too
-        raise ConfigError(f"tolerance must be positive, got {tol}")
+    check_picard_settings(theta, tol, max_iter)
     validate_kernel(grid, model.coupling_f.eps)
     validate_kernel(grid, model.terminal.coupling.eps)
     m0_slice = model.m0.discretize(grid)

@@ -26,16 +26,14 @@ reads it:
 
 The marches below take these weights for a chunk of levels at a time
 (`GridSpec.level_chunks`), computed from a and b when the march reaches the
-chunk, with the 2 d neighbour weights of each node as the rows up_0, dn_0,
-up_1, ... of one array.  For the transpose, `TransportOperator.weights`
-reads each row once per chunk at the node whose outflow it weighs: up_k at
-i - e_k, dn_k at i + e_k.  Both marches then take one step function,
-`_step`: diag * v plus 2 d neighbour products, formed by one gather
-through the grid's neighbour table and one multiply, and added in the
-order up_0, dn_0, up_1, ...  The generator reads v at the rows of
-`grid.neighbour_table(shape)` (i + e_k, then i - e_k), the transpose at
-the rows of `grid.neighbour_table(shape, transpose=True)` (i - e_k, then
-i + e_k), which are also the nodes its weights are read at.
+chunk, as the rows diag, up_0, dn_0, up_1, ... of one array: row r weighs
+the node that row r of `grid.neighbour_table` reads (i, then i + e_k and
+i - e_k per axis).  For the transpose, `TransportOperator.weights` reads
+every row once per chunk, in one take through the transposed table, at
+the node whose outflow it weighs: diag at i, up_k at i - e_k, dn_k at
+i + e_k.  Both marches then take one step function, `_step`: one gather
+of the node and its neighbours through the table, one multiply by the
+weight rows, and one sum of the rows in order, into the output level.
 
 The density is marched with the transpose:
 
@@ -110,22 +108,22 @@ class TransportOperator:
         b_arr = np.broadcast_to(b_vec, (grid.nt + 1, *grid.shape, grid.dim)).copy()
         return cls(grid, a_arr, b_arr)
 
-    def weights(self, levels: slice, transpose: bool = False) -> tuple:
-        """Weights (diag, nbr) of I + dt * L_n on the c levels of a run, at call time.
+    def weights(self, levels: slice, transpose: bool = False) -> np.ndarray:
+        """Weights of I + dt * L_n on the c levels of a run, at call time.
 
-        `grid.stencil_weights` at theta = |b|: diag has shape (c,) +
-        grid.shape, nbr (c, 2 d) + grid.shape with rows up_0, dn_0, up_1,
-        ....  With transpose, each row is read at the node whose outflow it
-        weighs (up_k at i - e_k, dn_k at i + e_k, the rows of the transposed
+        `grid.stencil_weights` at theta = |b|, of shape (c, 1 + 2 d) +
+        grid.shape with rows diag, up_0, dn_0, up_1, ....  With transpose,
+        every row is read at the node whose outflow it weighs (diag at i,
+        up_k at i - e_k, dn_k at i + e_k: the rows of the transposed
         neighbour table), the layout in which `_step` applies the transpose.
         """
         grid = self.grid
         b = self.b[levels]
-        diag, nbr = stencil_weights(self.a[levels], b, np.abs(b), grid.dx, grid.dt)
+        weights = stencil_weights(self.a[levels], b, np.abs(b), grid.dx, grid.dt)
         if transpose:
-            offsets = (grid.n_nodes * np.arange(2 * grid.dim)).reshape((-1,) + (1,) * grid.dim)
-            nbr = nbr.reshape(len(nbr), -1).take(neighbour_table(grid.shape, True) + offsets, axis=1)
-        return diag, nbr
+            offsets = (grid.n_nodes * np.arange(1 + 2 * grid.dim)).reshape((-1,) + (1,) * grid.dim)
+            weights = weights.reshape(len(weights), -1).take(neighbour_table(grid.shape, True) + offsets, axis=1)
+        return weights
 
     def step_positivity_margin(self) -> float:
         """Min over nodes/levels of the diagonal entry of I + dt * L, reduced chunk by chunk."""
@@ -134,23 +132,20 @@ class TransportOperator:
                              for c in self.grid.level_chunks()]))
 
 
-def _step(diag: np.ndarray, nbr: np.ndarray, v: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """I + dt * L_n applied to the slice v, or with transpose its transpose.
+def _step(weights: np.ndarray, v: np.ndarray, transpose: bool = False, out: np.ndarray | None = None) -> np.ndarray:
+    """I + dt * L_n applied to the slice v, or with transpose its transpose, into out if given.
 
-    diag and nbr are one level of `TransportOperator.weights` with the same
+    weights is one level of `TransportOperator.weights` with the same
     transpose.  One gather through `neighbour_table(v.shape, transpose)`
-    reads the neighbours the step weighs (rows ahead_0, behind_0, ...; with
-    transpose behind_0, ahead_0, ..., the nodes that send to each node) and
-    one multiply weighs them; the products are added to diag * v in the
-    order up_0, dn_0, up_1, ...  The take is inline, not through
-    `grid.neighbours`: the march calls this once per level.
+    reads the node and the neighbours the step weighs (with transpose the
+    nodes that send to each node), one multiply weighs them, and one sum
+    adds the rows in the order diag, up_0, dn_0, ...  The take is inline,
+    not through `grid.neighbours`: the march calls this once per level.
     """
     terms = v.take(neighbour_table(v.shape, transpose))
-    terms *= nbr
-    out = diag * v
-    for k in range(len(terms)):  # indexing the rows costs less than iterating over them
-        out += terms[k]
-    return out
+    terms *= weights
+    # from -0.0, the sum is the rows added in order, the sign of a zero included
+    return np.add.reduce(terms, out=out, initial=-0.0)
 
 
 @dataclass
@@ -244,9 +239,9 @@ def solve_fp(op: TransportOperator, m0: np.ndarray) -> DensityPath:
     vals[0] = m0
     mass[0] = m0.sum() * cell
     for steps in grid.level_chunks(stop=grid.nt):
-        diag, nbr = op.weights(steps, transpose=True)
+        weights = op.weights(steps, transpose=True)
         for j, n in enumerate(range(steps.start, steps.stop)):
-            vals[n + 1] = _step(diag[j], nbr[j], vals[n], transpose=True)
+            _step(weights[j], vals[n], True, vals[n + 1])
         _check_levels(vals, mass, slice(steps.start + 1, steps.stop + 1), cell)
     return DensityPath(grid, vals, mass)
 
@@ -289,10 +284,10 @@ def check_duality(m: DensityPath, op: TransportOperator, phi_terminal: np.ndarra
         raise ValueError("phi_terminal has non-finite values")
     phi = phi_t
     for steps in reversed(grid.level_chunks(stop=grid.nt)):
-        diag, nbr = op.weights(steps)
+        weights = op.weights(steps)
         source = grid.dt * psi.values[steps.start + 1 : steps.stop + 1]
         for j in range(steps.stop - steps.start - 1, -1, -1):
-            phi = _step(diag[j], nbr[j], phi)
+            phi = _step(weights[j], phi)
             phi += source[j]
     cell = grid.dx**grid.dim
     terminal = float(np.vdot(phi_t, m.values[grid.nt]))

@@ -13,15 +13,15 @@ the sup of the drift Hamiltonian's gradient).  The bound makes the diagonal
 coefficient of each one-step update nonnegative, which is what every
 monotonicity, positivity and comparison argument below hangs on.
 
-Every periodic neighbour in the package is read through one neighbour
-table (`neighbour_table`): per spatial shape, cached and read-only, the
-flat indices of the 2 d neighbours of each node as the rows ahead_0,
-behind_0, ahead_1, ... of one (2 d,) + shape array (with `transpose`,
-each axis's pair swapped).  One `ndarray.take` through it reads them all,
-at a fraction of the cost of numpy's roll on the small slices the marches
-step through.  `neighbours` is the one gather: one take on a slice, one
-per row on a run of levels.  The stencils act on the trailing spatial
-axes of a slice or of a run of levels, with one gather each: `laplacian`,
+Every periodic neighbour in the package is read through one table
+(`neighbour_table`): per spatial shape, cached and read-only, the flat
+indices of each node (row 0) and of its 2 d neighbours (rows ahead_0,
+behind_0, ahead_1, ...; with `transpose`, each axis's pair swapped).  One
+`ndarray.take` through it reads a node's stencil, at a fraction of the cost
+of numpy's roll on the small slices the marches step through.
+`neighbours` gathers the neighbour rows: one take on a slice, one per row
+on a run of levels.  The stencils act on the trailing spatial axes of a
+slice or of a run of levels, with one gather each: `laplacian`,
 `grad_central` (components on a contiguous trailing axis), and
 `derivative_stack`, which writes both as the rows of one array for the
 value march, reusing a march's buffers and gathering a slice inline.  The
@@ -29,10 +29,10 @@ regularity audits read their one-sided differences through the table too.
 
 The one-step weights of both marches come from one monotone kernel,
 `stencil_weights`, at the dissipation theta_k = |b_k| (upwinding, the
-density march) or theta_k = theta_lf (the value march).  It returns the
-diagonal weight (`stencil_diagonal`, which the density march's positivity
-check also evaluates alone) and the 2 d neighbour weights as rows up_0,
-dn_0, up_1, ... of one array, the rows of the neighbour table they weigh.
+density march) or theta_k = theta_lf (the value march), as one array
+whose row r weighs the node that row r of the table reads: the diagonal
+(`stencil_diagonal`, which the density march's positivity check also
+evaluates alone), then up_0, dn_0, up_1, ...
 
 Passes over a level stack that are not a march (the scheme residual, the
 transport-operator build, the linearization, the regularity audits) walk
@@ -201,17 +201,16 @@ class TimeField:
 
 @functools.lru_cache(maxsize=32)
 def neighbour_table(shape: tuple[int, ...], transpose: bool = False) -> np.ndarray:
-    """Flat node indices of the periodic neighbours on a spatial shape, cached.
+    """Flat indices of each node and of its periodic neighbours on a spatial shape, cached.
 
-    A read-only array of shape (2 d,) + shape whose rows are ahead_0,
-    behind_0, ahead_1, ...: row 2 k holds, at node i, the flat index of node
-    i + e_k, and row 2 k + 1 that of node i - e_k, wrapped around the torus.
-    With transpose each axis's pair is swapped (behind_0, ahead_0, ...):
-    the nodes whose outflow a transposed step receives.
+    A read-only array of shape (1 + 2 d,) + shape: row 0 holds node i itself,
+    row 1 + 2 k node i + e_k and row 2 + 2 k node i - e_k, wrapped around the
+    torus.  With transpose each axis's pair is swapped (behind_0, ahead_0,
+    ...): the nodes whose outflow a transposed step receives.
     """
     nodes = np.arange(math.prod(shape)).reshape(shape)
     shifts = (1, -1) if transpose else (-1, 1)
-    table = np.stack([np.roll(nodes, s, axis=k) for k in range(len(shape)) for s in shifts])
+    table = np.stack([nodes] + [np.roll(nodes, s, axis=k) for k in range(len(shape)) for s in shifts])
     table.setflags(write=False)
     return table
 
@@ -220,10 +219,10 @@ def neighbours(values: np.ndarray, dim: int, out: np.ndarray | None = None) -> n
     """The 2 d periodic neighbours of values over its trailing `dim` axes.
 
     Returns (or writes into out) an array of shape (2 d,) + values.shape
-    with the rows of `neighbour_table`: one `take` on a slice, one per row
-    on a run of levels.
+    with the neighbour rows of `neighbour_table`: one `take` on a slice, one
+    per row on a run of levels.
     """
-    table = neighbour_table(values.shape[values.ndim - dim :])
+    table = neighbour_table(values.shape[values.ndim - dim :])[1:]
     if out is None:
         out = np.empty(table.shape[:1] + values.shape, dtype=values.dtype)
     if values.ndim == dim:
@@ -269,7 +268,7 @@ def _stack_buffers(shape: tuple[int, ...], dim: int, dx: float, march: bool) -> 
     rows that take ahead + behind - 2 w (in 1D, row 0 of the stack itself).
     """
     space = shape[len(shape) - dim :]
-    rows = neighbour_table(space)
+    rows = neighbour_table(space)[1:]
     gathered = np.empty((2 * dim,) + shape)
     stack = np.empty((1 + dim,) + shape)
     scale = None
@@ -329,8 +328,8 @@ def stencil_diagonal(a: np.ndarray, theta: np.ndarray, dx: float, dt: float) -> 
     return 1.0 - dt * (2.0 * theta.shape[-1] * (a / dx**2) + np.sum(theta, axis=-1) / dx)
 
 
-def stencil_weights(a: np.ndarray, b: np.ndarray, theta, dx: float, dt: float) -> tuple:
-    """Weights (diag, nbr) of I + dt * sum_k [a D2_k + b_k Dc_k + (theta_k dx / 2) D2_k]:
+def stencil_weights(a: np.ndarray, b: np.ndarray, theta, dx: float, dt: float) -> np.ndarray:
+    """Weights of I + dt * sum_k [a D2_k + b_k Dc_k + (theta_k dx / 2) D2_k]:
 
         up_k = dt * (a / dx^2 + (theta_k + b_k) / (2 dx)),
         dn_k = dt * (a / dx^2 + (theta_k - b_k) / (2 dx)),
@@ -338,9 +337,9 @@ def stencil_weights(a: np.ndarray, b: np.ndarray, theta, dx: float, dt: float) -
     and diag from `stencil_diagonal`, with D2_k and Dc_k the 3-point second
     and centered differences along axis k.  a holds a slice or a run of
     levels; b (and theta, unless a scalar) adds a trailing axis of length
-    d.  nbr holds the rows up_0, dn_0, up_1, ... on an axis of length 2 d
-    before the spatial axes: the weights of the neighbours ahead_0,
-    behind_0, ahead_1, ..., the rows of `neighbour_table`.  The step is
+    d.  The rows diag, up_0, dn_0, up_1, ... lie on an axis of length 1 + 2 d
+    before the spatial axes: the weights of the node and of its neighbours
+    ahead_0, behind_0, ..., the rows of `neighbour_table`.  The step is
     monotone where theta_k >= |b_k| under the grid's time-step bound.
     theta_k = |b_k| (local Lax-Friedrichs) turns the drift part into the
     upwind difference of the density march; theta_k = theta_lf is the value
@@ -348,15 +347,15 @@ def stencil_weights(a: np.ndarray, b: np.ndarray, theta, dx: float, dt: float) -
     """
     dim = b.shape[-1]
     theta = np.broadcast_to(theta, b.shape)
-    a_dx2 = a / dx**2
     axis = a.ndim - dim
-    nbr = np.empty(a.shape[:axis] + (2 * dim,) + a.shape[axis:])
-    rows = np.moveaxis(nbr, axis, 0)
+    weights = np.empty(a.shape[:axis] + (1 + 2 * dim,) + a.shape[axis:])
+    rows = np.moveaxis(weights, axis, 0)
+    rows[0] = stencil_diagonal(a, theta, dx, dt)  # first: fewer chunk temporaries alive at once
+    a_dx2 = a / dx**2
     for k in range(dim):
-        rows[2 * k] = a_dx2 + (theta[..., k] + b[..., k]) / (2.0 * dx)
-        rows[2 * k + 1] = a_dx2 + (theta[..., k] - b[..., k]) / (2.0 * dx)
-    nbr *= dt
-    return stencil_diagonal(a, theta, dx, dt), nbr
+        np.multiply(a_dx2 + (theta[..., k] + b[..., k]) / (2.0 * dx), dt, out=rows[1 + 2 * k])
+        np.multiply(a_dx2 + (theta[..., k] - b[..., k]) / (2.0 * dx), dt, out=rows[2 + 2 * k])
+    return weights
 
 
 def wrap_periodic(x: np.ndarray, length: float) -> np.ndarray:

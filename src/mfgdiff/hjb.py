@@ -19,11 +19,12 @@ backward march monotone.  Under the grid's time-step bound every node of u^n
 is nondecreasing in every node of u^{n+1}: with the minimizing controls
 frozen, the step weights are those of the package's one monotone stencil
 kernel, `grid.stencil_weights`, with a = H2_q, b = H1_p and theta_k =
-theta_lf.  Its neighbour weights
+theta_lf, as one array: the diagonal weight in row 0, then the neighbour
+weights
 
     dt * (H2_q / dx^2 + (theta_lf +- H1_{p_k}) / (2 dx))  >=  0
 
-because H2_q >= lambda1^2/2 > 0 and |H1_p| <= theta_lf, and its diagonal
+because H2_q >= lambda1^2/2 > 0 and |H1_p| <= theta_lf, and the diagonal
 weight 1 - dt * (2 d H2_q / dx^2 + d theta_lf / dx) stays in [0, 1]
 (`monotonicity_certificate`).  The density march takes the same kernel at
 theta_k = |b_k|.  Monotonicity gives the discrete comparison principle and
@@ -310,8 +311,8 @@ def _check_discount(lam: float, grid: GridSpec) -> None:
 # --------------------------------------------------------------------------
 
 
-def _frozen_step_weights(model: ModelSpec, grid: GridSpec, u_slice: np.ndarray, t: float) -> tuple:
-    """Weights (diag, nbr) of one backward step from u_slice at time t, controls frozen there.
+def _frozen_step_weights(model: ModelSpec, grid: GridSpec, u_slice: np.ndarray, t: float) -> np.ndarray:
+    """Weights (rows diag, up_0, dn_0, ...) of one backward step from u_slice at t, controls frozen.
 
     The frozen step is affine: these weights applied to the slice, plus
     dt * (H2 - a Lap_h u + H1 - b . Dc u + F) with a = H2_q and b = H1_p.
@@ -325,9 +326,9 @@ def _frozen_step_weights(model: ModelSpec, grid: GridSpec, u_slice: np.ndarray, 
 def monotonicity_certificate(model: ModelSpec, grid: GridSpec, u_slice: np.ndarray, t: float) -> dict:
     """Bounds on `_frozen_step_weights`; monotone when neighbor weights are >= 0 and diag in [0, 1]."""
     _check_model_grid(model, grid)
-    diag, nbr = _frozen_step_weights(model, grid, np.asarray(u_slice, dtype=float), t)
-    return {"off_diagonal_min": float(nbr.min()),
-            "diagonal_min": float(diag.min()), "diagonal_max": float(diag.max())}
+    weights = _frozen_step_weights(model, grid, np.asarray(u_slice, dtype=float), t)
+    return {"off_diagonal_min": float(weights[1:].min()),
+            "diagonal_min": float(weights[0].min()), "diagonal_max": float(weights[0].max())}
 
 
 # --------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import yaml
 import mfgdiff.fixed_point as fixed_point
 from mfgdiff import ConfigError, model_a
 from mfgdiff.cli import main
+from mfgdiff.config import FixedPointConfig
 from mfgdiff.couplings import DensityInit
 from mfgdiff.fixed_point import (
     coupling_fields,
@@ -125,6 +126,22 @@ def test_picard_rejects_bad_damping(ma, grid32):
         picard_solve(ma, grid32, theta=1.5)
     with pytest.raises(ConfigError):
         picard_solve(ma, grid32, tol=-1.0)
+
+
+@pytest.mark.parametrize("max_iter", [0, -1, 2.5, True])
+def test_picard_rejects_bad_max_iter_before_any_solve(ma, grid32, monkeypatch, max_iter):
+    # the library and the config loader share one rule: an integer >= 1, named in the error
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the settings were checked")
+
+    monkeypatch.setattr(fixed_point, "solve_hjb", no_solve)
+    with pytest.raises(ConfigError, match="max_iter must be an integer >= 1"):
+        picard_solve(ma, grid32, max_iter=max_iter)
+    path = _uniform_path(grid32)
+    with pytest.raises(ConfigError, match="max_iter"):
+        uniqueness_crosscheck(ma, grid32, (path, path), max_iter=max_iter)
+    with pytest.raises(ConfigError, match="fixed_point.max_iter must be an integer >= 1"):
+        FixedPointConfig(max_iter=max_iter)
 
 
 def test_picard_holder_checked_once(ma, grid32, monkeypatch):

@@ -102,14 +102,15 @@ def test_stencils_match_roll_reference(dim, stacked, rng):
     # each axis's pair: the node ahead, then the node behind; swapped in the transposed table
     flat = values.reshape(values.shape[: values.ndim - dim] + (-1,))
     swapped = np.stack([flat.take(row.reshape(-1), axis=-1).reshape(values.shape)
-                        for row in neighbour_table(grid.shape, True)])
+                        for row in neighbour_table(grid.shape, True)[1:]])
     for k in range(dim):
         ahead, behind = np.roll(values, -1, axis=k - dim), np.roll(values, 1, axis=k - dim)
         assert np.array_equal(nbr[2 * k], ahead) and np.array_equal(nbr[2 * k + 1], behind)
         assert np.array_equal(swapped[2 * k], behind) and np.array_equal(swapped[2 * k + 1], ahead)
     for transpose in (False, True):
         table = neighbour_table(grid.shape, transpose)
-        assert table.shape == (2 * dim,) + grid.shape and not table.flags.writeable
+        assert table.shape == (1 + 2 * dim,) + grid.shape and not table.flags.writeable
+        assert np.array_equal(table[0], np.arange(grid.n_nodes).reshape(grid.shape))  # the node itself
 
 
 _BOX_LENGTHS = [1.0, 0.7, 2.0, 2 * np.pi]

@@ -7,6 +7,10 @@ the density march's values and masses.  It also pins the `float.hex` of
 three duality gaps, drawn as `picard_solve` draws them.  Raw bytes include
 the sign of every zero, so a refactor of a stencil or a Hamiltonian that
 reorders one operation fails here.
+
+The coupled solve is pinned too: the sha256 of `picard_solve`'s returned u
+and m, the `float.hex` of its gap history and its iteration count, for
+model A in 1D and in 2D.
 """
 
 import hashlib
@@ -15,7 +19,7 @@ import numpy as np
 import pytest
 
 from mfgdiff import DensityPath, TimeField, model_a, mollify_model, single_control_model
-from mfgdiff.fixed_point import coupling_fields
+from mfgdiff.fixed_point import coupling_fields, picard_solve
 from mfgdiff.fp import build_transport_operator, check_duality, solve_fp
 from mfgdiff.hjb import grid_for, hjb_residual, solve_hjb, solve_hjb_lambda
 
@@ -106,3 +110,47 @@ _RECORDED = {
 @pytest.mark.parametrize("name", sorted(_CASES))
 def test_march_bits_match_recording(name):
     assert _fingerprint(name) == _RECORDED[name]
+
+
+# model builder, lattice (nx, nt) and tolerance of a coupled solve at the default damping
+_COUPLED = {
+    "model_a_1d": (lambda: model_a(), (32, 1040), 1e-4),
+    "model_a_2d": (lambda: model_a(horizon=0.0625, dim=2), (8, 64), 1e-3),
+}
+
+_RECORDED_COUPLED = {
+    "model_a_1d": {
+        "u": "4f287c5ed3287f30522f5c537913b2154af8f23a3fea8ad0b2abf50baa72ff7b",
+        "m": "b80c3e265f2c42c4ba74415f122be06ccfc6368ef4df1ac9f9cc9c6e841e169a",
+        "gaps": (
+            "0x1.7179a87fbaf15p-4", "0x1.2d1ec19f50e7dp-5", "0x1.e7679eb8eda53p-7",
+            "0x1.87d4c82f67743p-8", "0x1.3abd074d4b515p-9", "0x1.fc6638793a49dp-11",
+            "0x1.b07136dee753ep-12", "0x1.a9f30f31e6f56p-13", "0x1.a44501abe7f74p-14",
+            "0x1.a08cdbccb20c0p-15",
+        ),
+        "iterations": 10,
+    },
+    "model_a_2d": {
+        "u": "ba546cbf76a493c5309bfc54385ea9e9ba95b831f9a24c63f7b1a96ac38078bf",
+        "m": "dc9e79f7cb26373ed4760b8d6592f3de848e4caec7415ca80c5dd7288b4d3af8",
+        "gaps": (
+            "0x1.f1ebfc2bd8111p-5", "0x1.ed36ffa0537cap-6", "0x1.e9e0ebaacf3f2p-7",
+            "0x1.e74c1c64a081fp-8", "0x1.ee40702ed8d09p-9", "0x1.f6237c53e1b3bp-10",
+            "0x1.fd9b9de15fec3p-11",
+        ),
+        "iterations": 7,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COUPLED))
+def test_coupled_solve_bits_match_recording(name):
+    build, (nx, nt), tol = _COUPLED[name]
+    model = build()
+    result = picard_solve(model, grid_for(model, nx=nx, nt=nt), tol=tol)
+    assert {
+        "u": _digest(result.u.values),
+        "m": _digest(result.m.values),
+        "gaps": tuple(float.hex(float(g)) for g in result.report.gap_history),
+        "iterations": result.report.iterations,
+    } == _RECORDED_COUPLED[name]
